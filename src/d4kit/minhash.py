@@ -1,16 +1,25 @@
 """Document-level MinHash LSH near-duplicate removal.
 
-Signatures are 20 seeded 64-bit min-hashes by default, banded 20 x 1, so
-two documents become duplicate candidates iff any signature position
-matches. Candidates are unioned transitively (union-find over band
-collisions) and each duplicate group keeps its lexicographically lowest id.
+Each shingle is hashed once, with blake2b keyed by the seed, to a 64-bit
+``base``. Signature position i is the minimum over the shingles of
+fmix64(base ^ key_i): fmix64 is MurmurHash3's 64-bit finaliser and key_i a
+fixed per-position constant (Broder 1997; one hash plus cheap permutations,
+as in datasketch). Signatures have 20 positions by default, banded 20 x 1,
+so two documents become duplicate candidates iff any signature position
+matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets, ch. 3).
+Candidates are grouped transitively, as connected components of the
+band-collision graph, and each duplicate group keeps its lexicographically
+lowest id.
 """
 
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
+
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .corpus import DocumentSet
 from .errors import ValidationError
@@ -27,6 +36,8 @@ class LshConfig:
     def __post_init__(self):
         if self.num_hashes < 1:
             raise ValidationError("num_hashes must be >= 1")
+        if self.bands < 1 or self.rows_per_band < 1:
+            raise ValidationError("bands and rows_per_band must be >= 1")
         if self.bands * self.rows_per_band != self.num_hashes:
             raise ValidationError(
                 f"bands ({self.bands}) x rows_per_band ({self.rows_per_band}) "
@@ -68,78 +79,77 @@ def shingles(text: str, w: int) -> frozenset[str]:
     return frozenset(" ".join(words[i : i + w]) for i in range(len(words) - w + 1))
 
 
-def _hash64(payload: bytes, seed: int, index: int) -> int:
-    key = struct.pack("<QI", seed & 0xFFFFFFFFFFFFFFFF, index)
-    return int.from_bytes(
-        hashlib.blake2b(payload, digest_size=8, key=key).digest(), "little"
-    )
+# Weyl increment of splitmix64; position i XORs (i + 1) times it into the base hash.
+_POSITION_STEP = np.uint64(0x9E3779B97F4A7C15)
+_FMIX_C1 = np.uint64(0xFF51AFD7ED558CCD)
+_FMIX_C2 = np.uint64(0xC4CEB9FE1A85EC53)
+# A uint64 shift count, so that numpy < 2 does not promote the shift to float64.
+_SHIFT = np.uint64(33)
+
+
+def _fmix64(x: np.ndarray) -> np.ndarray:
+    """MurmurHash3's 64-bit finaliser, a bijection on uint64 (products wrap mod 2**64)."""
+    x = x ^ (x >> _SHIFT)
+    x *= _FMIX_C1
+    x ^= x >> _SHIFT
+    x *= _FMIX_C2
+    x ^= x >> _SHIFT
+    return x
 
 
 def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature:
-    """Position i holds the minimum of hash_i over the shingle set."""
+    """Position i holds the minimum of fmix64(base ^ key_i) over the shingle set.
+
+    ``base`` is one 8-byte blake2b digest per shingle, keyed by the seed;
+    ``key_i`` is fixed per position. fmix64 is a bijection, so distinct
+    bases never collide at any position.
+    """
     if not sh:
         raise ValidationError("cannot sign an empty shingle set")
-    encoded = [s.encode("utf-8") for s in sh]
-    values = tuple(
-        min(_hash64(e, cfg.seed, i) for e in encoded) for i in range(cfg.num_hashes)
-    )
-    return MinHashSignature(values=values, shingle_width=cfg.shingle_width)
-
-
-class _UnionFind:
-    """Disjoint sets over integer indices; path compression + union by size."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
+    keyed = hashlib.blake2b(digest_size=8, key=(cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    digests = []
+    for s in sh:
+        h = keyed.copy()
+        h.update(s.encode("utf-8"))
+        digests.append(h.digest())
+    base = np.frombuffer(b"".join(digests), dtype="<u8")
+    keys = np.arange(1, cfg.num_hashes + 1, dtype=np.uint64) * _POSITION_STEP
+    values = _fmix64(base[:, None] ^ keys[None, :]).min(axis=0)
+    return MinHashSignature(values=tuple(values.tolist()), shingle_width=cfg.shingle_width)
 
 
 def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     """Collapse near-duplicate documents found by banded MinHash.
 
-    Documents sharing any band bucket are unioned into groups; each group
+    Documents sharing any band bucket are joined into groups; each group
     keeps its lowest id. Kept ids preserve corpus order. The result is
     independent of corpus permutation up to that keep rule.
     """
     cfg = cfg or LshConfig()
     sigs = [signature(shingles(d.text, cfg.shingle_width), cfg) for d in docs]
+    n = len(sigs)
+    matrix = np.array([sig.values for sig in sigs], dtype=np.uint64).reshape(n, cfg.num_hashes)
 
-    uf = _UnionFind(len(sigs))
-    buckets: dict[tuple[int, tuple[int, ...]], int] = {}
-    for i, sig in enumerate(sigs):
-        for band in range(cfg.bands):
-            start = band * cfg.rows_per_band
-            key = (band, sig.values[start : start + cfg.rows_per_band])
-            first = buckets.setdefault(key, i)
-            if first != i:
-                uf.union(first, i)
+    # Each band links every document to the first document in its bucket.
+    heads = []
+    for band in range(cfg.bands):
+        rows = matrix[:, band * cfg.rows_per_band : (band + 1) * cfg.rows_per_band]
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        heads.append(first[inverse.reshape(-1)])
+    src = np.tile(np.arange(n), cfg.bands)
+    dst = np.concatenate(heads)
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
 
+    # Dict insertion order: groups by lowest member index, members in corpus order.
     members: dict[int, list[int]] = {}
-    for i in range(len(sigs)):
-        members.setdefault(uf.find(i), []).append(i)
+    for i, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(i)
 
     ids = docs.ids
     keep: set[str] = set()
     groups: list[DuplicateGroup] = []
-    for root in sorted(members, key=lambda r: min(members[r])):
-        idx = members[root]
+    for idx in members.values():
         group_ids = tuple(ids[i] for i in idx)
         keep.add(min(group_ids))
         if len(idx) > 1:

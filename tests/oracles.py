@@ -8,6 +8,7 @@ iterations. Keep it that way; these are the oracles the tests trust.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -148,3 +149,34 @@ def best_two_partition(rows) -> tuple[float, list[int]]:
 
 def exact_jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
+
+
+MASK64 = (1 << 64) - 1
+
+
+def scalar_fmix64(x: int) -> int:
+    """MurmurHash3's 64-bit finaliser on a Python int, wrapped by masking."""
+    x ^= x >> 33
+    x = (x * 0xFF51AFD7ED558CCD) & MASK64
+    x ^= x >> 33
+    x = (x * 0xC4CEB9FE1A85EC53) & MASK64
+    x ^= x >> 33
+    return x
+
+
+def minhash_signature_oracle(shingle_set, seed: int, num_hashes: int) -> tuple[int, ...]:
+    """MinHash values with Python ints only.
+
+    One blake2b digest per shingle, keyed by the seed's low 64 bits, gives
+    ``base``; position i is min over shingles of fmix64(base ^ key_i) with
+    key_i = (i + 1) * 0x9E3779B97F4A7C15 mod 2**64.
+    """
+    key = (seed & MASK64).to_bytes(8, "little")
+    bases = [
+        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8, key=key).digest(), "little")
+        for s in shingle_set
+    ]
+    return tuple(
+        min(scalar_fmix64(b ^ (((i + 1) * 0x9E3779B97F4A7C15) & MASK64)) for b in bases)
+        for i in range(num_hashes)
+    )

@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from d4kit import (
     synthesize_corpus,
 )
 
-from oracles import OracleUnionFind, exact_jaccard
+from oracles import OracleUnionFind, exact_jaccard, minhash_signature_oracle
 
 
 def _docs(texts, ids=None):
@@ -70,9 +73,38 @@ class TestSignature:
         sigma = (jaccard * (1 - jaccard) / cfg.num_hashes) ** 0.5
         assert abs(match - jaccard) <= 2 * sigma
 
+    @pytest.mark.parametrize("overlap,jaccard", [(30, 0.2), (60, 0.5), (80, 0.8)])
+    def test_match_fraction_unbiased_over_seeds(self, overlap, jaccard):
+        # Over 200 seeds x 20 positions the mean match fraction must lie
+        # within 3 standard errors of the exact Jaccard value.
+        A = {f"s{i}" for i in range(90)}
+        B = {f"s{i}" for i in range(90 - overlap, 180 - overlap)}
+        trials = 0
+        matches = 0
+        for seed in range(200):
+            cfg = LshConfig(seed=seed)
+            sa, sb = signature(A, cfg), signature(B, cfg)
+            matches += sum(x == y for x, y in zip(sa.values, sb.values))
+            trials += cfg.num_hashes
+        se = (jaccard * (1 - jaccard) / trials) ** 0.5
+        assert abs(matches / trials - jaccard) <= 3 * se
+
+    @given(
+        st.frozensets(st.text(max_size=12), min_size=1, max_size=30),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_matches_scalar_oracle(self, sh, seed, num_hashes):
+        cfg = LshConfig(num_hashes=num_hashes, bands=num_hashes, rows_per_band=1, seed=seed)
+        assert signature(sh, cfg).values == minhash_signature_oracle(sh, seed, num_hashes)
+
     def test_config_invariant(self):
         with pytest.raises(ValidationError):
             LshConfig(num_hashes=20, bands=7, rows_per_band=3)
+
+    def test_negative_band_shape_rejected(self):
+        with pytest.raises(ValidationError):
+            LshConfig(num_hashes=20, bands=-1, rows_per_band=-20)
 
 
 class TestLshDedup:
@@ -145,3 +177,41 @@ class TestLshDedup:
         assert got_groups == expected_groups
         expected_kept = {min(g) for g in uf.groups()}
         assert set(res.kept_ids) == expected_kept
+
+    @pytest.mark.parametrize("bands,rows", [(10, 2), (5, 4)])
+    def test_multi_row_bands_match_oracle_closure(self, planted_docs, bands, rows):
+        # Groups must equal the closure of "some band matches in every row",
+        # in lowest-member order with corpus-ordered members.
+        cfg = LshConfig(num_hashes=20, bands=bands, rows_per_band=rows, seed=3)
+        ids = planted_docs.ids
+        band_keys = []
+        for d in planted_docs:
+            values = signature(shingles(d.text, cfg.shingle_width), cfg).values
+            band_keys.append([values[b * rows : (b + 1) * rows] for b in range(bands)])
+        uf = OracleUnionFind()
+        for i in range(len(ids)):
+            uf.find(i)
+        for a, b in itertools.combinations(range(len(ids)), 2):
+            if any(map(operator.eq, band_keys[a], band_keys[b])):
+                uf.union(a, b)
+        components = sorted((sorted(g) for g in uf.groups()), key=lambda g: g[0])
+        expected_groups = [
+            (gid, tuple(ids[i] for i in g))
+            for gid, g in enumerate(g for g in components if len(g) > 1)
+        ]
+        keep = {min(ids[i] for i in g) for g in components}
+
+        res = lsh_dedup(planted_docs, cfg)
+        assert len(expected_groups) >= 20
+        assert [(g.group_id, g.member_ids) for g in res.groups] == expected_groups
+        assert res.kept_ids == tuple(i for i in ids if i in keep)
+
+    def test_empty_corpus(self):
+        res = lsh_dedup(DocumentSet.from_documents([]))
+        assert res.kept_ids == ()
+        assert res.groups == ()
+
+    def test_single_document(self):
+        res = lsh_dedup(_docs(["only one document here"]))
+        assert res.kept_ids == ("d0",)
+        assert res.groups == ()
