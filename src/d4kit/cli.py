@@ -91,8 +91,9 @@ def _write_selection(out: Path, result: select_mod.SelectionResult) -> None:
     _write_json(out / "summary.json", _selection_summary(result))
 
 
-def _load_scores(path: str) -> dict[str, float]:
-    scores: dict[str, float] = {}
+def _read_scored(path: str) -> list[tuple[str, float]]:
+    """(id, score) per record of a JSONL file such as ``selection.jsonl``."""
+    records: list[tuple[str, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -100,11 +101,17 @@ def _load_scores(path: str) -> dict[str, float]:
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if "id" not in rec or "score" not in rec:
-                raise ParseError("score record needs 'id' and 'score'", lineno)
-            scores[rec["id"]] = float(rec["score"])
-    return scores
+                raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno) from exc
+            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str) and "score" in rec):
+                raise ParseError(f"record in {path} needs a string 'id' and a 'score'", lineno)
+            try:
+                score = float(rec["score"])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(
+                    f"score in {path} is not a number: {rec['score']!r}", lineno
+                ) from exc
+            records.append((rec["id"], score))
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -201,9 +208,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
 
 def _clustering_for(args: argparse.Namespace, emb: embed_mod.EmbeddingMatrix, stage: str):
     if args.clustering:
-        clustering = cluster_mod.read_clustering(args.clustering)
-        clustering.validate_for(emb)
-        return clustering
+        return cluster_mod.read_clustering(args.clustering)
     cfg = cluster_mod.KmeansConfig(
         k=args.k, iters=args.iters, seed=stage_seed(args.seed, stage)
     )
@@ -298,23 +303,31 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
         print(f"{f.cluster_index:>8} {f.std:>10.5f} {f.mean_distance:>10.5f} {f.size:>6}")
 
 
+_SUMMARY_FIELDS = {"method": str, "R_target": (int, float), "n_source": int, "fingerprint": str}
+
+
 def _read_selection_dir(path: str) -> select_mod.SelectionResult:
     base = Path(path)
-    summary = json.loads((base / "summary.json").read_text(encoding="utf-8"))
-    kept: list[str] = []
-    scores: list[float] = []
-    with (base / "selection.jsonl").open("r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            kept.append(rec["id"])
-            scores.append(float(rec["score"]))
+    summary_path = base / "summary.json"
+    try:
+        summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {summary_path}: {exc.msg}", exc.lineno) from exc
+    if not (
+        isinstance(summary, dict)
+        and all(isinstance(summary.get(k), t) for k, t in _SUMMARY_FIELDS.items())
+    ):
+        raise ParseError(
+            f"{summary_path} needs string method and fingerprint, "
+            "numeric R_target and integer n_source",
+            1,
+        )
+    records = _read_scored(str(base / "selection.jsonl"))
     return select_mod.SelectionResult(
         method=summary["method"],
         r_target=summary["R_target"],
-        kept_ids=tuple(kept),
-        scores=tuple(scores),
+        kept_ids=tuple(doc_id for doc_id, _ in records),
+        scores=tuple(score for _, score in records),
         n_source=summary["n_source"],
         fingerprint=summary["fingerprint"],
         epsilon_used=summary.get("epsilon_used"),
@@ -361,8 +374,8 @@ def cmd_nn(args: argparse.Namespace) -> None:
             raise ValidationError("--scores-before and --scores-after go together")
         binned = diag_mod.binned_score_analysis(
             report,
-            _load_scores(args.scores_before),
-            _load_scores(args.scores_after),
+            dict(_read_scored(args.scores_before)),
+            dict(_read_scored(args.scores_after)),
             n_bins=args.bins,
         )
         with (out / "binned.jsonl").open("w", encoding="utf-8") as fh:
@@ -542,7 +555,7 @@ def run(argv: list[str]) -> int:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (ParseError, FormatError) as exc:
+    except (ParseError, FormatError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -78,6 +78,8 @@ class Clustering:
             raise ValidationError("centroids must be a (k, d) matrix")
         if self.assignment.shape != self.distance.shape:
             raise ValidationError("assignment and distance lengths differ")
+        if not (np.isfinite(self.centroids).all() and np.isfinite(self.distance).all()):
+            raise ValidationError("centroids and distances must be finite (no NaN or infinity)")
         if self.n and (self.assignment.min() < 0 or self.assignment.max() >= self.k):
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):

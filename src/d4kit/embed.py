@@ -73,6 +73,8 @@ class EmbeddingMatrix:
             )
         if len(set(self.ids)) != len(self.ids):
             raise ValidationError("embedding ids must be unique")
+        if not np.isfinite(self.vectors).all():
+            raise ValidationError("vectors must be finite (no NaN or infinity)")
         if self.normalized and self.n:
             norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
             worst = float(np.abs(norms - 1.0).max())

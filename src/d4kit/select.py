@@ -4,9 +4,9 @@ Four methods, all document-granular and deterministic:
 
 - ``select_random``: the uniform baseline.
 - ``semdedup``: within each cluster, connect members whose cosine
-  similarity exceeds 1 - epsilon, collapse each connected component to one
-  representative, and bisect epsilon until the kept fraction matches the
-  target ratio.
+  similarity exceeds 1 - epsilon and collapse each connected component to
+  one representative. Epsilon is read off each cluster's maximum spanning
+  tree so the kept fraction is the achievable one closest to the target.
 - ``ssl_prototypes``: rank all points globally by distance to their
   centroid and discard the most prototypical (smallest-distance) points.
 - ``d4``: semdedup, re-cluster the survivors, then prototypes; the overall
@@ -119,105 +119,90 @@ def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> 
     )
 
 
-class _ClusterSims:
-    """Per-cluster member indices and pairwise similarity, computed once."""
+def _spanning_forest(
+    emb: EmbeddingMatrix, clustering: Clustering
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximum-similarity spanning tree of every cluster, by Prim's algorithm.
 
-    def __init__(self, emb: EmbeddingMatrix, clustering: Clustering):
-        X = emb.vectors.astype(np.float64)
-        self.clusters: list[tuple[np.ndarray, np.ndarray | None]] = []
-        for idx in clustering.members():
-            if idx.size == 0:
-                continue
-            if idx.size == 1:
-                self.clusters.append((idx, None))
-            else:
-                rows = X[idx]
-                sims = np.clip(rows @ rows.T, -1.0, 1.0)
-                self.clusters.append((idx, sims))
-
-    def kept_count(self, eps: float) -> int:
-        thresh = 1.0 - eps
-        total = 0
-        for idx, sims in self.clusters:
-            if sims is None:
-                total += 1
-            else:
-                n_comp, _ = connected_components(csr_matrix(sims > thresh), directed=False)
-                total += n_comp
-        return total
-
-    def components(self, eps: float) -> list[np.ndarray]:
-        """Duplicate components (as global index arrays) at this epsilon."""
-        thresh = 1.0 - eps
-        out: list[np.ndarray] = []
-        for idx, sims in self.clusters:
-            if sims is None:
-                out.append(idx)
-                continue
-            n_comp, labels = connected_components(csr_matrix(sims > thresh), directed=False)
-            for c in range(n_comp):
-                out.append(idx[labels == c])
-        return out
+    Returns the edges, heaviest first, as global endpoint indices plus
+    their cosine similarities clipped to [-1, 1]; a cluster of m members
+    gives m - 1 edges. For every threshold t, the components of a cluster's
+    "sim > t" graph are exactly those its tree edges of weight > t leave
+    (the single-linkage/MST equivalence). Each step computes one row of
+    similarities, so no m x m matrix is built.
+    """
+    X = emb.vectors.astype(np.float64)
+    empty = np.zeros(0, dtype=np.intp)
+    heads, tails, weights = [empty], [empty], [np.zeros(0)]
+    for idx in clustering.members():
+        m = idx.size
+        if m < 2:
+            continue
+        rows = X[idx]
+        best = np.full(m, -np.inf)  # similarity to the nearest tree member
+        parent = np.zeros(m, dtype=np.intp)
+        outside = np.ones(m, dtype=bool)
+        joined = np.empty(m - 1, dtype=np.intp)
+        weight = np.empty(m - 1)
+        v = 0
+        for step in range(m - 1):
+            outside[v] = False
+            best[v] = -np.inf
+            sims = rows @ rows[v]
+            closer = outside & (sims > best)
+            best[closer] = sims[closer]
+            parent[closer] = v
+            v = int(best.argmax())
+            joined[step] = v
+            weight[step] = best[v]
+        heads.append(idx[parent[joined]])
+        tails.append(idx[joined])
+        weights.append(weight)
+    # Clipping is monotone, so the trees stay maximal under it.
+    weights = np.clip(np.concatenate(weights), -1.0, 1.0)
+    order = np.argsort(-weights, kind="stable")
+    return np.concatenate(heads)[order], np.concatenate(tails)[order], weights[order]
 
 
 def semdedup_kept_counts(
     emb: EmbeddingMatrix, clustering: Clustering, epsilons: list[float]
 ) -> list[int]:
-    """Kept-document counts at each epsilon; a diagnostic for the bisection."""
-    sims = _ClusterSims(emb, clustering)
-    return [sims.kept_count(e) for e in epsilons]
+    """Kept-document counts at each epsilon, read off the spanning forest."""
+    weights = _spanning_forest(emb, clustering)[2][::-1]  # lightest first
+    merged = weights.size - np.searchsorted(weights, [1.0 - e for e in epsilons], side="right")
+    return [clustering.n - int(m) for m in merged]
 
 
-def _bisect_epsilon(
-    sims: _ClusterSims, n: int, r_target: float, tol: float, max_steps: int = 60
-) -> tuple[float, float, list[tuple[float, int]]]:
-    """Find epsilon whose kept fraction is within tol of the target.
+def _choose_cut(
+    weights: np.ndarray, n: int, r_target: float, tol: float
+) -> tuple[int, float, np.ndarray]:
+    """How many of the heaviest forest edges to merge, and the epsilon that does it.
 
-    Returns (epsilon, achieved fraction, trace of evaluated points). The
-    kept fraction is non-increasing in epsilon; when the step function
-    jumps over the target, the closer side wins, ties toward the smaller
-    kept set (larger epsilon).
+    ``weights`` run heaviest first. Merging m edges keeps n - m documents;
+    m is achievable when m = 0 or when the weights strictly drop after the
+    m-th edge, and an edge of weight -1 never merges. The achievable kept
+    count closest to ``r_target * n`` wins, ties toward the smaller kept
+    set, except that m = 0 (epsilon 0) is used whenever it is already
+    within ``tol``. Returns (m, epsilon, achievable kept counts in
+    decreasing order).
     """
-    trace: list[tuple[float, int]] = []
-
-    def frac(eps: float) -> float:
-        kept = sims.kept_count(eps)
-        trace.append((eps, kept))
-        return kept / n
-
-    lo, f_lo = 0.0, frac(0.0)
-    if abs(f_lo - r_target) <= tol:
-        return lo, f_lo, trace
-    hi, f_hi = 2.0, frac(2.0)
-    if abs(f_hi - r_target) <= tol:
-        chosen, achieved = hi, f_hi
-    elif f_hi > r_target + tol:
-        # Even full within-cluster merging keeps too many documents.
-        chosen, achieved = hi, f_hi
+    w = weights[weights > -1.0]
+    drops = np.flatnonzero(w[:-1] > w[1:]) + 1
+    merged = np.unique(np.concatenate(([0], drops, [w.size])))
+    kept = n - merged
+    if abs(1.0 - r_target) <= tol:
+        m = 0
     else:
-        chosen = achieved = None
-        for _ in range(max_steps):
-            mid = 0.5 * (lo + hi)
-            fm = frac(mid)
-            if abs(fm - r_target) <= tol:
-                chosen, achieved = mid, fm
-                break
-            if fm > r_target:
-                lo, f_lo = mid, fm
-            else:
-                hi, f_hi = mid, fm
-        if chosen is None:
-            # Step jump over the target: pick the closer side.
-            if abs(f_hi - r_target) <= abs(f_lo - r_target):
-                chosen, achieved = hi, f_hi
-            else:
-                chosen, achieved = lo, f_lo
-
-    # The kept fraction must be monotone non-increasing in epsilon.
-    by_eps = sorted(trace)
-    counts = [kept for _, kept in by_eps]
-    assert all(a >= b for a, b in zip(counts, counts[1:])), "kept count not monotone in epsilon"
-    return chosen, achieved, trace
+        gap = np.abs(kept - r_target * n)
+        m = int(merged[gap.size - 1 - np.argmin(gap[::-1])])
+    if m == 0:
+        eps = 0.0
+    elif m == w.size:
+        eps = 2.0
+    else:
+        # Midway through the gap, so rounding cannot move an edge across it.
+        eps = 1.0 - 0.5 * (float(w[m - 1]) + float(w[m]))
+    return m, eps, kept
 
 
 def semdedup(
@@ -229,10 +214,13 @@ def semdedup(
 ) -> SelectionResult:
     """Semantic dedup: one representative per within-cluster epsilon-component.
 
-    Epsilon is bisected over [0, 2] so the kept fraction lands within
-    ``tol`` of ``r_dedup``; if that is unreachable (the kept-fraction step
-    function jumps over the target, or the floor of one-per-cluster is
-    above it), the closest achievable epsilon is used and a warning is
+    Each cluster's maximum spanning tree fixes the kept count at every
+    epsilon, so epsilon is chosen exactly: the achievable kept fraction
+    closest to ``r_dedup`` (ties toward the smaller kept set), or
+    epsilon 0 when keeping everything is already within ``tol``. When no
+    achievable fraction is within ``tol`` (the kept-fraction step function
+    jumps over the target, or the floor of one-per-cluster is above it),
+    a warning naming the nearest achievable fractions on either side is
     recorded on the result.
     """
     if not 0.0 < r_dedup <= 1.0:
@@ -243,30 +231,41 @@ def semdedup(
         raise ValidationError("semdedup requires a normalized embedding matrix")
     clustering.validate_for(emb)
 
-    sims = _ClusterSims(emb, clustering)
-    eps, achieved, _ = _bisect_epsilon(sims, emb.n, r_dedup, tol)
+    n = emb.n
+    heads, tails, weights = _spanning_forest(emb, clustering)
+    m, eps, achievable = _choose_cut(weights, n, r_dedup, tol)
+    graph = csr_matrix((np.ones(m), (heads[:m], tails[:m])), shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
 
-    distance = clustering.distance
+    # Each component keeps its member farthest from (or nearest to) the
+    # centroid, ties to the lowest id.
     ids = emb.ids
+    distance = clustering.distance
     sign = -1.0 if keep_rule == "farthest" else 1.0
-    keep_idx: list[int] = []
-    for comp in sims.components(eps):
-        best = min(comp, key=lambda i: (sign * distance[i], ids[i]))
-        keep_idx.append(int(best))
-    keep_idx.sort()
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    order = np.lexsort((id_rank, sign * distance, labels))
+    first = np.ones(n, dtype=bool)
+    first[1:] = labels[order[1:]] != labels[order[:-1]]
+    keep_idx = np.sort(order[first])
 
     warnings = ()
-    if abs(achieved - r_dedup) > tol:
+    if n and abs(keep_idx.size / n - r_dedup) > tol:
+        # Achievable counts run high to low: the nearest on either side.
+        below = achievable[achievable < r_dedup * n][:1]
+        above = achievable[achievable > r_dedup * n][-1:]
+        nearest = " / ".join(f"{k / n:.4f}" for k in (*below, *above))
         warnings = (
             f"target kept fraction {r_dedup:.4f} unreachable; "
-            f"closest achieved {achieved:.4f} at epsilon {eps:.6g}",
+            f"closest achievable: {nearest}; "
+            f"kept {keep_idx.size / n:.4f} at epsilon {eps:.6g}",
         )
     return SelectionResult(
         method=f"semdedup(r_dedup={r_dedup:g}, keep_rule={keep_rule})",
         r_target=r_dedup,
         kept_ids=tuple(ids[i] for i in keep_idx),
         scores=tuple(float(distance[i]) for i in keep_idx),
-        n_source=emb.n,
+        n_source=n,
         fingerprint=source_fingerprint(ids),
         epsilon_used=eps,
         warnings=warnings,
@@ -325,8 +324,6 @@ def d4(
     """
     if clustering is None:
         clustering = kmeans_spherical(emb, cfg.kmeans)
-    else:
-        clustering.validate_for(emb)
 
     stage1 = semdedup(emb, clustering, cfg.r_dedup)
     kept_set = set(stage1.kept_ids)

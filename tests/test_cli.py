@@ -1,6 +1,8 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from d4kit.cli import run
@@ -104,6 +106,71 @@ class TestErrors:
         path = tmp_path / "broken.jsonl"
         path.write_text("{not json\n", encoding="utf-8")
         assert run(["minhash", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 2
+
+    def test_non_utf8_corpus_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        assert run(["minhash", "--corpus", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+    def test_nan_embeddings_exit_1_with_one_error_line(self, tmp_path, capsys):
+        rows = np.eye(2, 4, dtype="<f4")
+        rows[1, 3] = np.nan
+        bad = tmp_path / "nan.d4em"
+        bad.write_bytes(
+            b"D4EM"
+            + struct.pack("<IQII", 1, 2, 4, 1)
+            + rows.tobytes()
+            + b"".join(struct.pack("<H", 1) + i for i in (b"a", b"b"))
+        )
+        assert run(["cluster", "--embeddings", str(bad), "--k", "1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+    def _random_selection(self, tmp_path) -> Path:
+        emb = _embed(tmp_path, _synth(tmp_path))
+        out = tmp_path / "sel"
+        assert run(
+            ["select", "--embeddings", str(emb), "--method", "random", "--r", "0.5", "--out", str(out)]
+        ) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "summary",
+        [
+            "{not json\n",
+            json.dumps({"R_target": 0.5, "n_source": 10}),
+            json.dumps({"method": 5, "R_target": 0.5, "n_source": 10, "fingerprint": "f"}),
+        ],
+    )
+    def test_overlap_bad_summary_exits_2(self, tmp_path, capsys, summary):
+        sel = self._random_selection(tmp_path)
+        (sel / "summary.json").write_text(summary, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["overlap", str(sel), str(sel), "--out", str(tmp_path / "ov")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 1:")
+
+    def test_nn_non_numeric_score_exits_2_with_line(self, tmp_path, capsys):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text(
+            json.dumps({"id": "a", "score": 1.0}) + "\n" + json.dumps({"id": "b", "score": "high"}) + "\n",
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        code = run(
+            [
+                "nn", str(emb), "--embeddings", str(emb),
+                "--scores-before", str(scores), "--scores-after", str(scores),
+                "--out", str(tmp_path / "nn"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:") and "'high'" in err[0]
 
 
 class TestPipeline:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from d4kit import (
+    Clustering,
     EmbeddingMatrix,
     FormatError,
     KmeansConfig,
@@ -194,6 +195,28 @@ class TestObjective:
                 emb.vectors[i].tolist(), c.centroids[c.assignment[i]].tolist()
             )
         assert abs(objective(emb, c) - manual) <= 1e-6
+
+
+class TestClusteringValidation:
+    def test_non_finite_distance_rejected(self):
+        with pytest.raises(ValidationError, match="finite"):
+            Clustering(
+                centroids=np.eye(2),
+                assignment=np.array([0, 1], dtype=np.uint32),
+                distance=np.array([0.0, np.nan]),
+                k=2,
+            )
+
+    def test_non_finite_centroid_rejected(self):
+        centroids = np.eye(2)
+        centroids[1, 0] = np.nan
+        with pytest.raises(ValidationError, match="finite"):
+            Clustering(
+                centroids=centroids,
+                assignment=np.array([0, 1], dtype=np.uint32),
+                distance=np.zeros(2),
+                k=2,
+            )
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from d4kit import (
     Document,
     DocumentSet,
     EmbedderSpec,
+    EmbeddingMatrix,
     FormatError,
     SynthSpec,
     ValidationError,
@@ -231,3 +232,13 @@ class TestExternalEmbeddings:
     def test_external_requires_path(self):
         with pytest.raises(ValidationError):
             EmbedderSpec(kind="external", dim=8)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_non_finite_rows_rejected(self, bad, normalized):
+        rows = np.eye(3, dtype=np.float32)
+        rows[1, 2] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            EmbeddingMatrix(ids=("a", "b", "c"), vectors=rows, normalized=normalized)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from d4kit import (
     Clustering,
@@ -15,9 +17,9 @@ from d4kit import (
     ssl_prototypes,
 )
 from d4kit.diagnostics import find_duplicate_driven_clusters
-from d4kit.select import semdedup_kept_counts
+from d4kit.select import SEMDEDUP_RATIO_TOL, semdedup_kept_counts
 
-from oracles import prototypes_oracle, semdedup_oracle
+from oracles import prototypes_oracle, scalar_dot, semdedup_oracle
 
 
 def _random_emb(n, d, seed):
@@ -158,6 +160,117 @@ class TestSemdedup:
         b = semdedup(permuted, permuted_clustering, 0.92)
         assert set(a.kept_ids) == set(b.kept_ids)
         assert a.epsilon_used == b.epsilon_used
+
+    def test_unreachable_warning_names_both_neighbours(self):
+        # One cluster: three copies of e_3 and the orthogonal e_0, e_1, e_2.
+        # Forest weights are 1, 1, 0, 0, 0, so only 6, 4 and 1 kept docs
+        # are achievable.
+        rows = np.eye(4, dtype=np.float32)[[3, 3, 3, 0, 1, 2]]
+        emb = EmbeddingMatrix(ids=tuple("abcdef"), vectors=rows, normalized=True)
+        c = kmeans_spherical(emb, KmeansConfig(k=1, seed=0))
+        low = semdedup(emb, c, 0.4)
+        assert low.kept_ids == ("d",)
+        assert low.epsilon_used == 2.0
+        assert "closest achievable: 0.1667 / 0.6667" in low.warnings[0]
+        high = semdedup(emb, c, 0.6)
+        assert high.kept_ids == ("a", "d", "e", "f")
+        assert 0.0 < high.epsilon_used < 1.0
+        assert "closest achievable: 0.1667 / 0.6667" in high.warnings[0]
+
+    def test_antipodal_points_never_merge(self):
+        # Similarity -1 never exceeds 1 - epsilon for epsilon in [0, 2].
+        emb = EmbeddingMatrix(
+            ids=("a", "b"),
+            vectors=np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32),
+            normalized=True,
+        )
+        c = _clustering_from_centroids(emb, np.array([[0.0, 1.0]]))
+        assert semdedup_kept_counts(emb, c, [0.0, 1.0, 2.0]) == [2, 2, 2]
+        r = semdedup(emb, c, 0.5)
+        assert r.kept_ids == ("a", "b")
+        assert "closest achievable: 1.0000;" in r.warnings[0]
+
+
+@st.composite
+def _small_clustering(draw):
+    """A few unit rows, some duplicated, in random clusters plus one singleton."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 3))
+    n_dups = draw(st.integers(0, n // 2))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows.astype(np.float32)
+    rows[rng.integers(0, n, n_dups)] = rows[rng.integers(0, n, n_dups)]
+    emb = EmbeddingMatrix(ids=tuple(f"q{i:02d}" for i in range(n)), vectors=rows, normalized=True)
+    assignment = rng.integers(0, k, size=n).astype(np.uint32)
+    assignment[-1] = k  # a single-member cluster
+    X = rows.astype(np.float64)
+    centroids = np.zeros((k + 1, d))
+    centroids[:, 0] = 1.0
+    for j in range(k + 1):
+        total = X[assignment == j].sum(axis=0)
+        if np.linalg.norm(total) > 1e-6:
+            centroids[j] = total / np.linalg.norm(total)
+    distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0.0, 2.0)
+    c = Clustering(centroids=centroids, assignment=assignment, distance=distance, k=k + 1)
+    return emb, c
+
+
+def _oracle_args(emb, c):
+    return emb.vectors.tolist(), emb.ids, c.assignment.tolist(), c.distance.tolist()
+
+
+def _achievable_counts(emb, c) -> set[int]:
+    """Every kept count some epsilon in [0, 2] gives, by brute force.
+
+    The library compares similarities clipped to [-1, 1], so epsilon 0 keeps
+    everything; every other count is the oracle's at a threshold midway
+    between two consecutive distinct pairwise similarities, or at -1.
+    """
+    rows = emb.vectors.tolist()
+    sims = {1.0}
+    for idx in c.members():
+        for a in idx:
+            for b in idx:
+                if a < b:
+                    sims.add(min(1.0, max(-1.0, scalar_dot(rows[a], rows[b]))))
+    levels = sorted(sims)
+    thresholds = [-1.0] + [0.5 * (lo + hi) for lo, hi in zip(levels, levels[1:])]
+    counts = {emb.n}
+    for t in thresholds:
+        counts.add(len(semdedup_oracle(*_oracle_args(emb, c), 1.0 - t)))
+    return counts
+
+
+class TestSpanningForest:
+    @given(_small_clustering(), st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=5))
+    def test_kept_counts_match_union_find_oracle(self, case, epsilons):
+        emb, c = case
+        expected = [len(semdedup_oracle(*_oracle_args(emb, c), e)) for e in epsilons]
+        assert semdedup_kept_counts(emb, c, epsilons) == expected
+
+    @given(_small_clustering(), st.integers(1, 32), st.floats(0.01, 1.0), st.booleans())
+    def test_kept_ratio_is_closest_achievable(self, case, half_steps, r_free, on_half_step):
+        emb, c = case
+        n = emb.n
+        # Half-step targets make equidistant achievable counts likely.
+        r = min(1.0, half_steps / (2 * n)) if on_half_step else r_free
+        got = semdedup(emb, c, r)
+
+        achievable = _achievable_counts(emb, c)
+        if abs(1.0 - r) <= SEMDEDUP_RATIO_TOL:
+            expected = n
+        else:
+            expected = min(achievable, key=lambda kept: (abs(kept - r * n), kept))
+        assert got.n_kept == expected
+        if got.epsilon_used == 0.0:
+            assert got.kept_ids == emb.ids
+        else:
+            assert set(got.kept_ids) == semdedup_oracle(*_oracle_args(emb, c), got.epsilon_used)
+        assert bool(got.warnings) == (abs(expected / n - r) > SEMDEDUP_RATIO_TOL)
 
 
 class TestPrototypes:
