@@ -180,7 +180,7 @@ def cmd_embed(args: argparse.Namespace) -> None:
         chunk_size=args.chunk_size,
         path=args.embeddings,
     )
-    m = embed_mod.embed_corpus(docs, spec, threads=args.threads)
+    m = embed_mod.embed_corpus(docs, spec)
     embed_mod.write_embeddings(m, str(out / "embeddings.d4em"))
     _write_json(out / "summary.json", {"n": m.n, "dim": m.d})
     print(f"embed: {m.n} rows, dim {m.d}")
@@ -200,7 +200,7 @@ def cmd_cluster(args: argparse.Namespace) -> None:
             "k": clustering.k,
             "n": clustering.n,
             "iters_run": clustering.iters_run,
-            "objective": cluster_mod.objective(emb, clustering),
+            "objective": float(clustering.distance.sum()),
         },
     )
     print(f"cluster: k={clustering.k}, {clustering.iters_run} iterations")

@@ -61,6 +61,7 @@ class KmeansConfig:
 class Clustering:
     """k unit-norm centroids plus per-point assignment and cosine distance.
 
+    Centroids are held as float64 (converted once here); stored as float32 on disk.
     ``iters_run``, ``seed`` and ``objective_history`` describe the fit that
     produced the clustering; they are not persisted by the binary format.
     """
@@ -74,6 +75,7 @@ class Clustering:
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=np.float64))
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
             raise ValidationError("centroids must be a (k, d) matrix")
         if self.assignment.shape != self.distance.shape:
@@ -84,7 +86,7 @@ class Clustering:
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):
             raise ValidationError("cosine distances must lie in [0, 2]")
-        norms = np.linalg.norm(self.centroids.astype(np.float64), axis=1)
+        norms = np.linalg.norm(self.centroids, axis=1)
         if self.k and float(np.abs(norms - 1.0).max()) > NORM_TOL:
             raise ValidationError("centroid rows must be unit-norm")
 
@@ -104,11 +106,7 @@ class Clustering:
             raise ValidationError(f"clustering dimension {self.d} != matrix {emb.d}")
         if self.n == 0:
             return
-        dots = np.einsum(
-            "ij,ij->i",
-            emb.vectors.astype(np.float64),
-            self.centroids[self.assignment].astype(np.float64),
-        )
+        dots = np.einsum("ij,ij->i", emb.vectors, self.centroids[self.assignment])
         worst = float(np.abs(self.distance - np.clip(1.0 - dots, 0.0, 2.0)).max())
         if worst > DIST_TOL:
             raise ValidationError(
@@ -129,16 +127,17 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     Ties break toward the lowest centroid index. Returns (assignment,
     cosine distance), with distances clipped into [0, 2].
     """
+    centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 2:
         raise ValidationError("centroids must be a 2-d array")
     if emb.d != centroids.shape[1]:
         raise ValidationError(
             f"dimension mismatch: matrix is {emb.d}, centroids are {centroids.shape[1]}"
         )
-    norms = np.linalg.norm(centroids.astype(np.float64), axis=1)
+    norms = np.linalg.norm(centroids, axis=1)
     if centroids.shape[0] and float(np.abs(norms - 1.0).max()) > NORM_TOL:
         raise ValidationError("centroids must be unit-norm")
-    sims = emb.vectors.astype(np.float64) @ centroids.astype(np.float64).T
+    sims = emb.vectors @ centroids.T
     assignment = np.argmax(sims, axis=1).astype(np.uint32)
     best = sims[np.arange(emb.n), assignment]
     distance = np.clip(1.0 - best, 0.0, 2.0)
@@ -187,9 +186,9 @@ def kmeans_spherical(
     if n < 1:
         raise ValidationError("cannot cluster an empty matrix")
 
-    X = emb.vectors.astype(np.float64)
+    X = emb.vectors
     if init_centroids is not None:
-        C = init_centroids.astype(np.float64).copy()
+        C = np.asarray(init_centroids, dtype=np.float64)
         if C.ndim != 2 or C.shape[1] != emb.d:
             raise ValidationError("init_centroids must be (k, d)")
         k = C.shape[0]
@@ -198,13 +197,13 @@ def kmeans_spherical(
         norms = np.linalg.norm(C, axis=1)
         if float(np.abs(norms - 1.0).max()) > NORM_TOL:
             raise ValidationError("init_centroids must be unit-norm")
-        C /= norms[:, None]
+        C = C / norms[:, None]
     else:
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:
             raise ValidationError(f"k ({k}) exceeds point count ({n})")
         rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-        C = X[rng.choice(n, size=k, replace=False)].copy()
+        C = X[rng.choice(n, size=k, replace=False)]
 
     assignment, distance = assign(emb, C)
     history = [float(distance.sum())]
@@ -214,7 +213,10 @@ def kmeans_spherical(
         new_assignment, new_distance = assign(emb, C)
         obj = float(new_distance.sum())
         # Lloyd never increases the objective; tolerate only rounding noise.
-        assert obj <= history[-1] + 1e-9 * max(1.0, history[-1])
+        if obj > history[-1] + 1e-9 * max(1.0, history[-1]):
+            raise ValidationError(
+                f"k-means objective rose at iteration {iters_run + 1}: {history[-1]!r} -> {obj!r}"
+            )
         history.append(obj)
         unchanged = np.array_equal(new_assignment, assignment)
         assignment, distance = new_assignment, new_distance
@@ -263,11 +265,7 @@ def read_clustering(path: str) -> Clustering:
     need = k * d * 4 + n * 4 + n * 4
     if len(data) < offset + need:
         raise FormatError("truncated payload", len(data))
-    centroids = (
-        np.frombuffer(data, dtype="<f4", count=k * d, offset=offset)
-        .reshape(k, d)
-        .astype(np.float64)
-    )
+    centroids = np.frombuffer(data, dtype="<f4", count=k * d, offset=offset).reshape(k, d)
     offset += k * d * 4
     assignment = np.frombuffer(data, dtype="<u4", count=n, offset=offset).copy()
     offset += n * 4

@@ -101,7 +101,7 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
     and :class:`ValidationError` for duplicate ids.
     """
     docs: list[Document] = []
-    seen: set[str] = set()
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -120,9 +120,10 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
             meta = rec.get("meta")
             if meta is not None and not isinstance(meta, dict):
                 raise ParseError("'meta' must be an object when present", lineno)
-            if doc_id in seen:
-                raise ValidationError(f"duplicate document id: {doc_id!r}")
-            seen.add(doc_id)
+            if doc_id in first_line:
+                raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}"
+                                      f" (first seen on line {first_line[doc_id]})")
+            first_line[doc_id] = lineno
             docs.append(
                 Document(
                     id=doc_id,
@@ -257,6 +258,4 @@ def synthesize_corpus(spec: SynthSpec) -> DocumentSet:
                 member[mutate] = rng.integers(0, spec.vocab_size, size=n_mut)
             add(member, -1, f"g{g:03d}")
 
-    out = DocumentSet.from_documents(docs)
-    assert len(out) == spec.corpus_size
-    return out
+    return DocumentSet.from_documents(docs)

@@ -199,7 +199,7 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     if train_emb.n == 0:
         raise ValidationError("train matrix is empty")
 
-    sims = valid_emb.vectors.astype(np.float64) @ train_emb.vectors.astype(np.float64).T
+    sims = valid_emb.vectors @ train_emb.vectors.T
     entries: list[NnEntry] = []
     for i in range(valid_emb.n):
         row = sims[i]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,13 +57,17 @@ class EmbedderSpec:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """n unit-norm float32 rows aligned one-to-one with document ids."""
+    """n unit-norm rows aligned one-to-one with document ids.
+
+    Held as float64 (converted once here, so no stage casts again); stored as float32 on disk.
+    """
 
     ids: tuple[str, ...]
     vectors: np.ndarray
     normalized: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:
@@ -76,7 +79,7 @@ class EmbeddingMatrix:
         if not np.isfinite(self.vectors).all():
             raise ValidationError("vectors must be finite (no NaN or infinity)")
         if self.normalized and self.n:
-            norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+            norms = np.linalg.norm(self.vectors, axis=1)
             worst = float(np.abs(norms - 1.0).max())
             if worst > NORM_TOL:
                 raise ValidationError(
@@ -95,7 +98,7 @@ class EmbeddingMatrix:
         """Rows at ``indices``, in the given order."""
         return EmbeddingMatrix(
             ids=tuple(self.ids[i] for i in indices),
-            vectors=self.vectors[indices].copy(),
+            vectors=self.vectors[indices],
             normalized=self.normalized,
         )
 
@@ -174,13 +177,11 @@ def chunk_average(base: TextEmbedder, chunk_size: int) -> TextEmbedder:
     return embed
 
 
-def embed_corpus(docs: DocumentSet, spec: EmbedderSpec, threads: int = 1) -> EmbeddingMatrix:
+def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
     """Embed every document, one row per document in corpus order.
 
     Output is always normalized. For ``external`` specs the precomputed
     file must cover every document id; missing ids are reported together.
-    Parallel execution never changes the result: rows are written in
-    corpus order regardless of ``threads``.
     """
     if spec.kind == "external":
         m = read_embeddings(spec.path)
@@ -202,12 +203,7 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec, threads: int = 1) -> Emb
     embedder = hash_embedder(spec.dim, spec.seed)
     if spec.chunk_size is not None:
         embedder = chunk_average(embedder, spec.chunk_size)
-    texts = [d.text for d in docs]
-    if threads > 1 and len(texts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(embedder, texts))
-    else:
-        rows = [embedder(t) for t in texts]
+    rows = [embedder(d.text) for d in docs]
     vectors = (
         np.stack([_normalize(r) for r in rows]).astype(np.float32)
         if rows
@@ -217,16 +213,17 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec, threads: int = 1) -> Emb
 
 
 def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
-    """Write the bit-exact binary embedding format."""
+    """Write the bit-exact binary embedding format; an over-long id raises before any write."""
+    raw_ids = [doc_id.encode("utf-8") for doc_id in m.ids]
+    for doc_id, raw in zip(m.ids, raw_ids):
+        if len(raw) > 0xFFFF:
+            raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
     with open(path, "wb") as fh:
         flags = 1 if m.normalized else 0
         fh.write(MAGIC)
         fh.write(struct.pack("<IQII", VERSION, m.n, m.d, flags))
         fh.write(np.ascontiguousarray(m.vectors, dtype="<f4").tobytes())
-        for doc_id in m.ids:
-            raw = doc_id.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
+        for raw in raw_ids:
             fh.write(struct.pack("<H", len(raw)))
             fh.write(raw)
 
@@ -251,7 +248,7 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
         )
     vectors = np.frombuffer(
         data, dtype="<f4", count=count * dim, offset=offset
-    ).reshape(count, dim).copy()
+    ).reshape(count, dim)
     offset += payload_bytes
     ids: list[str] = []
     for _ in range(count):

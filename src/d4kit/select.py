@@ -131,7 +131,7 @@ def _spanning_forest(
     (the single-linkage/MST equivalence). Each step computes one row of
     similarities, so no m x m matrix is built.
     """
-    X = emb.vectors.astype(np.float64)
+    X = emb.vectors
     empty = np.zeros(0, dtype=np.intp)
     heads, tails, weights = [empty], [empty], [np.zeros(0)]
     for idx in clustering.members():

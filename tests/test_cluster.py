@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import d4kit.cluster as cluster_mod
 from d4kit import (
     Clustering,
     EmbeddingMatrix,
@@ -136,6 +137,15 @@ class TestKmeans:
         with pytest.raises(ValidationError):
             kmeans_spherical(emb, KmeansConfig(k=5))
 
+    def test_rising_objective_raises(self, monkeypatch):
+        # Rows in the positive orthant: the negated initial centroids lie in
+        # the negative one, farther from every row than the sampled rows.
+        rows = np.abs(np.random.default_rng(0).normal(size=(20, 4)))
+        emb = _emb_from_rows(rows)
+        monkeypatch.setattr(cluster_mod, "_update_centroids", lambda X, C, *rest: -C)
+        with pytest.raises(ValidationError, match="objective rose at iteration 1"):
+            kmeans_spherical(emb, KmeansConfig(k=3, seed=0))
+
 
 class TestAssign:
     def test_exact_match_distance_zero(self):
@@ -217,6 +227,17 @@ class TestClusteringValidation:
                 distance=np.zeros(2),
                 k=2,
             )
+
+    def test_float32_centroids_held_as_float64(self):
+        emb = _random_emb(15, 4, seed=6)
+        c = kmeans_spherical(emb, KmeansConfig(k=3, seed=2))
+        centroids32 = c.centroids.astype(np.float32)
+        held = Clustering(
+            centroids=centroids32, assignment=c.assignment, distance=c.distance, k=c.k
+        )
+        assert held.centroids.dtype == np.float64
+        assert np.array_equal(held.centroids, centroids32)
+        held.validate_for(emb)
 
 
 class TestSerialization:

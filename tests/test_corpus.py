@@ -52,6 +52,8 @@ class TestLoadCorpus:
         _write_jsonl(path, [{"id": "a", "text": "x"}, {"id": "a", "text": "y"}])
         with pytest.raises(ValidationError, match="'a'"):
             load_corpus(str(path))
+        with pytest.raises(ValidationError, match=r"line 2: .*'a'.*line 1\)"):
+            load_corpus(str(path))
 
     def test_token_counts_populated(self, tmp_path):
         path = tmp_path / "c.jsonl"

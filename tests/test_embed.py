@@ -109,14 +109,6 @@ class TestEmbedCorpus:
         )
         assert cross < within
 
-    def test_threads_do_not_change_output(self):
-        docs = synthesize_corpus(SynthSpec(n_topics=2, docs_per_topic=10, seed=4))
-        spec = EmbedderSpec(kind="hash", dim=32, seed=0)
-        a = embed_corpus(docs, spec, threads=1)
-        b = embed_corpus(docs, spec, threads=4)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert a.ids == b.ids
-
     @given(st.permutations(list(range(6))))
     def test_permutation_equivariance(self, perm):
         texts = [f"doc number {i} words w{i} w{i+1}" for i in range(6)]
@@ -174,6 +166,26 @@ class TestSerialization:
         assert back.ids == emb.ids
         assert back.normalized == emb.normalized
         assert back.vectors.tobytes() == emb.vectors.tobytes()
+        # float32 input is held as float64 with the same values ...
+        rows32 = emb.vectors.astype(np.float32)
+        held = EmbeddingMatrix(ids=emb.ids, vectors=rows32, normalized=True)
+        assert held.vectors.dtype == np.float64
+        assert np.array_equal(held.vectors, rows32)
+        # ... and the rows read back equal the file's float32 payload.
+        payload = np.frombuffer(
+            path.read_bytes(), dtype="<f4", count=emb.n * emb.d, offset=24
+        ).reshape(emb.n, emb.d)
+        assert back.vectors.dtype == np.float64
+        assert np.array_equal(back.vectors, payload)
+
+    def test_overlong_id_writes_nothing(self, tmp_path):
+        emb = EmbeddingMatrix(
+            ids=("a", "x" * 70_000), vectors=np.eye(2), normalized=True
+        )
+        path = tmp_path / "m.d4em"
+        with pytest.raises(ValidationError, match="too long"):
+            write_embeddings(emb, str(path))
+        assert not path.exists()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.d4em"
