@@ -106,7 +106,10 @@ class Clustering:
             raise ValidationError(f"clustering dimension {self.d} != matrix {emb.d}")
         if self.n == 0:
             return
-        dots = np.einsum("ij,ij->i", emb.vectors, self.centroids[self.assignment])
+        # One cluster at a time, so no n x d gather of centroids is built.
+        dots = np.empty(self.n)
+        for j, idx in enumerate(self.members()):
+            dots[idx] = emb.vectors[idx] @ self.centroids[j]
         worst = float(np.abs(self.distance - np.clip(1.0 - dots, 0.0, 2.0)).max())
         if worst > DIST_TOL:
             raise ValidationError(

@@ -18,8 +18,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .corpus import DocumentSet
 from .errors import ValidationError
@@ -125,6 +123,10 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     keeps its lowest id. Kept ids preserve corpus order. The result is
     independent of corpus permutation up to that keep rule.
     """
+    # Imported here so that commands which never run MinHash skip scipy.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     cfg = cfg or LshConfig()
     sigs = [signature(shingles(d.text, cfg.shingle_width), cfg) for d in docs]
     n = len(sigs)

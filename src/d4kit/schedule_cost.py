@@ -12,6 +12,7 @@ computing the selection, i.e. embedding plus any CPU-stage equivalent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,15 @@ class CostModel:
     cpu_stage_gpu_hour_equivalent: float = 0.0
 
     def __post_init__(self):
-        if self.baseline_train_gpu_hours < 0:
-            raise ValidationError("baseline_train_gpu_hours must be >= 0")
+        # Chained comparisons are false for NaN, so each check rejects it.
+        if not 0.0 <= self.baseline_train_gpu_hours < math.inf:
+            raise ValidationError("baseline_train_gpu_hours must be finite and >= 0")
         if not 0.0 <= self.fraction_updates_saved < 1.0:
             raise ValidationError("fraction_updates_saved must be in [0, 1)")
-        if self.embed_gpu_hours < 0:
-            raise ValidationError("embed_gpu_hours must be >= 0")
-        if self.cpu_stage_gpu_hour_equivalent < 0:
-            raise ValidationError("cpu_stage_gpu_hour_equivalent must be >= 0")
+        if not 0.0 <= self.embed_gpu_hours < math.inf:
+            raise ValidationError("embed_gpu_hours must be finite and >= 0")
+        if not 0.0 <= self.cpu_stage_gpu_hour_equivalent < math.inf:
+            raise ValidationError("cpu_stage_gpu_hour_equivalent must be finite and >= 0")
 
 
 def plan_epochs(
@@ -117,8 +119,8 @@ def overall_gain(model: CostModel) -> float:
 
 def embed_cost(tokens_to_embed: float, tokens_per_gpu_hour: float) -> float:
     """GPU hours to embed a corpus at a given throughput."""
-    if tokens_per_gpu_hour <= 0:
-        raise ValidationError("tokens_per_gpu_hour must be > 0")
-    if tokens_to_embed < 0:
-        raise ValidationError("tokens_to_embed must be >= 0")
+    if not 0.0 < tokens_per_gpu_hour < math.inf:
+        raise ValidationError("tokens_per_gpu_hour must be finite and > 0")
+    if not 0.0 <= tokens_to_embed < math.inf:
+        raise ValidationError("tokens_to_embed must be finite and >= 0")
     return tokens_to_embed / tokens_per_gpu_hour

@@ -23,8 +23,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .cluster import Clustering, KmeansConfig, kmeans_spherical
 from .embed import EmbeddingMatrix
@@ -126,10 +124,12 @@ def _spanning_forest(
 
     Returns the edges, heaviest first, as global endpoint indices plus
     their cosine similarities clipped to [-1, 1]; a cluster of m members
-    gives m - 1 edges. For every threshold t, the components of a cluster's
-    "sim > t" graph are exactly those its tree edges of weight > t leave
-    (the single-linkage/MST equivalence). Each step computes one row of
-    similarities, so no m x m matrix is built.
+    gives m - 1 edges. Each head is the tree parent of its tail, and every
+    member but the first of its cluster is a tail exactly once. For every
+    threshold t, the components of a cluster's "sim > t" graph are exactly
+    those its tree edges of weight > t leave (the single-linkage/MST
+    equivalence). Each step computes one row of similarities, so no m x m
+    matrix is built.
     """
     X = emb.vectors
     empty = np.zeros(0, dtype=np.intp)
@@ -234,8 +234,14 @@ def semdedup(
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
     m, eps, achievable = _choose_cut(weights, n, r_dedup, tol)
-    graph = csr_matrix((np.ones(m), (heads[:m], tails[:m])), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    # Every tail appears once, with its Prim parent as head, so the merged
+    # edges form a parent array; pointer jumping labels each component by
+    # its root in O(log depth) passes.
+    labels = np.arange(n)
+    labels[tails[:m]] = heads[:m]
+    jumped = labels[labels]
+    while not np.array_equal(jumped, labels):
+        labels, jumped = jumped, jumped[jumped]
 
     # Each component keeps its member farthest from (or nearest to) the
     # centroid, ties to the lowest id.

@@ -1,10 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import d4kit
 from d4kit.cli import run
 
 
@@ -82,6 +87,67 @@ class TestCost:
 
     def test_missing_required_flag(self):
         assert run(["cost", "--baseline-gpu-hours", "10"]) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--baseline-gpu-hours", "nan"],
+            ["--baseline-gpu-hours", "inf"],
+            ["--baseline-gpu-hours", "10", "--embed-gpu-hours", "nan"],
+            ["--baseline-gpu-hours", "inf", "--embed-gpu-hours", "inf"],
+            ["--baseline-gpu-hours", "10", "--cpu-gpu-hours", "inf"],
+        ],
+    )
+    def test_non_finite_hours_exit_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "o"
+        code = run(["cost", *flags, "--fraction-saved", "0.2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not out.exists()
+
+
+def test_only_minhash_loads_scipy(tmp_path):
+    # A fresh interpreter, since this one may already have imported scipy.
+    script = textwrap.dedent(
+        """
+        import sys
+        from d4kit.cli import run
+
+        def loaded():
+            return "scipy" in sys.modules
+
+        tmp = sys.argv[1]
+        states = {"import": loaded()}
+        assert run(["synth", "--out", f"{tmp}/c", "--seed", "1", "--n-topics", "2",
+                    "--docs-per-topic", "10", "--min-len", "20", "--max-len", "30"]) == 0
+        corpus = f"{tmp}/c/corpus.jsonl"
+        assert run(["embed", "--corpus", corpus, "--dim", "16", "--out", f"{tmp}/e"]) == 0
+        emb = f"{tmp}/e/embeddings.d4em"
+        for method, ratios in (("semdedup", ["--r", "0.8"]), ("prototypes", ["--r", "0.8"]),
+                               ("d4", ["--r-dedup", "0.8", "--r-proto", "0.8"])):
+            assert run(["select", "--embeddings", emb, "--method", method, *ratios,
+                        "--k", "3", "--out", f"{tmp}/{method}"]) == 0
+        assert run(["nn", emb, "--embeddings", emb, "--out", f"{tmp}/nn"]) == 0
+        assert run(["cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2"]) == 0
+        states["library commands"] = loaded()
+        assert run(["minhash", "--corpus", corpus, "--out", f"{tmp}/m"]) == 0
+        states["minhash"] = loaded()
+        print(states)
+        """
+    )
+    src = str(Path(d4kit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last == "{'import': False, 'library commands': False, 'minhash': True}"
 
 
 class TestErrors:

@@ -239,6 +239,23 @@ class TestClusteringValidation:
         assert np.array_equal(held.centroids, centroids32)
         held.validate_for(emb)
 
+    def test_distance_off_its_own_centroid_rejected(self):
+        emb = _random_emb(30, 4, seed=7)
+        c = kmeans_spherical(emb, KmeansConfig(k=4, seed=1))
+        for i in (0, 17, 29):
+            other = (int(c.assignment[i]) + 1) % c.k
+            moved = c.assignment.copy()
+            moved[i] = other
+            for assignment, distance in (
+                (c.assignment, c.distance + np.where(np.arange(30) == i, 1e-3, 0.0)),
+                (moved, c.distance),
+            ):
+                bad = Clustering(
+                    centroids=c.centroids, assignment=assignment, distance=distance, k=c.k
+                )
+                with pytest.raises(ValidationError, match="inconsistent"):
+                    bad.validate_for(emb)
+
 
 class TestSerialization:
     def test_roundtrip(self, tmp_path):

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -128,3 +129,10 @@ class TestEmbedCost:
     def test_rate_validation(self):
         with pytest.raises(ValidationError):
             embed_cost(100, 0.0)
+
+    @pytest.mark.parametrize(
+        "tokens, rate", [(100, math.nan), (100, math.inf), (math.nan, 500.0), (math.inf, 500.0)]
+    )
+    def test_non_finite_rejected(self, tokens, rate):
+        with pytest.raises(ValidationError):
+            embed_cost(tokens, rate)

@@ -219,6 +219,42 @@ def _small_clustering(draw):
     return emb, c
 
 
+@st.composite
+def _arc_clustering(draw):
+    """Clusters whose points lie in index order along an arc, plus singletons.
+
+    Similarity falls with arc distance, so Prim's tree from a cluster's
+    first member is one path through all of them: the deepest tree there is.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(k, 40))
+    d = 4
+    rng = np.random.default_rng(seed)
+    assignment = rng.integers(0, k, size=n).astype(np.uint32)
+    assignment[:k] = np.arange(k)  # no empty cluster
+    rows = np.zeros((n, d))
+    for j in range(k):
+        idx = np.flatnonzero(assignment == j)
+        gaps = draw(st.lists(st.floats(1e-3, 0.05), min_size=idx.size, max_size=idx.size))
+        angles = np.cumsum(gaps)
+        plane = np.linalg.qr(rng.normal(size=(d, 2)))[0]
+        rows[idx] = np.cos(angles)[:, None] * plane[:, 0] + np.sin(angles)[:, None] * plane[:, 1]
+    rows = rows.astype(np.float32)
+    singletons = draw(st.integers(0, 3))
+    rows = np.vstack([rows, np.eye(d, dtype=np.float32)[np.arange(singletons) % d]])
+    assignment = np.concatenate([assignment, np.arange(k, k + singletons, dtype=np.uint32)])
+    emb = EmbeddingMatrix(
+        ids=tuple(f"a{i:02d}" for i in range(rows.shape[0])), vectors=rows, normalized=True
+    )
+    X = rows.astype(np.float64)
+    centroids = np.array([X[assignment == j].sum(axis=0) for j in range(k + singletons)])
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0.0, 2.0)
+    c = Clustering(centroids=centroids, assignment=assignment, distance=distance, k=k + singletons)
+    return emb, c
+
+
 def _oracle_args(emb, c):
     return emb.vectors.tolist(), emb.ids, c.assignment.tolist(), c.distance.tolist()
 
@@ -246,6 +282,18 @@ def _achievable_counts(emb, c) -> set[int]:
 
 
 class TestSpanningForest:
+    @given(_arc_clustering(), st.one_of(st.just(1.0), st.just(1e-3), st.floats(0.01, 0.99)))
+    def test_path_trees_match_union_find_oracle(self, case, r):
+        # r = 1 merges no edge and r = 1e-3 every edge (one kept per
+        # cluster); in between, merged runs of a path are many links long.
+        emb, c = case
+        got = semdedup(emb, c, r)
+        assert set(got.kept_ids) == semdedup_oracle(*_oracle_args(emb, c), got.epsilon_used)
+        if r == 1.0:
+            assert got.n_kept == emb.n
+        if r == 1e-3:
+            assert got.n_kept == c.k
+
     @given(_small_clustering(), st.lists(st.floats(1e-6, 2.0), min_size=1, max_size=5))
     def test_kept_counts_match_union_find_oracle(self, case, epsilons):
         emb, c = case
