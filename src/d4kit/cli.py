@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -41,9 +42,23 @@ class _Parser(argparse.ArgumentParser):
     """argparse maps usage errors to exit 2; this toolkit reserves 2 for I/O."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        # A bad option value is named in the message; only missing or unknown
+        # arguments also get the usage.
+        if not message.startswith("argument "):
+            self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float options: NaN and +-inf are rejected at parse time."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _write_json(path: Path, payload: Any) -> None:
@@ -110,6 +125,8 @@ def _read_scored(path: str) -> list[tuple[str, float]]:
                 raise ParseError(
                     f"score in {path} is not a number: {rec['score']!r}", lineno
                 ) from exc
+            if not math.isfinite(score):
+                raise ParseError(f"score in {path} is not finite: {rec['score']!r}", lineno)
             records.append((rec["id"], score))
     return records
 
@@ -465,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--docs-per-topic", type=int, default=100)
     p.add_argument("--template-groups", type=int, default=0)
     p.add_argument("--dupes-per-group", type=int, default=2)
-    p.add_argument("--mutation-rate", type=float, default=0.0)
+    p.add_argument("--mutation-rate", type=_finite_float, default=0.0)
     p.add_argument("--vocab-size", type=int, default=1000)
     p.add_argument("--min-len", type=int, default=40)
     p.add_argument("--max-len", type=int, default=120)
@@ -501,9 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--clustering", default=None)
     p.add_argument("--method", choices=("random", "semdedup", "prototypes", "d4"), required=True)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--r-dedup", type=float, default=None)
-    p.add_argument("--r-proto", type=float, default=None)
+    p.add_argument("--r", type=_finite_float, default=None)
+    p.add_argument("--r-dedup", type=_finite_float, default=None)
+    p.add_argument("--r-proto", type=_finite_float, default=None)
     p.add_argument("--no-recluster", action="store_true")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--iters", type=int, default=20)
@@ -513,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--clustering", required=True)
-    p.add_argument("--std-threshold", type=float, default=diag_mod.STD_THRESHOLD)
+    p.add_argument("--std-threshold", type=_finite_float, default=diag_mod.STD_THRESHOLD)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("overlap", help="selection overlap matrix")
@@ -539,10 +556,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cost", help="selection efficiency-gain accounting")
     common(p, out_required=False)
-    p.add_argument("--baseline-gpu-hours", type=float, required=True)
-    p.add_argument("--fraction-saved", type=float, required=True)
-    p.add_argument("--embed-gpu-hours", type=float, default=0.0)
-    p.add_argument("--cpu-gpu-hours", type=float, default=0.0)
+    p.add_argument("--baseline-gpu-hours", type=_finite_float, required=True)
+    p.add_argument("--fraction-saved", type=_finite_float, required=True)
+    p.add_argument("--embed-gpu-hours", type=_finite_float, default=0.0)
+    p.add_argument("--cpu-gpu-hours", type=_finite_float, default=0.0)
     p.set_defaults(func=cmd_cost)
 
     return parser

@@ -8,8 +8,8 @@ as in datasketch). Signatures have 20 positions by default, banded 20 x 1,
 so two documents become duplicate candidates iff any signature position
 matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets, ch. 3).
 Candidates are grouped transitively, as connected components of the
-band-collision graph, and each duplicate group keeps its lexicographically
-lowest id.
+band-collision graph found by ``graph.components`` (the routine SemDeDup
+also uses), and each duplicate group keeps its lexicographically lowest id.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import DocumentSet
 from .errors import ValidationError
+from .graph import components
 
 
 @dataclass(frozen=True)
@@ -123,10 +124,6 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     keeps its lowest id. Kept ids preserve corpus order. The result is
     independent of corpus permutation up to that keep rule.
     """
-    # Imported here so that commands which never run MinHash skip scipy.
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     cfg = cfg or LshConfig()
     sigs = [signature(shingles(d.text, cfg.shingle_width), cfg) for d in docs]
     n = len(sigs)
@@ -138,10 +135,7 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
         rows = matrix[:, band * cfg.rows_per_band : (band + 1) * cfg.rows_per_band]
         _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
         heads.append(first[inverse.reshape(-1)])
-    src = np.tile(np.arange(n), cfg.bands)
-    dst = np.concatenate(heads)
-    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
+    labels = components(n, np.tile(np.arange(n), cfg.bands), np.concatenate(heads))
 
     # Dict insertion order: groups by lowest member index, members in corpus order.
     members: dict[int, list[int]] = {}

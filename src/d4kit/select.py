@@ -27,6 +27,7 @@ import numpy as np
 from .cluster import Clustering, KmeansConfig, kmeans_spherical
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
+from .graph import components
 
 SEMDEDUP_RATIO_TOL = 0.005
 D4_RATIO_TOL = 0.01
@@ -234,14 +235,9 @@ def semdedup(
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
     m, eps, achievable = _choose_cut(weights, n, r_dedup, tol)
-    # Every tail appears once, with its Prim parent as head, so the merged
-    # edges form a parent array; pointer jumping labels each component by
-    # its root in O(log depth) passes.
-    labels = np.arange(n)
-    labels[tails[:m]] = heads[:m]
-    jumped = labels[labels]
-    while not np.array_equal(jumped, labels):
-        labels, jumped = jumped, jumped[jumped]
+    # The m heaviest forest edges join each epsilon-component; its label is
+    # its lowest index, used only to group members in the lexsort below.
+    labels = components(n, heads[:m], tails[:m])
 
     # Each component keeps its member farthest from (or nearest to) the
     # centroid, ties to the lowest id.

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import struct
@@ -109,33 +110,38 @@ class TestCost:
         assert not out.exists()
 
 
-def test_only_minhash_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     # A fresh interpreter, since this one may already have imported scipy.
     script = textwrap.dedent(
         """
         import sys
         from d4kit.cli import run
 
-        def loaded():
-            return "scipy" in sys.modules
-
         tmp = sys.argv[1]
-        states = {"import": loaded()}
-        assert run(["synth", "--out", f"{tmp}/c", "--seed", "1", "--n-topics", "2",
-                    "--docs-per-topic", "10", "--min-len", "20", "--max-len", "30"]) == 0
+        loaded = {"import": "scipy" in sys.modules}
+
+        def check(name, *argv):
+            assert run([name, *argv]) == 0, argv
+            loaded[name] = "scipy" in sys.modules
+
+        check("synth", "--out", f"{tmp}/c", "--seed", "1", "--n-topics", "2",
+              "--docs-per-topic", "10", "--min-len", "20", "--max-len", "30")
         corpus = f"{tmp}/c/corpus.jsonl"
-        assert run(["embed", "--corpus", corpus, "--dim", "16", "--out", f"{tmp}/e"]) == 0
+        check("minhash", "--corpus", corpus, "--out", f"{tmp}/m")
+        check("embed", "--corpus", corpus, "--dim", "16", "--out", f"{tmp}/e")
         emb = f"{tmp}/e/embeddings.d4em"
+        check("cluster", "--embeddings", emb, "--k", "3", "--out", f"{tmp}/k")
+        clustering = f"{tmp}/k/clustering.d4km"
+        check("diagnose", "--embeddings", emb, "--clustering", clustering, "--out", f"{tmp}/g")
         for method, ratios in (("semdedup", ["--r", "0.8"]), ("prototypes", ["--r", "0.8"]),
                                ("d4", ["--r-dedup", "0.8", "--r-proto", "0.8"])):
-            assert run(["select", "--embeddings", emb, "--method", method, *ratios,
-                        "--k", "3", "--out", f"{tmp}/{method}"]) == 0
-        assert run(["nn", emb, "--embeddings", emb, "--out", f"{tmp}/nn"]) == 0
-        assert run(["cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2"]) == 0
-        states["library commands"] = loaded()
-        assert run(["minhash", "--corpus", corpus, "--out", f"{tmp}/m"]) == 0
-        states["minhash"] = loaded()
-        print(states)
+            check("select", "--embeddings", emb, "--method", method, *ratios,
+                  "--k", "3", "--out", f"{tmp}/{method}")
+        check("overlap", f"{tmp}/semdedup", f"{tmp}/d4", "--out", f"{tmp}/o")
+        check("nn", emb, "--embeddings", emb, "--out", f"{tmp}/nn")
+        check("schedule", "--corpus", corpus, "--budget-tokens", "1000", "--out", f"{tmp}/s")
+        check("cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2")
+        print(loaded)
         """
     )
     src = str(Path(d4kit.__file__).resolve().parents[1])
@@ -146,8 +152,12 @@ def test_only_minhash_loads_scipy(tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    last = proc.stdout.splitlines()[-1]
-    assert last == "{'import': False, 'library commands': False, 'minhash': True}"
+    loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert set(loaded) == {
+        "import", "synth", "minhash", "embed", "cluster", "select",
+        "diagnose", "overlap", "nn", "schedule", "cost",
+    }
+    assert not any(loaded.values()), loaded
 
 
 class TestErrors:
@@ -237,6 +247,62 @@ class TestErrors:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 2:") and "'high'" in err[0]
+
+    @pytest.mark.parametrize(
+        "score", ['NaN', '-Infinity', '"NaN"', '"Infinity"'], ids=["nan", "-inf", "nan-str", "inf-str"]
+    )
+    def test_nn_non_finite_score_exits_2_with_line(self, tmp_path, capsys, score):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "a", "score": 1.0}\n{"id": "b", "score": %s}\n' % score, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "nn"
+        code = run(
+            [
+                "nn", str(emb), "--embeddings", str(emb),
+                "--scores-before", str(scores), "--scores-after", str(scores),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:") and "finite" in err[0]
+        assert not (out / "binned.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "semdedup", "--r", "nan"],
+            ["--method", "random", "--r", "inf"],
+            ["--method", "d4", "--r-dedup", "0.5", "--r-proto=-inf"],
+        ],
+    )
+    def test_select_non_finite_ratio_writes_nothing(self, tmp_path, capsys, flags):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        capsys.readouterr()
+        out = tmp_path / "sel"
+        assert run(["select", "--embeddings", str(emb), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not (out / "config.json").exists()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_diagnose_non_finite_threshold_writes_nothing(self, tmp_path, capsys, threshold):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        cl = tmp_path / "cl"
+        assert run(["cluster", "--embeddings", str(emb), "--k", "4", "--out", str(cl)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "dg"
+        code = run(
+            [
+                "diagnose", "--embeddings", str(emb), "--clustering", str(cl / "clustering.d4km"),
+                "--std-threshold", threshold, "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--std-threshold" in err[0]
+        assert not (out / "config.json").exists()
 
 
 class TestPipeline:
