@@ -119,6 +119,8 @@ def _read_scored(path: str) -> list[tuple[str, float]]:
                 raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno) from exc
             if not (isinstance(rec, dict) and isinstance(rec.get("id"), str) and "score" in rec):
                 raise ParseError(f"record in {path} needs a string 'id' and a 'score'", lineno)
+            if isinstance(rec["score"], bool):
+                raise ParseError(f"score in {path} is a boolean, not a number: {rec['score']!r}", lineno)
             try:
                 score = float(rec["score"])
             except (TypeError, ValueError) as exc:

@@ -147,6 +147,24 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     return assignment, distance
 
 
+def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster sums of the rows of X, bit-equal to ``np.add.at``.
+
+    Each cluster's rows are added in index order, as ``np.add.at`` adds them.
+    numpy sums a lone column pairwise, so d = 1 goes through ``bincount``,
+    which also adds in index order.
+    """
+    k = counts.shape[0]
+    if X.shape[1] == 1:
+        return np.bincount(assignment, weights=X[:, 0], minlength=k)[:, None]
+    sums = np.zeros((k, X.shape[1]), dtype=np.float64)
+    order = np.argsort(assignment, kind="stable")
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        sums[j] = X[order[ends[j] - counts[j] : ends[j]]].sum(axis=0)
+    return sums
+
+
 def _update_centroids(
     X: np.ndarray,
     centroids: np.ndarray,
@@ -154,9 +172,8 @@ def _update_centroids(
     distance: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    sums = np.zeros((k, X.shape[1]), dtype=np.float64)
-    np.add.at(sums, assignment, X)
     counts = np.bincount(assignment, minlength=k)
+    sums = _cluster_sums(X, assignment, counts)
     new = centroids.copy()
     norms = np.linalg.norm(sums, axis=1)
     movable = (counts > 0) & (norms > 0)

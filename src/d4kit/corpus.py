@@ -117,6 +117,11 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
             doc_id, text = rec["id"], rec["text"]
             if not isinstance(doc_id, str) or not isinstance(text, str):
                 raise ParseError("'id' and 'text' must be strings", lineno)
+            try:
+                doc_id.encode("utf-8")
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise ParseError("'id' or 'text' holds a lone UTF-16 surrogate", lineno) from exc
             meta = rec.get("meta")
             if meta is not None and not isinstance(meta, dict):
                 raise ParseError("'meta' must be an object when present", lineno)

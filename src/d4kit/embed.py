@@ -5,10 +5,20 @@ Two embedder kinds are supported: a deterministic feature-hashing embedder
 ingestion of externally precomputed vectors. Either way the output rows
 are L2-normalized, so cosine distance is ``1 - dot`` everywhere downstream.
 
-Empty documents (and the measure-zero case of exact feature cancellation)
-map to the basis vector e_0. This is a deliberate sentinel so corpora with
-blank documents flow through instead of erroring; callers that care can
-detect the exact e_0 row.
+The hashing embedder works on the whole corpus at once, in blocks of
+documents. One vocabulary maps tokens to ids and holds each token's unigram
+bucket and sign, so a token is hashed once per corpus; each distinct bigram
+is hashed once per block; and one ``bincount`` accumulates a block's signed
+bucket counts. Python touches each distinct feature once, to hash it, and
+no Python loop runs per feature occurrence. Working memory is bounded by the
+block size, not by the corpus. ``feature_hash_embed`` is the same routine
+on a one-text corpus, so there is one hashing path.
+
+Empty documents map to the basis vector e_0. This is a deliberate sentinel
+so corpora with blank documents flow through instead of erroring; callers
+that care can detect the exact e_0 row. A non-empty text cannot hash to an
+all-zero count vector (it has an odd number of +-1 features), but chunk
+averaging can cancel exactly, and that also gives e_0.
 """
 
 from __future__ import annotations
@@ -28,6 +38,11 @@ VERSION = 1
 NORM_TOL = 1e-5
 
 TextEmbedder = Callable[[str], np.ndarray]
+
+# A block of documents closes once its tokens, plus d per document for its
+# row of bucket counts, reach this many. So neither long documents nor runs
+# of short ones can grow the block's working arrays.
+_BLOCK_SIZE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,30 +133,91 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     return v / norm
 
 
+def _signed_buckets(
+    features: list[bytes], keyed: hashlib.blake2b, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bucket ``(h >> 1) % d`` and sign (+1 if h is odd, else -1) of each
+    feature, where h is its 8-byte blake2b hash under the key of ``keyed``
+    (an empty keyed hasher, copied per feature to skip re-keying)."""
+    digests = []
+    for f in features:
+        h = keyed.copy()
+        h.update(f)
+        digests.append(h.digest())
+    h = np.frombuffer(b"".join(digests), dtype="<u8")
+    return ((h >> 1) % d).astype(np.int64), np.where(h & 1, 1.0, -1.0)
+
+
+def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
+    """Feature-hash each text into one float32 row, L2-normalized once.
+
+    Token ids come from one vocabulary kept across the corpus, and each
+    token's unigram is hashed once. Texts are taken in blocks; within a block
+    each distinct bigram is hashed once, and the block's signed bucket counts
+    come from one ``bincount``. The counts are sums of +-1, exact in float64,
+    so neither the order nor the grouping of the additions matters.
+    """
+    keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
+    out = np.empty((len(texts), d), dtype=np.float32)
+    vocab: dict[str, int] = {}
+    words: list[bytes] = []  # UTF-8 of each token id
+    bucket = np.empty(0, dtype=np.int64)  # unigram bucket of each token id
+    sign = np.empty(0)  # and its sign
+    start = 0
+    while start < len(texts):
+        tokens: list[str] = []
+        lengths: list[int] = []
+        stop, size = start, 0
+        while stop < len(texts) and size < _BLOCK_SIZE:
+            doc = texts[stop].split()
+            tokens.extend(doc)
+            lengths.append(len(doc))
+            size += len(doc) + d
+            stop += 1
+
+        new = [t for t in dict.fromkeys(tokens) if t not in vocab]
+        vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
+        words.extend(t.encode("utf-8") for t in new)
+        if len(vocab) > bucket.size:
+            bucket, sign = np.resize(bucket, 2 * len(vocab)), np.resize(sign, 2 * len(vocab))
+        added = slice(len(vocab) - len(new), len(vocab))
+        bucket[added], sign[added] = _signed_buckets([b"u:" + w for w in words[added]], keyed, d)
+
+        ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        row = np.repeat(np.arange(stop - start), lengths)
+        first = np.flatnonzero(row[1:] == row[:-1])  # first token of each bigram
+        distinct, which = np.unique(ids[first] * len(vocab) + ids[first + 1], return_inverse=True)
+        pair_bucket, pair_sign = _signed_buckets(
+            [
+                b"b:" + words[a] + b" " + words[b]
+                for a, b in zip((distinct // len(vocab)).tolist(), (distinct % len(vocab)).tolist())
+            ],
+            keyed,
+            d,
+        )
+        cell = np.concatenate([row * d + bucket[ids], row[first] * d + pair_bucket[which]])
+        weight = np.concatenate([sign[ids], pair_sign[which]])
+        acc = np.bincount(cell, weights=weight, minlength=(stop - start) * d).reshape(-1, d)
+        # Integer sums of squares are exact, so these norms equal _normalize's.
+        norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
+        empty = norms == 0.0  # an empty text; its row becomes e_0
+        acc[empty, 0] = norms[empty] = 1.0
+        out[start:stop] = acc / norms[:, None]
+        start = stop
+    return out
+
+
 def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
     """Hash word unigrams and bigrams into d signed buckets, L2-normalized.
 
-    Empty text returns e_0. Deterministic for fixed (text, d, seed).
+    Features are ``u:<token>`` and ``b:<token> <token>`` over ``text.split()``;
+    each feature's seed-keyed blake2b hash picks bucket ``(h >> 1) % d`` and
+    sign ``+1`` if ``h & 1`` else ``-1``. Empty text returns e_0.
+    Deterministic for fixed (text, d, seed).
     """
     if d < 2:
         raise ValidationError("embedding dimension must be >= 2")
-    tokens = text.split()
-    if not tokens:
-        return _e0(d).astype(np.float32)
-    key = (seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
-    acc = np.zeros(d, dtype=np.float64)
-    feats = [b"u:" + t.encode("utf-8") for t in tokens]
-    feats.extend(
-        b"b:" + a.encode("utf-8") + b" " + b.encode("utf-8")
-        for a, b in zip(tokens, tokens[1:])
-    )
-    for feat in feats:
-        h = int.from_bytes(
-            hashlib.blake2b(feat, digest_size=8, key=key).digest(), "little"
-        )
-        bucket = (h >> 1) % d
-        acc[bucket] += 1.0 if h & 1 else -1.0
-    return _normalize(acc).astype(np.float32)
+    return _hash_embed([text], d, seed)[0]
 
 
 def hash_embedder(d: int, seed: int = 0) -> TextEmbedder:
@@ -151,6 +227,20 @@ def hash_embedder(d: int, seed: int = 0) -> TextEmbedder:
         return feature_hash_embed(text, d, seed)
 
     return embed
+
+
+def _chunks(text: str, chunk_size: int) -> list[str]:
+    """Consecutive ``chunk_size``-token chunks; a text of at most one chunk as-is."""
+    tokens = text.split()
+    if len(tokens) <= chunk_size:
+        return [text]
+    return [" ".join(tokens[i : i + chunk_size]) for i in range(0, len(tokens), chunk_size)]
+
+
+def _chunk_mean(rows) -> np.ndarray:
+    """The renormalized float64 mean of a text's chunk vectors, as float32."""
+    mean = np.mean(np.asarray(rows, dtype=np.float64), axis=0)
+    return _normalize(mean).astype(np.float32)
 
 
 def chunk_average(base: TextEmbedder, chunk_size: int) -> TextEmbedder:
@@ -164,15 +254,10 @@ def chunk_average(base: TextEmbedder, chunk_size: int) -> TextEmbedder:
         raise ValidationError("chunk_size must be >= 1")
 
     def embed(text: str) -> np.ndarray:
-        tokens = text.split()
-        if len(tokens) <= chunk_size:
+        chunks = _chunks(text, chunk_size)
+        if len(chunks) == 1:
             return base(text)
-        chunks = [
-            " ".join(tokens[i : i + chunk_size])
-            for i in range(0, len(tokens), chunk_size)
-        ]
-        mean = np.mean([base(c).astype(np.float64) for c in chunks], axis=0)
-        return _normalize(mean).astype(np.float32)
+        return _chunk_mean([base(c) for c in chunks])
 
     return embed
 
@@ -182,6 +267,9 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
 
     Output is always normalized. For ``external`` specs the precomputed
     file must cover every document id; missing ids are reported together.
+    With ``chunk_size`` set, each document's chunks are hash-embedded in one
+    call and averaged, exactly as :func:`chunk_average` over
+    :func:`hash_embedder` computes it.
     """
     if spec.kind == "external":
         m = read_embeddings(spec.path)
@@ -200,15 +288,17 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
             normalized=True,
         )
 
-    embedder = hash_embedder(spec.dim, spec.seed)
-    if spec.chunk_size is not None:
-        embedder = chunk_average(embedder, spec.chunk_size)
-    rows = [embedder(d.text) for d in docs]
-    vectors = (
-        np.stack([_normalize(r) for r in rows]).astype(np.float32)
-        if rows
-        else np.zeros((0, spec.dim), dtype=np.float32)
-    )
+    if spec.chunk_size is None:
+        vectors = _hash_embed([d.text for d in docs], spec.dim, spec.seed)
+    else:
+        vectors = np.empty((len(docs), spec.dim), dtype=np.float32)
+        for row, d in zip(vectors, docs):
+            chunk_rows = _hash_embed(_chunks(d.text, spec.chunk_size), spec.dim, spec.seed)
+            row[:] = chunk_rows[0] if len(chunk_rows) == 1 else _chunk_mean(chunk_rows)
+    # Rows are normalized a second time, in float64 from the float32 values;
+    # the output bytes depend on this pass.
+    for row in vectors:
+        row[:] = _normalize(row)
     return EmbeddingMatrix(ids=tuple(d.id for d in docs), vectors=vectors, normalized=True)
 
 

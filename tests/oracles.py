@@ -180,3 +180,29 @@ def minhash_signature_oracle(shingle_set, seed: int, num_hashes: int) -> tuple[i
         min(scalar_fmix64(b ^ (((i + 1) * 0x9E3779B97F4A7C15) & MASK64)) for b in bases)
         for i in range(num_hashes)
     )
+
+
+def feature_hash_oracle(text: str, d: int, seed: int) -> list[float]:
+    """Per-text feature hashing: one blake2b call and one bucket add per feature.
+
+    The features of ``text.split()`` are ``u:<token>`` for every token and
+    ``b:<a> <b>`` for every adjacent pair. Each feature's 8-byte blake2b,
+    keyed by the seed's low 64 bits, adds +1 (odd hash) or -1 to bucket
+    ``(h >> 1) % d``. Returns the counts divided by their L2 norm, in float64;
+    the library casts them to float32. Empty text (all-zero counts) gives e_0.
+    """
+    key = (seed & MASK64).to_bytes(8, "little")
+    tokens = text.split()
+    feats = [b"u:" + t.encode("utf-8") for t in tokens]
+    feats.extend(
+        b"b:" + a.encode("utf-8") + b" " + b.encode("utf-8")
+        for a, b in zip(tokens, tokens[1:])
+    )
+    acc = [0.0] * d
+    for feat in feats:
+        h = int.from_bytes(hashlib.blake2b(feat, digest_size=8, key=key).digest(), "little")
+        acc[(h >> 1) % d] += 1.0 if h & 1 else -1.0
+    norm = math.sqrt(sum(x * x for x in acc))
+    if norm == 0.0:
+        return [1.0] + [0.0] * (d - 1)
+    return [x / norm for x in acc]

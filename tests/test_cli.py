@@ -269,6 +269,41 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: line 2:") and "finite" in err[0]
         assert not (out / "binned.jsonl").exists()
 
+    @pytest.mark.parametrize("score", ["true", "false"])
+    def test_nn_boolean_score_exits_2_with_line(self, tmp_path, capsys, score):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "a", "score": 1.0}\n{"id": "b", "score": %s}\n' % score, encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "nn"
+        code = run(
+            [
+                "nn", str(emb), "--embeddings", str(emb),
+                "--scores-before", str(scores), "--scores-after", str(scores),
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:") and "boolean" in err[0]
+        assert not (out / "binned.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "minhash"])
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_lone_surrogate_in_corpus_exits_2_with_line(self, tmp_path, capsys, command, field):
+        rec = {"id": "b", "text": "two words"}
+        rec[field] = "x \ud800 y"
+        path = tmp_path / "surrogate.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "text": "fine text"}) + "\n" + json.dumps(rec) + "\n", encoding="utf-8"
+        )
+        assert "\\ud800" in path.read_text(encoding="utf-8")
+        out = tmp_path / "o"
+        assert run([command, "--corpus", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:") and "surrogate" in err[0]
+        assert list(out.glob("*")) in ([], [out / "config.json"])
+
     @pytest.mark.parametrize(
         "flags",
         [

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import d4kit.cluster as cluster_mod
 from d4kit import (
@@ -145,6 +148,73 @@ class TestKmeans:
         monkeypatch.setattr(cluster_mod, "_update_centroids", lambda X, C, *rest: -C)
         with pytest.raises(ValidationError, match="objective rose at iteration 1"):
             kmeans_spherical(emb, KmeansConfig(k=3, seed=0))
+
+
+def _update_centroids_add_at(X, centroids, assignment, distance, k):
+    """The centroid update with its sums taken by ``np.add.at``."""
+    sums = _add_at_sums(X, assignment, k)
+    counts = np.bincount(assignment, minlength=k)
+    new = centroids.copy()
+    norms = np.linalg.norm(sums, axis=1)
+    movable = (counts > 0) & (norms > 0)
+    new[movable] = sums[movable] / norms[movable, None]
+    empties = np.flatnonzero(counts == 0)
+    order = np.argsort(-distance, kind="stable")
+    for j, p in zip(empties, order[: empties.size]):
+        new[j] = X[p]
+    return new
+
+
+@st.composite
+def _centroid_update_inputs(draw):
+    n = draw(st.integers(1, 120))
+    d = draw(st.sampled_from([1, 2, 3, 7]))
+    k = draw(st.integers(1, 12))
+    # Only some cluster indices are used, so k exceeds the occupied count
+    # and some clusters are empty.
+    used = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True))
+    assignment = np.array(draw(st.lists(st.sampled_from(used), min_size=n, max_size=n)), dtype=np.int64)
+    floats = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), st.sampled_from([0.0, -0.0, 1e-300, 3.0])
+    )
+    X = draw(hnp.arrays(np.float64, (n, d), elements=floats))
+    centroids = draw(hnp.arrays(np.float64, (k, d), elements=st.floats(-1, 1)))
+    distance = draw(hnp.arrays(np.float64, n, elements=st.floats(0, 2)))
+    return X, centroids, assignment, distance, k
+
+
+def _add_at_sums(X, assignment, k):
+    sums = np.zeros((k, X.shape[1]), dtype=np.float64)
+    np.add.at(sums, assignment, X)
+    return sums
+
+
+class TestUpdateCentroids:
+    @given(_centroid_update_inputs())
+    def test_sums_bit_equal_to_add_at(self, inputs):
+        X, _, assignment, _, k = inputs
+        got = cluster_mod._cluster_sums(X, assignment, np.bincount(assignment, minlength=k))
+        assert got.shape == (k, X.shape[1])
+        assert got.tobytes() == _add_at_sums(X, assignment, k).tobytes()
+
+    @given(_centroid_update_inputs())
+    def test_update_bit_equal_to_add_at(self, inputs):
+        X, centroids, assignment, distance, k = inputs
+        got = cluster_mod._update_centroids(X, centroids, assignment, distance, k)
+        want = _update_centroids_add_at(X, centroids, assignment, distance, k)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, d, k", [(4000, 128, 63), (3000, 1, 20), (500, 64, 200)])
+    def test_bit_equal_to_add_at_at_scale(self, n, d, k):
+        rng = np.random.default_rng(n + d + k)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+        assignment = rng.integers(0, k, size=n)
+        centroids = rng.normal(size=(k, d))
+        distance = rng.uniform(0, 2, size=n)
+        sums = cluster_mod._cluster_sums(X, assignment, np.bincount(assignment, minlength=k))
+        assert sums.tobytes() == _add_at_sums(X, assignment, k).tobytes()
+        got = cluster_mod._update_centroids(X, centroids, assignment, distance, k)
+        assert got.tobytes() == _update_centroids_add_at(X, centroids, assignment, distance, k).tobytes()
 
 
 class TestAssign:

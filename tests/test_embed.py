@@ -1,4 +1,6 @@
 import hashlib
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,9 +22,10 @@ from d4kit import (
     synthesize_corpus,
     write_embeddings,
 )
-from d4kit.embed import hash_embedder
+from d4kit import embed as embed_mod
+from d4kit.embed import _normalize, hash_embedder
 
-from oracles import scalar_cosine
+from oracles import feature_hash_oracle, scalar_cosine
 
 
 def _docs(texts):
@@ -116,6 +119,101 @@ class TestEmbedCorpus:
         base = embed_corpus(_docs(texts), spec)
         permuted = embed_corpus(_docs([texts[i] for i in perm]), spec)
         assert np.array_equal(permuted.vectors, base.vectors[list(perm)])
+
+
+def _oracle_row(text, d, seed, chunk_size=None):
+    """One ``embed_corpus`` row from the per-text oracle: the hash embedding
+    (mean of the chunks' embeddings, renormalized, for a text longer than one
+    chunk), cast to float32, then normalized again in float64 and cast back."""
+
+    def base(t):
+        return np.asarray(feature_hash_oracle(t, d, seed), dtype=np.float32)
+
+    tokens = text.split()
+    if chunk_size is None or len(tokens) <= chunk_size:
+        v = base(text)
+    else:
+        chunks = [" ".join(tokens[i : i + chunk_size]) for i in range(0, len(tokens), chunk_size)]
+        mean = np.mean([base(c).astype(np.float64) for c in chunks], axis=0)
+        v = _normalize(mean).astype(np.float32)
+    return _normalize(v).astype(np.float32)
+
+
+_TOKENS = ["a", "b", "a", "the", "é", "naïve", "日本語", "ß", "🙂", "x_1", "Ωmega"] + [f"w{i}" for i in range(30)]
+_SEPARATORS = [" ", "  ", "\t", "\n", "\u3000"]
+_texts = st.one_of(
+    st.sampled_from(["", " ", "\t\n  "]),
+    st.lists(st.tuples(st.sampled_from(_SEPARATORS), st.sampled_from(_TOKENS)), max_size=40).map(
+        lambda parts: "".join(sep + tok for sep, tok in parts)
+    ),
+)
+
+
+class TestBlockEmbedderOracle:
+    @given(
+        texts=st.lists(_texts, max_size=12),
+        d=st.sampled_from([2, 3, 128]),
+        seed=st.one_of(st.integers(-(2**70), 2**70), st.sampled_from([-1, 2**64, 2**64 + 3, 2**80])),
+        chunk_size=st.one_of(st.none(), st.integers(1, 4)),
+        block=st.integers(1, 400),
+    )
+    def test_rows_equal_per_text_oracle(self, texts, d, seed, chunk_size, block):
+        # A small block size makes the corpus span several blocks.
+        with mock.patch.object(embed_mod, "_BLOCK_SIZE", block):
+            emb = embed_corpus(_docs(texts), EmbedderSpec(kind="hash", dim=d, seed=seed, chunk_size=chunk_size))
+        assert emb.vectors.shape == (len(texts), d)
+        for text, row in zip(texts, emb.vectors):
+            expected = _oracle_row(text, d, seed, chunk_size)
+            assert row.astype(np.float32).tobytes() == expected.tobytes(), repr(text)
+
+    @given(text=_texts, d=st.sampled_from([2, 3, 128]), seed=st.integers(-(2**70), 2**70))
+    def test_feature_hash_embed_equals_oracle(self, text, d, seed):
+        expected = np.asarray(feature_hash_oracle(text, d, seed), dtype=np.float32)
+        assert feature_hash_embed(text, d, seed).tobytes() == expected.tobytes()
+
+    def test_corpus_spanning_real_blocks(self):
+        docs = synthesize_corpus(SynthSpec(n_topics=4, docs_per_topic=200, seed=5))
+        d = 128
+        assert sum(len(doc.text.split()) + d for doc in docs) > 2 * embed_mod._BLOCK_SIZE
+        emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=9))
+        for doc, row in zip(docs, emb.vectors):
+            assert row.astype(np.float32).tobytes() == _oracle_row(doc.text, d, 9).tobytes()
+
+    def test_cancelling_chunks_give_basis_sentinel(self):
+        # A non-empty text has 2t - 1 features of weight +-1, an odd total,
+        # so its own counts never cancel. Chunk means can: two one-token
+        # chunks hashed to opposite signed buckets average to zero -> e_0.
+        d, seed = 2, 4
+        base = {f"t{i}": feature_hash_oracle(f"t{i}", d, seed) for i in range(40)}
+        x, y = next(
+            (x, y) for x in base for y in base if [-v for v in base[x]] == base[y]
+        )
+        emb = embed_corpus(_docs([f"{x} {y}"]), EmbedderSpec(kind="hash", dim=d, seed=seed, chunk_size=1))
+        assert emb.vectors[0].tolist() == [1.0, 0.0]
+        assert emb.vectors[0].astype(np.float32).tobytes() == _oracle_row(f"{x} {y}", d, seed, 1).tobytes()
+
+
+class TestEmbedMemory:
+    def test_peak_allocation_linear_in_n(self):
+        # O(n*d) memory: 4x the documents may take at most ~4.5x the peak,
+        # and the peak stays under 3 n*d*8 bytes. The float32 rows, the
+        # float64 matrix and its norm check alone take 2.5 n*d*8; hashing's
+        # working set must fit in the remaining half.
+        d = 128
+        peaks = {}
+        for n in (1000, 4000):
+            docs = synthesize_corpus(
+                SynthSpec(n_topics=10, docs_per_topic=n // 10, doc_length_range=(20, 40), seed=3)
+            )
+            tracemalloc.start()
+            try:
+                emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=1))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert emb.n == n
+            assert peaks[n] < 3 * n * d * 8, (n, peaks[n])
+        assert peaks[4000] <= 4.5 * peaks[1000], peaks
 
 
 class TestChunkAverage:
