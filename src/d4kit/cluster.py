@@ -124,11 +124,47 @@ class Clustering:
         return [order[boundaries[j] : boundaries[j + 1]] for j in range(self.k)]
 
 
+def _block_rows(a: np.ndarray, b: np.ndarray) -> int:
+    """Rows of ``a @ b.T`` per block that keep a block within the larger input's entry count."""
+    return max(a.size, b.size) // max(b.shape[0], 1)
+
+
+def _product_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield ``(start, stop, a[start:stop] @ b.T)`` over the rows of ``a``.
+
+    The rows split into near-equal blocks of at most :func:`_block_rows`
+    rows, so no block holds more entries than the larger of ``a`` and ``b``
+    and the product takes O(n * d) memory whatever its shape. No block has
+    a single row unless ``a`` has one, because numpy computes a one-row
+    product with gemv, which rounds differently from gemm; so a block may
+    reach three rows when :func:`_block_rows` is below that (d <= 2).
+    Blocks of two or more rows go through gemm, but BLAS picks its kernel
+    by shape and by an entry's place in its tiles, so a block's bits need
+    not equal the full product's; they do when there is one block.
+
+    Every block is written into one buffer, so each is overwritten by the
+    next and only one is held at a time.
+    """
+    n = a.shape[0]
+    if n == 0:
+        return
+    parts = min(-(-n // max(_block_rows(a, b), 2)), max(n // 2, 1))
+    edges = (n * np.arange(parts + 1) // parts).tolist()
+    buf = np.empty((-(-n // parts), b.shape[0]), dtype=np.result_type(a, b))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        block = buf[: stop - start]
+        np.matmul(a[start:stop], b.T, out=block)
+        yield start, stop, block
+
+
 def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each row to the centroid with the largest dot product.
 
     Ties break toward the lowest centroid index. Returns (assignment,
-    cosine distance), with distances clipped into [0, 2].
+    cosine distance), with distances clipped into [0, 2]. The n x k
+    similarities are taken in row blocks of at most n * d entries (see
+    :func:`_product_blocks`); while k <= d that is one block, the whole
+    product.
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 2:
@@ -140,9 +176,12 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     norms = np.linalg.norm(centroids, axis=1)
     if centroids.shape[0] and float(np.abs(norms - 1.0).max()) > NORM_TOL:
         raise ValidationError("centroids must be unit-norm")
-    sims = emb.vectors @ centroids.T
-    assignment = np.argmax(sims, axis=1).astype(np.uint32)
-    best = sims[np.arange(emb.n), assignment]
+    assignment = np.empty(emb.n, dtype=np.uint32)
+    best = np.empty(emb.n)
+    for start, stop, sims in _product_blocks(emb.vectors, centroids):
+        top = np.argmax(sims, axis=1)
+        assignment[start:stop] = top
+        best[start:stop] = sims[np.arange(stop - start), top]
     distance = np.clip(1.0 - best, 0.0, 2.0)
     return assignment, distance
 

@@ -9,11 +9,12 @@ reports, and binned aggregation of externally supplied per-document scores
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Clustering
+from .cluster import Clustering, _product_blocks
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
 from .select import SelectionResult
@@ -188,7 +189,19 @@ def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
 def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnReport:
     """Exact brute-force nearest neighbor in train for each validation row.
 
-    Ties in distance break toward the lowest train id.
+    Ties in distance break toward the lowest train id. The similarities are
+    taken in blocks of validation rows, each at most the train matrix's
+    size, so memory stays O(n * d) (see :func:`cluster._product_blocks`,
+    which also keeps every block at two or more rows, away from gemv).
+
+    BLAS may round one dot product differently by where it falls in the
+    product, so duplicated train rows need not come out equal. A row whose
+    runner-up lies within that rounding (``2 * d * eps`` for unit vectors)
+    of its best therefore ranks those candidates again by ``math.fsum`` of
+    the elementwise products (an exact dot for the float32 values a file
+    holds), and the lowest train id wins among the best. Each distance is
+    ``1 - s`` for the row's largest computed similarity ``s``, clipped
+    into [0, 2].
     """
     if valid_emb.d != train_emb.d:
         raise ValidationError(
@@ -198,24 +211,31 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
         raise ValidationError("both matrices must be normalized")
     if train_emb.n == 0:
         raise ValidationError("train matrix is empty")
+    if valid_emb.n == 0:
+        raise ValidationError("validation matrix is empty")
 
-    sims = valid_emb.vectors @ train_emb.vectors.T
-    entries: list[NnEntry] = []
-    for i in range(valid_emb.n):
-        row = sims[i]
-        best = row.max()
-        candidates = np.flatnonzero(row == best)
-        train_id = min(train_emb.ids[int(c)] for c in candidates)
-        entries.append(
-            NnEntry(
-                valid_id=valid_emb.ids[i],
-                train_id=train_id,
-                distance=float(np.clip(1.0 - best, 0.0, 2.0)),
-            )
-        )
-    dists = np.array([e.distance for e in entries]) if entries else np.array([0.0])
+    V, T, train_ids = valid_emb.vectors, train_emb.vectors, train_emb.ids
+    band = 2 * valid_emb.d * np.finfo(np.float64).eps
+    nearest = np.empty(valid_emb.n, dtype=np.intp)
+    best = np.empty(valid_emb.n)
+    for start, stop, sims in _product_blocks(V, T):
+        top = sims.argmax(axis=1)
+        s = sims[np.arange(stop - start), top]
+        nearest[start:stop], best[start:stop] = top, s
+        close = sims >= (s - band)[:, None]
+        for r in np.flatnonzero(np.count_nonzero(close, axis=1) > 1).tolist():
+            rank = {
+                c: (-math.fsum(V[start + r] * T[c]), train_ids[c])
+                for c in np.flatnonzero(close[r]).tolist()
+            }
+            nearest[start + r] = min(rank, key=rank.__getitem__)
+    dists = np.clip(1.0 - best, 0.0, 2.0)
+    entries = tuple(
+        NnEntry(valid_id=v, train_id=train_ids[t], distance=float(dist))
+        for v, t, dist in zip(valid_emb.ids, nearest.tolist(), dists)
+    )
     return NnReport(
-        entries=tuple(entries),
+        entries=entries,
         mean=float(dists.mean()),
         median=float(np.median(dists)),
     )

@@ -24,6 +24,9 @@ averaging can cancel exactly, and that also gives e_0.
 from __future__ import annotations
 
 import hashlib
+import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Callable
@@ -94,7 +97,8 @@ class EmbeddingMatrix:
         if not np.isfinite(self.vectors).all():
             raise ValidationError("vectors must be finite (no NaN or infinity)")
         if self.normalized and self.n:
-            norms = np.linalg.norm(self.vectors, axis=1)
+            # Row-wise, so the check makes no n x d temporary.
+            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
             worst = float(np.abs(norms - 1.0).max())
             if worst > NORM_TOL:
                 raise ValidationError(
@@ -279,14 +283,10 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
             raise ValidationError(
                 "external embeddings missing ids: " + ", ".join(sorted(missing))
             )
-        rows = np.stack(
-            [_normalize(m.vectors[index[d.id]]) for d in docs]
-        ) if len(docs) else np.zeros((0, m.d))
-        return EmbeddingMatrix(
-            ids=tuple(d.id for d in docs),
-            vectors=rows.astype(np.float32),
-            normalized=True,
-        )
+        rows = np.empty((len(docs), m.d), dtype=np.float32)
+        for row, d in zip(rows, docs):
+            row[:] = _normalize(m.vectors[index[d.id]])
+        return EmbeddingMatrix(ids=tuple(d.id for d in docs), vectors=rows, normalized=True)
 
     if spec.chunk_size is None:
         vectors = _hash_embed([d.text for d in docs], spec.dim, spec.seed)
@@ -319,37 +319,48 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
 
 
 def read_embeddings(path: str) -> EmbeddingMatrix:
-    """Read the binary embedding format; inverse of :func:`write_embeddings`."""
+    """Read the binary embedding format; inverse of :func:`write_embeddings`.
+
+    The payload is read in blocks of about sqrt(n) rows straight into the
+    float64 matrix, so reading takes about 8 bytes per value.
+    """
     with open(path, "rb") as fh:
+        header = fh.read(24)
+        if len(header) < 4 or header[:4] != MAGIC:
+            raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
+        if len(header) < 24:
+            raise FormatError("truncated header", len(header))
+        version, count, dim, flags = struct.unpack_from("<IQII", header, 4)
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version}", 4)
+        payload_bytes = count * dim * 4
+        truncated = f"truncated payload: expected {payload_bytes} bytes of vectors"
+        st = os.fstat(fh.fileno())
+        # A regular file's size is known, so a header that claims more rows
+        # than the file holds fails before the matrix is allocated.
+        if stat.S_ISREG(st.st_mode) and st.st_size < 24 + payload_bytes:
+            raise FormatError(truncated, st.st_size)
+        vectors = np.empty((count, dim), dtype=np.float64)
+        step = max(math.isqrt(count), 1)
+        for start in range(0, count, step):
+            block = vectors[start : start + step]
+            raw = fh.read(block.size * 4)
+            if len(raw) < block.size * 4:  # a stream that ends early
+                raise FormatError(truncated, 24 + start * dim * 4 + len(raw))
+            block[:] = np.frombuffer(raw, dtype="<f4").reshape(block.shape)
         data = fh.read()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
-    if len(data) < 24:
-        raise FormatError("truncated header", len(data))
-    version, count, dim, flags = struct.unpack_from("<IQII", data, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
-    offset = 24
-    payload_bytes = count * dim * 4
-    if len(data) < offset + payload_bytes:
-        raise FormatError(
-            f"truncated payload: expected {payload_bytes} bytes of vectors",
-            len(data),
-        )
-    vectors = np.frombuffer(
-        data, dtype="<f4", count=count * dim, offset=offset
-    ).reshape(count, dim)
-    offset += payload_bytes
+    size = 24 + payload_bytes + len(data)
+    offset = 0  # into the id table, which starts at byte 24 + payload_bytes
     ids: list[str] = []
     for _ in range(count):
         if len(data) < offset + 2:
-            raise FormatError("truncated id table", len(data))
+            raise FormatError("truncated id table", size)
         (id_len,) = struct.unpack_from("<H", data, offset)
         offset += 2
         if len(data) < offset + id_len:
-            raise FormatError("truncated id entry", len(data))
+            raise FormatError("truncated id entry", size)
         ids.append(data[offset : offset + id_len].decode("utf-8"))
         offset += id_len
     if offset != len(data):
-        raise FormatError("trailing bytes after id table", offset)
+        raise FormatError("trailing bytes after id table", 24 + payload_bytes + offset)
     return EmbeddingMatrix(ids=tuple(ids), vectors=vectors, normalized=bool(flags & 1))

@@ -118,6 +118,13 @@ def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> 
     )
 
 
+def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
+    """Each id's position in sorted order, as a lexsort key."""
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
+
+
 def _spanning_forest(
     emb: EmbeddingMatrix, clustering: Clustering
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -244,9 +251,7 @@ def semdedup(
     ids = emb.ids
     distance = clustering.distance
     sign = -1.0 if keep_rule == "farthest" else 1.0
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
-    order = np.lexsort((id_rank, sign * distance, labels))
+    order = np.lexsort((_id_rank(ids), sign * distance, labels))
     first = np.ones(n, dtype=bool)
     first[1:] = labels[order[1:]] != labels[order[:-1]]
     keep_idx = np.sort(order[first])
@@ -292,9 +297,9 @@ def ssl_prototypes(
     n_discard = _round_half_up((1.0 - r_proto) * n)
     ids = emb.ids
     distance = clustering.distance
-    order = sorted(range(n), key=lambda i: (distance[i], ids[i]))
-    discarded = set(order[:n_discard])
-    keep_idx = [i for i in range(n) if i not in discarded]
+    keep = np.ones(n, dtype=bool)
+    keep[np.lexsort((_id_rank(ids), distance))[:n_discard]] = False
+    keep_idx = np.flatnonzero(keep)
     return SelectionResult(
         method=f"prototypes(r_proto={r_proto:g})",
         r_target=r_proto,

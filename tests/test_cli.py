@@ -205,6 +205,15 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
+    def test_nn_empty_validation_exits_1_with_one_error_line(self, tmp_path, capsys):
+        train = _embed(tmp_path, _synth(tmp_path), dim="8")
+        empty = tmp_path / "empty.d4em"
+        empty.write_bytes(b"D4EM" + struct.pack("<IQII", 1, 0, 8, 1))
+        assert run(["nn", str(empty), "--embeddings", str(train), "--out", str(tmp_path / "nn")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "validation matrix is empty" in err[0]
+        assert not (tmp_path / "nn" / "summary.json").exists()
+
     def _random_selection(self, tmp_path) -> Path:
         emb = _embed(tmp_path, _synth(tmp_path))
         out = tmp_path / "sel"

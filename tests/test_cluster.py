@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -217,6 +219,24 @@ class TestUpdateCentroids:
         assert got.tobytes() == _update_centroids_add_at(X, centroids, assignment, distance, k).tobytes()
 
 
+@st.composite
+def _assign_inputs(draw):
+    """Unit rows and unit centroids, k both below and above d."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 60)))
+    d = draw(st.sampled_from([2, 3, 5, 8]))
+    k = draw(st.integers(1, 20))
+    rng = np.random.default_rng(seed)
+    centroids = rng.normal(size=(k, d))
+    centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    emb = EmbeddingMatrix(
+        ids=tuple(f"p{i:03d}" for i in range(n)), vectors=rows.astype(np.float32), normalized=True
+    )
+    return emb, centroids, draw(st.integers(1, 6))
+
+
 class TestAssign:
     def test_exact_match_distance_zero(self):
         emb = _emb_from_rows([[0.0, 1.0, 0.0]])
@@ -258,6 +278,60 @@ class TestAssign:
         emb = _random_emb(4, 3, seed=1)
         with pytest.raises(ValidationError):
             assign(emb, np.eye(2))
+
+    @pytest.mark.parametrize("n, d, k", [(2000, 64, 16), (4000, 128, 63), (3, 8, 8)])
+    def test_one_block_while_k_at_most_d(self, n, d, k):
+        emb = _random_emb(n, d, seed=n)
+        centroids = _random_emb(k, d, seed=k).vectors
+        assert len(list(cluster_mod._product_blocks(emb.vectors, centroids))) == 1
+        a, dist = assign(emb, centroids)
+        sims = emb.vectors @ centroids.T
+        want = np.argmax(sims, axis=1)
+        assert a.dtype == np.uint32 and np.array_equal(a, want)
+        assert dist.tobytes() == np.clip(1.0 - sims[np.arange(n), want], 0.0, 2.0).tobytes()
+
+    @given(_assign_inputs())
+    def test_blocked_matches_full_product(self, inputs):
+        # A block's gemm may round a dot differently from the full product's,
+        # so assignments agree wherever the two best centroids are farther
+        # apart than the rounding of a d-term dot of unit vectors, and
+        # distances agree within it; with one block they are the same bytes.
+        emb, centroids, rows = inputs
+        with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
+            a, dist = assign(emb, centroids)
+        sims = emb.vectors @ centroids.T
+        want = np.argmax(sims, axis=1)
+        band = 2 * emb.d * np.finfo(np.float64).eps
+        ordered = np.sort(sims, axis=1)
+        clear = ordered[:, -1] - (ordered[:, -2] if centroids.shape[0] > 1 else -np.inf) > band
+        assert np.array_equal(a[clear], want[clear])
+        full_dist = np.clip(1.0 - sims[np.arange(emb.n), want], 0.0, 2.0)
+        assert np.abs(dist - full_dist).max() <= band
+        if emb.n <= cluster_mod._block_rows(emb.vectors, centroids):
+            assert assign(emb, centroids)[1].tobytes() == full_dist.tobytes()
+
+
+class TestProductBlocks:
+    @given(
+        st.integers(1, 80), st.integers(1, 30), st.sampled_from([1, 2, 3, 8]), st.integers(1, 9)
+    )
+    def test_blocks_cover_rows_without_single_row_blocks(self, n, m, d, rows):
+        a, b = np.ones((n, d)), np.ones((m, d))
+        with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
+            spans = [(start, stop) for start, stop, _ in cluster_mod._product_blocks(a, b)]
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(spans, spans[1:]))
+        sizes = [stop - start for start, stop in spans]
+        assert max(sizes) - min(sizes) <= 1
+        assert min(sizes) >= 2 or n == 1
+        assert max(sizes) <= max(rows, 3)
+
+    @pytest.mark.parametrize("n, m, d", [(1000, 16000, 64), (4000, 63, 16), (7, 5, 1), (9, 40, 2)])
+    def test_block_entries_within_larger_input(self, n, m, d):
+        a, b = np.ones((n, d)), np.ones((m, d))
+        for start, stop, block in cluster_mod._product_blocks(a, b):
+            assert block.shape == (stop - start, m)
+            assert block.size <= max(a.size, b.size) or (d <= 2 and stop - start <= 3)
 
 
 class TestObjective:

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import d4kit.cluster as cluster_mod
 from d4kit import (
     Clustering,
     D4Config,
@@ -325,6 +328,73 @@ class TestNnToTrain:
         report = nn_to_train(valid, train)
         assert report.mean == 0.5
         assert report.median == 0.5
+
+    def test_empty_validation_rejected(self):
+        train = _emb([[1.0, 0.0]], ids=("t",))
+        valid = EmbeddingMatrix(ids=(), vectors=np.zeros((0, 2)), normalized=True)
+        with pytest.raises(ValidationError, match="validation matrix is empty"):
+            nn_to_train(valid, train)
+
+    def test_duplicated_train_rows_tie_at_any_position(self):
+        # 300 train rows put the last few in BLAS's edge tile, whose dots can
+        # round differently from the same rows' elsewhere; copies of one row
+        # at the front and the back must still tie.
+        rng = np.random.default_rng(0)
+        t = rng.normal(size=(300, 16))
+        t[299] = t[0]
+        ids = tuple(f"t{i:03d}" for i in range(300))
+        train = _emb(t, ids=ids[::-1])  # row 299 holds the lowest id
+        valid = _emb(t[[0]] + rng.normal(scale=0.3, size=(30, 16)), ids=tuple(f"v{i}" for i in range(30)))
+        got = nn_to_train(valid, train)
+        expected = brute_force_nn(valid.vectors.tolist(), valid.ids, train.vectors.tolist(), train.ids)
+        assert [e.train_id for e in got.entries] == [tid for _, tid, _ in expected]
+
+
+@st.composite
+def _nn_inputs(draw):
+    """Validation and train rows, with duplicated train rows under shuffled ids."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.sampled_from([2, 3, 5, 8, 64]))
+    n_valid = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    n_distinct = draw(st.integers(1, 20))
+    sources = draw(st.lists(st.integers(0, n_distinct - 1), min_size=1, max_size=60))
+    rng = np.random.default_rng(seed)
+    distinct = rng.normal(size=(n_distinct, d))
+    train_rows = distinct[sources]
+    # Some validation rows copy a train row, so the best similarity is an
+    # exact tie between that row's duplicates.
+    valid_rows = rng.normal(size=(n_valid, d))
+    copies = rng.random(n_valid) < 0.3
+    valid_rows[copies] = distinct[rng.integers(0, n_distinct, size=int(copies.sum()))]
+    order = rng.permutation(len(sources))
+    train = _emb(train_rows, ids=tuple(f"t{i:03d}" for i in order))
+    valid = _emb(valid_rows, ids=tuple(f"v{i:03d}" for i in range(n_valid)))
+    return valid, train, draw(st.integers(1, 6))
+
+
+class TestBlockedNn:
+    @given(_nn_inputs())
+    def test_blocked_matches_oracle(self, inputs):
+        valid, train, rows = inputs
+        with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
+            got = nn_to_train(valid, train)
+        expected = brute_force_nn(valid.vectors.tolist(), valid.ids, train.vectors.tolist(), train.ids)
+        assert [(e.valid_id, e.train_id) for e in got.entries] == [(v, t) for v, t, _ in expected]
+
+    @given(_nn_inputs())
+    def test_distances_match_full_product(self, inputs):
+        # A block's gemm may round a dot differently from the full product's
+        # (BLAS picks kernels by shape and tile position), so blocked
+        # distances agree within the rounding of a d-term dot of unit
+        # vectors, and bit for bit when there is one block.
+        valid, train, rows = inputs
+        full = np.clip(1.0 - (valid.vectors @ train.vectors.T).max(axis=1), 0.0, 2.0)
+        with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
+            blocked = np.array([e.distance for e in nn_to_train(valid, train).entries])
+        assert np.abs(blocked - full).max() <= 2 * valid.d * np.finfo(np.float64).eps
+        whole = np.array([e.distance for e in nn_to_train(valid, train).entries])
+        if valid.n <= cluster_mod._block_rows(valid.vectors, train.vectors):
+            assert whole.tobytes() == full.tobytes()
 
 
 class TestBinnedScores:

@@ -1,0 +1,93 @@
+"""Every stage's memory is O(n * d).
+
+Each stage runs at n and 4n points (and a validation set 4x larger too),
+under ``tracemalloc``. Its peak may grow at most 4.5x, where a stage
+quadratic in n (or in n * k at the default k = sqrt(n)) would grow 8-16x,
+and must stay under a fixed multiple of the n * d * 8 bytes of the float64
+matrix. Inputs are built before tracing starts, so they are not counted.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from d4kit import (
+    D4Config,
+    Document,
+    DocumentSet,
+    EmbedderSpec,
+    EmbeddingMatrix,
+    KmeansConfig,
+    analyze_clustering,
+    d4,
+    embed_corpus,
+    kmeans_spherical,
+    nn_to_train,
+    read_embeddings,
+    semdedup,
+    write_embeddings,
+)
+from d4kit.select import ssl_prototypes
+
+D = 32  # below the default k at 4n, so k-means's n x k product must block
+SIZES = (1000, 4000)
+MULTIPLE = 4
+
+
+def _unit_rows(rng, n: int) -> np.ndarray:
+    # Clumps of 5 near-copies, so SemDeDup and D4 have duplicates to remove.
+    centers = rng.normal(size=(n // 5, D))
+    rows = np.repeat(centers, 5, axis=0) + rng.normal(scale=0.05, size=(n, D))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+def _stage_calls(n: int, tmp_path):
+    """name -> zero-argument call of that stage on n points."""
+    rng = np.random.default_rng(n)
+    emb = EmbeddingMatrix(tuple(f"d{i:05d}" for i in range(n)), _unit_rows(rng, n), True)
+    valid = EmbeddingMatrix(tuple(f"v{i:05d}" for i in range(n // 4)), _unit_rows(rng, n // 4), True)
+    path = str(tmp_path / f"m{n}.d4em")
+    write_embeddings(emb, path)
+    docs = DocumentSet.from_documents([Document(id=i, text="", token_count=0) for i in emb.ids])
+    clustering = kmeans_spherical(emb, KmeansConfig(k=16, seed=0))
+    return {
+        "read_embeddings": lambda: read_embeddings(path),
+        "embed_corpus_external": lambda: embed_corpus(docs, EmbedderSpec(kind="external", dim=D, path=path)),
+        "nn_to_train": lambda: nn_to_train(valid, emb),
+        "kmeans_spherical": lambda: kmeans_spherical(emb, KmeansConfig(iters=3, seed=0)),
+        "semdedup": lambda: semdedup(emb, clustering, 0.75),
+        "ssl_prototypes": lambda: ssl_prototypes(emb, clustering, 0.5),
+        "d4": lambda: d4(emb, D4Config(r_dedup=0.75, r_proto=0.5, kmeans=KmeansConfig(iters=3)), clustering),
+        "analyze_clustering": lambda: analyze_clustering(emb, clustering),
+    }
+
+
+def _peak(call) -> int:
+    call()  # once untraced, so lazy imports on a first call are not counted
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "stage",
+    (
+        "read_embeddings",
+        "embed_corpus_external",
+        "nn_to_train",
+        "kmeans_spherical",
+        "semdedup",
+        "ssl_prototypes",
+        "d4",
+        "analyze_clustering",
+    ),
+)
+def test_stage_peak_linear_in_n(stage, tmp_path):
+    peaks = {n: _peak(_stage_calls(n, tmp_path)[stage]) for n in SIZES}
+    for n, peak in peaks.items():
+        assert peak < MULTIPLE * n * D * 8, (n, peak / (n * D * 8))
+    assert peaks[SIZES[1]] <= 4.5 * peaks[SIZES[0]], peaks
