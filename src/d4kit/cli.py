@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -93,9 +94,13 @@ def _selection_summary(result: select_mod.SelectionResult) -> dict[str, Any]:
 
 
 def _write_selection(out: Path, result: select_mod.SelectionResult) -> None:
+    # The bytes of json.dumps({"id": ..., "score": ..., "kept": True}) per
+    # record, built without it and streamed, never joined into one string.
     with (out / "selection.jsonl").open("w", encoding="utf-8") as fh:
-        for doc_id, score in zip(result.kept_ids, result.scores):
-            fh.write(json.dumps({"id": doc_id, "score": score, "kept": True}) + "\n")
+        fh.writelines(
+            f'{{"id": {encode_basestring_ascii(doc_id)}, "score": {float.__repr__(score)}, "kept": true}}\n'
+            for doc_id, score in zip(result.kept_ids, result.scores)
+        )
     if result.stages:
         stage_names = ("semdedup", "prototypes")
         with (out / "stages.jsonl").open("w", encoding="utf-8") as fh:
@@ -235,26 +240,25 @@ def _clustering_for(args: argparse.Namespace, emb: embed_mod.EmbeddingMatrix, st
 
 
 def cmd_select(args: argparse.Namespace) -> None:
+    method = args.method
+    if method == "d4":
+        if args.r_dedup is None or args.r_proto is None:
+            raise ValidationError("--r-dedup and --r-proto are required for d4")
+    elif args.r is None:
+        raise ValidationError(f"--r is required for {method}")
     out = _prepare_out(args)
     emb = embed_mod.read_embeddings(args.embeddings)
-    method = args.method
     if method == "random":
-        if args.r is None:
-            raise ValidationError("--r is required for random selection")
         result = select_mod.select_random(
             emb.ids, args.r, seed=stage_seed(args.seed, "select.random")
         )
     elif method in ("semdedup", "prototypes"):
-        if args.r is None:
-            raise ValidationError(f"--r is required for {method}")
         clustering = _clustering_for(args, emb, "select.kmeans")
         if method == "semdedup":
             result = select_mod.semdedup(emb, clustering, args.r)
         else:
             result = select_mod.ssl_prototypes(emb, clustering, args.r)
     else:  # d4
-        if args.r_dedup is None or args.r_proto is None:
-            raise ValidationError("--r-dedup and --r-proto are required for d4")
         kcfg = cluster_mod.KmeansConfig(
             k=args.k, iters=args.iters, seed=stage_seed(args.seed, "select.kmeans")
         )
@@ -371,6 +375,8 @@ def cmd_overlap(args: argparse.Namespace) -> None:
 
 
 def cmd_nn(args: argparse.Namespace) -> None:
+    if bool(args.scores_before) != bool(args.scores_after):
+        raise ValidationError("--scores-before and --scores-after go together")
     out = _prepare_out(args)
     valid = embed_mod.read_embeddings(args.valid_embeddings)
     train = embed_mod.read_embeddings(args.embeddings)
@@ -388,9 +394,7 @@ def cmd_nn(args: argparse.Namespace) -> None:
         {"n": len(report.entries), "mean": report.mean, "median": report.median},
     )
     print(f"nn: {len(report.entries)} validation points, mean distance {report.mean:.4f}")
-    if args.scores_before or args.scores_after:
-        if not (args.scores_before and args.scores_after):
-            raise ValidationError("--scores-before and --scores-after go together")
+    if args.scores_before:
         binned = diag_mod.binned_score_analysis(
             report,
             dict(_read_scored(args.scores_before)),

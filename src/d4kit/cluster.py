@@ -125,19 +125,21 @@ class Clustering:
 
 
 def _block_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """Rows of ``a @ b.T`` per block that keep a block within the larger input's entry count."""
-    return max(a.size, b.size) // max(b.shape[0], 1)
+    """Rows of ``a @ b.T`` per block that keep a block within half the larger input's entry count."""
+    return max(a.size, b.size) // max(2 * b.shape[0], 1)
 
 
 def _product_blocks(a: np.ndarray, b: np.ndarray):
     """Yield ``(start, stop, a[start:stop] @ b.T)`` over the rows of ``a``.
 
     The rows split into near-equal blocks of at most :func:`_block_rows`
-    rows, so no block holds more entries than the larger of ``a`` and ``b``
-    and the product takes O(n * d) memory whatever its shape. No block has
+    rows, so no block holds more than half the entries of the larger of
+    ``a`` and ``b`` and the product takes O(n * d) memory whatever its
+    shape. Half is the floor: smaller blocks give each gemm fewer rows, and
+    ``nn_to_train`` slows more than the memory saved is worth. No block has
     a single row unless ``a`` has one, because numpy computes a one-row
     product with gemv, which rounds differently from gemm; so a block may
-    reach three rows when :func:`_block_rows` is below that (d <= 2).
+    reach three rows when :func:`_block_rows` is below that (d <= 5).
     Blocks of two or more rows go through gemm, but BLAS picks its kernel
     by shape and by an entry's place in its tiles, so a block's bits need
     not equal the full product's; they do when there is one block.
@@ -162,8 +164,8 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
 
     Ties break toward the lowest centroid index. Returns (assignment,
     cosine distance), with distances clipped into [0, 2]. The n x k
-    similarities are taken in row blocks of at most n * d entries (see
-    :func:`_product_blocks`); while k <= d that is one block, the whole
+    similarities are taken in row blocks of at most n * d / 2 entries (see
+    :func:`_product_blocks`); while k <= d / 2 that is one block, the whole
     product.
     """
     centroids = np.asarray(centroids, dtype=np.float64)

@@ -190,9 +190,10 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     """Exact brute-force nearest neighbor in train for each validation row.
 
     Ties in distance break toward the lowest train id. The similarities are
-    taken in blocks of validation rows, each at most the train matrix's
-    size, so memory stays O(n * d) (see :func:`cluster._product_blocks`,
-    which also keeps every block at two or more rows, away from gemv).
+    taken in blocks of about d / 2 validation rows, each at most half the
+    train matrix's size, so memory stays O(n * d) (see
+    :func:`cluster._product_blocks`, which also keeps every block at two or
+    more rows, away from gemv).
 
     BLAS may round one dot product differently by where it falls in the
     product, so duplicated train rows need not come out equal. A row whose

@@ -14,6 +14,12 @@ no Python loop runs per feature occurrence. Working memory is bounded by the
 block size, not by the corpus. ``feature_hash_embed`` is the same routine
 on a one-text corpus, so there is one hashing path.
 
+Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
+is written and read a block at a time, and rows are normalized a block at a
+time. So ingesting external vectors takes at most 1.5 * n * d * 8 bytes plus
+the ids (the float64 matrix read, then the float32 rows beside the float64
+``EmbeddingMatrix``), and writing takes one block beyond the matrix.
+
 Empty documents map to the basis vector e_0. This is a deliberate sentinel
 so corpora with blank documents flow through instead of erroring; callers
 that care can detect the exact e_0 row. A non-empty text cannot hash to an
@@ -42,8 +48,8 @@ NORM_TOL = 1e-5
 
 TextEmbedder = Callable[[str], np.ndarray]
 
-# A block of documents closes once its tokens, plus d per document for its
-# row of bucket counts, reach this many. So neither long documents nor runs
+# A block of documents closes once its tokens, plus d per document (or per
+# chunk, with chunking) for its row of bucket counts, reach this many. So neither long documents nor runs
 # of short ones can grow the block's working arrays.
 _BLOCK_SIZE = 1 << 14
 
@@ -135,6 +141,28 @@ def _normalize(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         return _e0(v.shape[0])
     return v / norm
+
+
+def _block_step(n: int) -> int:
+    """Rows per block when a matrix of n rows is streamed: ceil(sqrt(n)), at least 1."""
+    return math.isqrt(n - 1) + 1 if n > 1 else 1
+
+
+def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None = None) -> None:
+    """Write :func:`_normalize` of each row of ``src`` (of ``src[order]`` if
+    given) into ``out``, cast to its dtype, bit for bit, a block at a time.
+
+    Each norm is a stacked ``matmul`` of a row with itself, which numpy
+    computes with the same BLAS dot as ``np.linalg.norm`` of one row.
+    """
+    step = _block_step(out.shape[0])
+    for start in range(0, out.shape[0], step):
+        rows = slice(start, start + step)
+        block = src[rows if order is None else order[rows]].astype(np.float64)
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+        zero = norms == 0.0
+        block[zero], norms[zero] = _e0(block.shape[1]), 1.0
+        out[rows] = block / norms[:, None]
 
 
 def _signed_buckets(
@@ -266,44 +294,76 @@ def chunk_average(base: TextEmbedder, chunk_size: int) -> TextEmbedder:
     return embed
 
 
+def _chunked_hash_embed(texts: list[str], d: int, seed: int, chunk_size: int) -> np.ndarray:
+    """Each text's chunk rows averaged by :func:`_chunk_mean`; a one-chunk text's row as-is.
+
+    The chunks of a block of texts are hashed in one :func:`_hash_embed`
+    call. A block closes once its tokens, plus d per chunk, reach
+    ``_BLOCK_SIZE``, so only one block's chunk rows are held at a time.
+    """
+    out = np.empty((len(texts), d), dtype=np.float32)
+    start = 0
+    while start < len(texts):
+        chunks: list[str] = []
+        counts: list[int] = []
+        stop, size = start, 0
+        while stop < len(texts) and size < _BLOCK_SIZE:
+            doc = _chunks(texts[stop], chunk_size)
+            chunks.extend(doc)
+            counts.append(len(doc))
+            size += len(texts[stop].split()) + d * len(doc)
+            stop += 1
+        rows = _hash_embed(chunks, d, seed)
+        first = 0
+        for i, count in enumerate(counts, start):
+            out[i] = rows[first] if count == 1 else _chunk_mean(rows[first : first + count])
+            first += count
+        start = stop
+    return out
+
+
 def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
     """Embed every document, one row per document in corpus order.
 
     Output is always normalized. For ``external`` specs the precomputed
     file must cover every document id; missing ids are reported together.
-    With ``chunk_size`` set, each document's chunks are hash-embedded in one
-    call and averaged, exactly as :func:`chunk_average` over
-    :func:`hash_embedder` computes it.
+    With ``chunk_size`` set, each document's chunks are hash-embedded and
+    averaged, exactly as :func:`chunk_average` over :func:`hash_embedder`
+    computes it.
     """
+    ids = tuple(d.id for d in docs)
     if spec.kind == "external":
         m = read_embeddings(spec.path)
         index = {doc_id: i for i, doc_id in enumerate(m.ids)}
-        missing = [d.id for d in docs if d.id not in index]
+        missing = [i for i in ids if i not in index]
         if missing:
             raise ValidationError(
                 "external embeddings missing ids: " + ", ".join(sorted(missing))
             )
-        rows = np.empty((len(docs), m.d), dtype=np.float32)
-        for row, d in zip(rows, docs):
-            row[:] = _normalize(m.vectors[index[d.id]])
-        return EmbeddingMatrix(ids=tuple(d.id for d in docs), vectors=rows, normalized=True)
+        order = np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+        vectors = np.empty((len(ids), m.d), dtype=np.float32)
+        _normalize_rows(m.vectors, vectors, order)
+        # Drop the float64 matrix read before EmbeddingMatrix makes its own.
+        del m, index
+        return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
 
+    texts = [d.text for d in docs]
     if spec.chunk_size is None:
-        vectors = _hash_embed([d.text for d in docs], spec.dim, spec.seed)
+        vectors = _hash_embed(texts, spec.dim, spec.seed)
     else:
-        vectors = np.empty((len(docs), spec.dim), dtype=np.float32)
-        for row, d in zip(vectors, docs):
-            chunk_rows = _hash_embed(_chunks(d.text, spec.chunk_size), spec.dim, spec.seed)
-            row[:] = chunk_rows[0] if len(chunk_rows) == 1 else _chunk_mean(chunk_rows)
+        vectors = _chunked_hash_embed(texts, spec.dim, spec.seed, spec.chunk_size)
     # Rows are normalized a second time, in float64 from the float32 values;
     # the output bytes depend on this pass.
-    for row in vectors:
-        row[:] = _normalize(row)
-    return EmbeddingMatrix(ids=tuple(d.id for d in docs), vectors=vectors, normalized=True)
+    _normalize_rows(vectors, vectors)
+    return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
 
 
 def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
-    """Write the bit-exact binary embedding format; an over-long id raises before any write."""
+    """Write the bit-exact binary embedding format; an over-long id raises before any write.
+
+    The float32 payload is written in blocks of ceil(sqrt(n)) rows, so no
+    float32 copy of the whole matrix is made.
+    """
     raw_ids = [doc_id.encode("utf-8") for doc_id in m.ids]
     for doc_id, raw in zip(m.ids, raw_ids):
         if len(raw) > 0xFFFF:
@@ -312,16 +372,16 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
         flags = 1 if m.normalized else 0
         fh.write(MAGIC)
         fh.write(struct.pack("<IQII", VERSION, m.n, m.d, flags))
-        fh.write(np.ascontiguousarray(m.vectors, dtype="<f4").tobytes())
-        for raw in raw_ids:
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
+        step = _block_step(m.n)
+        for start in range(0, m.n, step):
+            fh.write(m.vectors[start : start + step].astype("<f4"))
+        fh.write(b"".join(struct.pack("<H", len(raw)) + raw for raw in raw_ids))
 
 
 def read_embeddings(path: str) -> EmbeddingMatrix:
     """Read the binary embedding format; inverse of :func:`write_embeddings`.
 
-    The payload is read in blocks of about sqrt(n) rows straight into the
+    The payload is read in blocks of ceil(sqrt(n)) rows straight into the
     float64 matrix, so reading takes about 8 bytes per value.
     """
     with open(path, "rb") as fh:
@@ -341,7 +401,7 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
         if stat.S_ISREG(st.st_mode) and st.st_size < 24 + payload_bytes:
             raise FormatError(truncated, st.st_size)
         vectors = np.empty((count, dim), dtype=np.float64)
-        step = max(math.isqrt(count), 1)
+        step = _block_step(count)
         for start in range(0, count, step):
             block = vectors[start : start + step]
             raw = fh.read(block.size * 4)

@@ -117,6 +117,21 @@ def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature
     return MinHashSignature(values=tuple(values.tolist()), shingle_width=cfg.shingle_width)
 
 
+def _band_heads(rows: np.ndarray) -> np.ndarray:
+    """For each row, the index of the first row equal to it.
+
+    One stable ``lexsort`` puts equal rows in runs, in index order within a
+    run, so each run's first entry is its lowest index.
+    """
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new_run = np.ones(len(order), dtype=bool)
+    new_run[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    heads = np.empty_like(order)
+    heads[order] = order[new_run][np.cumsum(new_run) - 1]
+    return heads
+
+
 def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     """Collapse near-duplicate documents found by banded MinHash.
 
@@ -130,11 +145,10 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     matrix = np.array([sig.values for sig in sigs], dtype=np.uint64).reshape(n, cfg.num_hashes)
 
     # Each band links every document to the first document in its bucket.
-    heads = []
-    for band in range(cfg.bands):
-        rows = matrix[:, band * cfg.rows_per_band : (band + 1) * cfg.rows_per_band]
-        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        heads.append(first[inverse.reshape(-1)])
+    heads = [
+        _band_heads(matrix[:, band * cfg.rows_per_band : (band + 1) * cfg.rows_per_band])
+        for band in range(cfg.bands)
+    ]
     labels = components(n, np.tile(np.arange(n), cfg.bands), np.concatenate(heads))
 
     # Dict insertion order: groups by lowest member index, members in corpus order.

@@ -4,14 +4,18 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import d4kit
-from d4kit.cli import run
+from d4kit.cli import _write_selection, run
+from d4kit.select import SelectionResult
 
 
 def _read_json(path: Path):
@@ -347,6 +351,72 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--std-threshold" in err[0]
         assert not (out / "config.json").exists()
+
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "random"],
+            ["--method", "semdedup"],
+            ["--method", "prototypes"],
+            ["--method", "d4", "--r-dedup", "0.5"],
+            ["--method", "d4", "--r-proto", "0.5"],
+        ],
+    )
+    def test_select_missing_ratio_writes_nothing(self, tmp_path, capsys, flags):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        capsys.readouterr()
+        out = tmp_path / "sel"
+        assert run(["select", "--embeddings", str(emb), *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "required" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given_flag", ["--scores-before", "--scores-after"])
+    def test_nn_one_score_file_writes_nothing(self, tmp_path, capsys, given_flag):
+        emb = _embed(tmp_path, _synth(tmp_path))
+        scores = tmp_path / "scores.jsonl"
+        scores.write_text('{"id": "x", "score": 1.0}\n', encoding="utf-8")
+        capsys.readouterr()
+        out = tmp_path / "nn"
+        code = run(["nn", str(emb), "--embeddings", str(emb), given_flag, str(scores), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "go together" in err[0]
+        assert captured.out == "" and not out.exists()
+
+
+_ids = st.text(
+    alphabet=st.one_of(
+        st.characters(exclude_categories=()),  # any code point, lone surrogates included
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\ud800", "\udfff", "é", "\u2028", "🙂"]),
+    ),
+    max_size=12,
+)
+_scores = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, 1e16, 0.1, 2.0]),
+)
+
+
+class TestSelectionWriter:
+    @given(st.lists(st.tuples(_ids, _scores), max_size=20, unique_by=lambda r: r[0]))
+    def test_bytes_equal_json_dumps(self, records):
+        result = SelectionResult(
+            method="semdedup",
+            r_target=0.5,
+            kept_ids=tuple(i for i, _ in records),
+            scores=tuple(s for _, s in records),
+            n_source=len(records),
+            fingerprint="0" * 16,
+        )
+        expected = "".join(
+            json.dumps({"id": i, "score": s, "kept": True}) + "\n" for i, s in records
+        ).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            _write_selection(Path(tmp), result)
+            assert (Path(tmp) / "selection.jsonl").read_bytes() == expected
 
 
 class TestPipeline:

@@ -334,6 +334,18 @@ class TestProductBlocks:
             assert block.size <= max(a.size, b.size) or (d <= 2 and stop - start <= 3)
 
 
+    @pytest.mark.parametrize("n, m, d", [(1000, 16000, 64), (4000, 63, 16), (16000, 16, 64), (3000, 55, 128)])
+    def test_block_entries_within_half_larger_input(self, n, m, d):
+        a, b = np.ones((n, d)), np.ones((m, d))
+        for start, stop, block in cluster_mod._product_blocks(a, b):
+            assert 2 * block.size <= max(a.size, b.size)
+
+    @pytest.mark.parametrize("d", [8, 64, 128])
+    def test_one_block_exactly_while_k_at_most_half_d(self, d):
+        rows = np.ones((1000, d))
+        assert len(list(cluster_mod._product_blocks(rows, np.ones((d // 2, d))))) == 1
+        assert len(list(cluster_mod._product_blocks(rows, np.ones((d // 2 + 1, d))))) == 2
+
 class TestObjective:
     def test_identical_points_k1(self):
         emb = _emb_from_rows([[1.0, 0.0]] * 4)

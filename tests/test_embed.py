@@ -1,4 +1,7 @@
 import hashlib
+import os
+import struct
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -23,7 +26,7 @@ from d4kit import (
     write_embeddings,
 )
 from d4kit import embed as embed_mod
-from d4kit.embed import _normalize, hash_embedder
+from d4kit.embed import _chunks, _normalize, _normalize_rows, hash_embedder
 
 from oracles import feature_hash_oracle, scalar_cosine
 
@@ -193,6 +196,73 @@ class TestBlockEmbedderOracle:
         assert emb.vectors[0].astype(np.float32).tobytes() == _oracle_row(f"{x} {y}", d, seed, 1).tobytes()
 
 
+class TestChunkBlocks:
+    # TestBlockEmbedderOracle patches _BLOCK_SIZE to 1-400 with chunk sizes
+    # 1-4, which also sets how documents are grouped into hashing calls here.
+    def test_corpus_spanning_real_blocks(self):
+        docs = synthesize_corpus(SynthSpec(n_topics=4, docs_per_topic=100, seed=8))
+        d, chunk_size = 64, 16
+        assert sum(len(doc.text.split()) + d * len(_chunks(doc.text, chunk_size)) for doc in docs) > 2 * embed_mod._BLOCK_SIZE
+        emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=4, chunk_size=chunk_size))
+        for doc, row in zip(docs, emb.vectors):
+            assert row.astype(np.float32).tobytes() == _oracle_row(doc.text, d, 4, chunk_size).tobytes()
+
+    def test_peak_allocation_linear_in_n(self):
+        # One hashing call per block of documents, not per corpus: the chunk
+        # rows of one block are held at a time, so the peak grows with n as
+        # the plain path's does and stays under the same 3 n*d*8 bytes.
+        d = 128
+        peaks = {}
+        for n in (1000, 4000):
+            docs = synthesize_corpus(
+                SynthSpec(n_topics=10, docs_per_topic=n // 10, doc_length_range=(20, 40), seed=3)
+            )
+            tracemalloc.start()
+            try:
+                emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=1, chunk_size=8))
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert emb.n == n
+            assert peaks[n] < 3 * n * d * 8, (n, peaks[n])
+        assert peaks[4000] <= 4.5 * peaks[1000], peaks
+
+
+_BLOCK_NS = (0, 1, 2, 17, 1000)
+
+
+class TestBlockNormalizer:
+    @given(
+        n=st.sampled_from(_BLOCK_NS),
+        d=st.sampled_from([2, 3, 5, 64, 128]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        scale=st.sampled_from([1.0, 1e-3, 1e30, 1e-170]),
+        zero_every=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        permute=st.booleans(),
+    )
+    def test_equals_per_row_normalize(self, n, d, dtype, scale, zero_every, seed, permute):
+        rng = np.random.default_rng(seed)
+        src = (rng.standard_normal((n, d)) * scale).astype(dtype)
+        src[::zero_every] = 0.0
+        if n > 1:
+            src[1] = -0.0  # a negative-zero row also becomes e_0
+        order = rng.permutation(n) if permute else None
+        rows = src if order is None else src[order]
+        for out_dtype in (np.float64, np.float32):
+            out = np.full((n, d), np.nan, dtype=out_dtype)
+            _normalize_rows(src, out, order)
+            expected = np.array([_normalize(r) for r in rows], dtype=np.float64).reshape(n, d)
+            assert out.tobytes() == expected.astype(out_dtype).tobytes()
+
+    def test_in_place_on_float32_rows(self):
+        rng = np.random.default_rng(1)
+        rows = rng.standard_normal((50, 7)).astype(np.float32)
+        expected = np.array([_normalize(r) for r in rows]).astype(np.float32)
+        _normalize_rows(rows, rows)
+        assert rows.tobytes() == expected.tobytes()
+
+
 class TestEmbedMemory:
     def test_peak_allocation_linear_in_n(self):
         # O(n*d) memory: 4x the documents may take at most ~4.5x the peak,
@@ -309,6 +379,78 @@ class TestSerialization:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(FormatError):
             read_embeddings(str(path))
+
+
+def _unblocked_file(m: EmbeddingMatrix) -> bytes:
+    """The ``.d4em`` bytes of ``m`` laid out in one piece, straight from the format."""
+    ids = b"".join(struct.pack("<H", len(i.encode())) + i.encode() for i in m.ids)
+    header = b"D4EM" + struct.pack("<IQII", 1, m.n, m.d, int(m.normalized))
+    return header + m.vectors.astype("<f4").tobytes() + ids
+
+
+class TestBlockedSerialization:
+    @pytest.mark.parametrize("n", _BLOCK_NS)
+    @pytest.mark.parametrize("d", [2, 3, 64])
+    def test_roundtrip_at_block_boundaries(self, tmp_path, n, d):
+        rng = np.random.default_rng(n * 131 + d)
+        rows = rng.standard_normal((n, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        m = EmbeddingMatrix(tuple(f"id-{i}-é" for i in range(n)), rows.astype(np.float32), True)
+        path = tmp_path / "m.d4em"
+        write_embeddings(m, str(path))
+        assert path.read_bytes() == _unblocked_file(m)
+        back = read_embeddings(str(path))
+        assert back.ids == m.ids and back.normalized
+        assert back.vectors.shape == (n, d) and back.vectors.tobytes() == m.vectors.tobytes()
+
+    @staticmethod
+    def _file(tmp_path) -> tuple[str, bytes]:
+        m = EmbeddingMatrix(("a", "bb", "ccc"), np.eye(3, 4), True)
+        path = tmp_path / "m.d4em"
+        write_embeddings(m, str(path))
+        return str(path), path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "corrupt, message, offset",
+        [
+            (lambda b: b"NOPE" + b[4:], "bad magic, expected b'D4EM'", 0),
+            (lambda b: b[:10], "truncated header", 10),
+            (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version 2", 4),
+            (lambda b: b[: 24 + 40], "truncated payload: expected 48 bytes of vectors", 64),
+            (lambda b: b[:73], "truncated id table", 73),
+            (lambda b: b[: 24 + 48 + 2 + 1 + 2 + 1], "truncated id entry", 78),
+            (lambda b: b + b"junk", "trailing bytes after id table", 24 + 48 + 12),
+        ],
+    )
+    def test_format_errors_keep_message_and_offset(self, tmp_path, corrupt, message, offset):
+        path, data = self._file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(corrupt(data))
+        with pytest.raises(FormatError) as info:
+            read_embeddings(path)
+        assert str(info.value) == f"{message} (at byte offset {offset})"
+        assert info.value.offset == offset
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_stream_ending_mid_payload(self, tmp_path):
+        # A pipe has no size to check up front, so the short read in the
+        # block loop reports how many bytes the stream held.
+        _, data = self._file(tmp_path)
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(data[: 24 + 30])
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                read_embeddings(fifo)
+        finally:
+            writer.join()
+        assert str(info.value) == "truncated payload: expected 48 bytes of vectors (at byte offset 54)"
 
 
 class TestExternalEmbeddings:

@@ -32,7 +32,7 @@ from d4kit.select import ssl_prototypes
 
 D = 32  # below the default k at 4n, so k-means's n x k product must block
 SIZES = (1000, 4000)
-MULTIPLE = 4
+MULTIPLE = 2.5
 
 
 def _unit_rows(rng, n: int) -> np.ndarray:
@@ -60,6 +60,7 @@ def _stage_calls(n: int, tmp_path):
         "ssl_prototypes": lambda: ssl_prototypes(emb, clustering, 0.5),
         "d4": lambda: d4(emb, D4Config(r_dedup=0.75, r_proto=0.5, kmeans=KmeansConfig(iters=3)), clustering),
         "analyze_clustering": lambda: analyze_clustering(emb, clustering),
+        "write_embeddings": lambda: write_embeddings(emb, str(tmp_path / f"w{n}.d4em")),
     }
 
 
@@ -84,6 +85,7 @@ def _peak(call) -> int:
         "ssl_prototypes",
         "d4",
         "analyze_clustering",
+        "write_embeddings",
     ),
 )
 def test_stage_peak_linear_in_n(stage, tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,8 @@ from d4kit import (
     signature,
     synthesize_corpus,
 )
+
+from d4kit.minhash import _band_heads
 
 from oracles import OracleUnionFind, exact_jaccard, minhash_signature_oracle
 
@@ -215,3 +218,24 @@ class TestLshDedup:
         res = lsh_dedup(_docs(["only one document here"]))
         assert res.kept_ids == ("d0",)
         assert res.groups == ()
+
+
+class TestBandHeads:
+    @given(
+        rows_per_band=st.integers(1, 4),
+        values=st.lists(st.integers(0, 3), max_size=60),
+        big=st.booleans(),
+    )
+    def test_heads_equal_np_unique_form(self, rows_per_band, values, big):
+        # A few small values make repeated rows likely; the top bit checks
+        # that uint64 keys sort as unsigned.
+        n = len(values) // rows_per_band
+        rows = np.array(values[: n * rows_per_band], dtype=np.uint64).reshape(n, rows_per_band)
+        if big:
+            rows |= np.uint64(1 << 63)
+        heads = _band_heads(rows)
+        if n == 0:
+            assert heads.shape == (0,)
+            return
+        _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        assert np.array_equal(heads, first[inverse.reshape(-1)])
