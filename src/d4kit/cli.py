@@ -114,27 +114,18 @@ def _write_selection(out: Path, result: select_mod.SelectionResult) -> None:
 def _read_scored(path: str) -> list[tuple[str, float]]:
     """(id, score) per record of a JSONL file such as ``selection.jsonl``."""
     records: list[tuple[str, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {path}: {exc.msg}", lineno) from exc
-            if not (isinstance(rec, dict) and isinstance(rec.get("id"), str) and "score" in rec):
-                raise ParseError(f"record in {path} needs a string 'id' and a 'score'", lineno)
-            if isinstance(rec["score"], bool):
-                raise ParseError(f"score in {path} is a boolean, not a number: {rec['score']!r}", lineno)
-            try:
-                score = float(rec["score"])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(
-                    f"score in {path} is not a number: {rec['score']!r}", lineno
-                ) from exc
-            if not math.isfinite(score):
-                raise ParseError(f"score in {path} is not finite: {rec['score']!r}", lineno)
-            records.append((rec["id"], score))
+    for lineno, rec in corpus_mod.read_jsonl(path, f" in {path}"):
+        if not (isinstance(rec, dict) and isinstance(rec.get("id"), str) and "score" in rec):
+            raise ParseError(f"record in {path} needs a string 'id' and a 'score'", lineno)
+        if isinstance(rec["score"], bool):
+            raise ParseError(f"score in {path} is a boolean, not a number: {rec['score']!r}", lineno)
+        try:
+            score = float(rec["score"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"score in {path} is not a number: {rec['score']!r}", lineno) from exc
+        if not math.isfinite(score):
+            raise ParseError(f"score in {path} is not finite: {rec['score']!r}", lineno)
+        records.append((rec["id"], score))
     return records
 
 
@@ -578,15 +569,12 @@ def run(argv: list[str]) -> int:
         args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (ParseError, FormatError, UnicodeDecodeError) as exc:
+    except (ParseError, FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -142,7 +142,8 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
     reach three rows when :func:`_block_rows` is below that (d <= 5).
     Blocks of two or more rows go through gemm, but BLAS picks its kernel
     by shape and by an entry's place in its tiles, so a block's bits need
-    not equal the full product's; they do when there is one block.
+    not equal the full product's. Only distances carry these bits:
+    :func:`_nearest` ranks near-ties by exact dots.
 
     Every block is written into one buffer, so each is overwritten by the
     next and only one is held at a time.
@@ -159,14 +160,42 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
         yield start, stop, block
 
 
+def _rounding_band(d: int) -> float:
+    """How far apart two roundings of one dot of unit d-vectors may fall: ``2 * d * eps``."""
+    return 2 * d * np.finfo(np.float64).eps
+
+
+def _nearest(a: np.ndarray, b: np.ndarray, ties) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``a``'s nearest row of ``b`` by dot product, and its cosine distance.
+
+    Dots come in row blocks (:func:`_product_blocks`). A row whose runner-up
+    is within :func:`_rounding_band` of its best ranks those candidates again
+    by ``math.fsum`` dots, which round alike wherever the row falls, and the
+    lowest ``ties[c]`` wins among the exact best. So the choice depends on
+    neither BLAS tiles nor the block split. The distance is ``1 - s`` for
+    the row's largest gemm dot ``s``, clipped into [0, 2].
+    """
+    band = _rounding_band(a.shape[1])
+    nearest = np.empty(a.shape[0], dtype=np.intp)
+    best = np.empty(a.shape[0])
+    for start, stop, sims in _product_blocks(a, b):
+        top = sims.argmax(axis=1)
+        s = sims[np.arange(stop - start), top]
+        nearest[start:stop], best[start:stop] = top, s
+        close = sims >= (s - band)[:, None]
+        for i in (start + np.flatnonzero(np.count_nonzero(close, axis=1) > 1)).tolist():
+            candidates = np.flatnonzero(close[i - start]).tolist()
+            nearest[i] = min(candidates, key=lambda c: (-math.fsum(a[i] * b[c]), ties[c]))
+    return nearest, np.clip(1.0 - best, 0.0, 2.0)
+
+
 def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Assign each row to the centroid with the largest dot product.
 
-    Ties break toward the lowest centroid index. Returns (assignment,
-    cosine distance), with distances clipped into [0, 2]. The n x k
-    similarities are taken in row blocks of at most n * d / 2 entries (see
-    :func:`_product_blocks`); while k <= d / 2 that is one block, the whole
-    product.
+    Returns (assignment, cosine distance) by :func:`_nearest`: near-ties
+    are ranked by exact dots and go to the lowest centroid index, whatever
+    the block split, so a duplicated centroid never takes a point from its
+    first copy. Distances come from the gemm dots, clipped into [0, 2].
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 2:
@@ -178,14 +207,8 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     norms = np.linalg.norm(centroids, axis=1)
     if centroids.shape[0] and float(np.abs(norms - 1.0).max()) > NORM_TOL:
         raise ValidationError("centroids must be unit-norm")
-    assignment = np.empty(emb.n, dtype=np.uint32)
-    best = np.empty(emb.n)
-    for start, stop, sims in _product_blocks(emb.vectors, centroids):
-        top = np.argmax(sims, axis=1)
-        assignment[start:stop] = top
-        best[start:stop] = sims[np.arange(stop - start), top]
-    distance = np.clip(1.0 - best, 0.0, 2.0)
-    return assignment, distance
+    nearest, distance = _nearest(emb.vectors, centroids, range(centroids.shape[0]))
+    return nearest.astype(np.uint32), distance
 
 
 def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -215,10 +238,9 @@ def _update_centroids(
 ) -> np.ndarray:
     counts = np.bincount(assignment, minlength=k)
     sums = _cluster_sums(X, assignment, counts)
-    new = centroids.copy()
     norms = np.linalg.norm(sums, axis=1)
     movable = (counts > 0) & (norms > 0)
-    new[movable] = sums[movable] / norms[movable, None]
+    new = np.divide(sums, norms[:, None], out=centroids.copy(), where=movable[:, None])
 
     empties = np.flatnonzero(counts == 0)
     if empties.size:

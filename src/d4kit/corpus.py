@@ -94,6 +94,31 @@ class DocumentSet:
         return DocumentSet.from_documents([d for d in self.docs if d.id in keep_ids])
 
 
+_JSON_SPACE = " \t\n\r"
+_DECODER = json.JSONDecoder()
+
+
+def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
+    """Yield ``(line number, record)`` for each non-blank line of a JSONL file.
+
+    Each line decodes as by ``json.loads``, with its error message: a
+    malformed line raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                if line.startswith("\ufeff"):
+                    raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+                rec, end = _DECODER.raw_decode(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+                if line[end:].strip(_JSON_SPACE):
+                    raise json.JSONDecodeError("Extra data", line, end)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON{where}: {exc.msg}", lineno) from exc
+            yield lineno, rec
+
+
 def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
     """Load a JSONL corpus file, preserving file order.
 
@@ -102,41 +127,27 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
     """
     docs: list[Document] = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", lineno) from exc
-            if not isinstance(rec, dict):
-                raise ParseError("record is not an object", lineno)
-            if "id" not in rec or "text" not in rec:
-                raise ParseError("record missing required field 'id' or 'text'", lineno)
-            doc_id, text = rec["id"], rec["text"]
-            if not isinstance(doc_id, str) or not isinstance(text, str):
-                raise ParseError("'id' and 'text' must be strings", lineno)
-            try:
-                doc_id.encode("utf-8")
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise ParseError("'id' or 'text' holds a lone UTF-16 surrogate", lineno) from exc
-            meta = rec.get("meta")
-            if meta is not None and not isinstance(meta, dict):
-                raise ParseError("'meta' must be an object when present", lineno)
-            if doc_id in first_line:
-                raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}"
-                                      f" (first seen on line {first_line[doc_id]})")
-            first_line[doc_id] = lineno
-            docs.append(
-                Document(
-                    id=doc_id,
-                    text=text,
-                    token_count=count_tokens(text, token_counter),
-                    meta=meta,
-                )
-            )
+    for lineno, rec in read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise ParseError("record is not an object", lineno)
+        if "id" not in rec or "text" not in rec:
+            raise ParseError("record missing required field 'id' or 'text'", lineno)
+        doc_id, text = rec["id"], rec["text"]
+        if not isinstance(doc_id, str) or not isinstance(text, str):
+            raise ParseError("'id' and 'text' must be strings", lineno)
+        try:
+            doc_id.encode("utf-8")
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ParseError("'id' or 'text' holds a lone UTF-16 surrogate", lineno) from exc
+        meta = rec.get("meta")
+        if meta is not None and not isinstance(meta, dict):
+            raise ParseError("'meta' must be an object when present", lineno)
+        if doc_id in first_line:
+            raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}"
+                                  f" (first seen on line {first_line[doc_id]})")
+        first_line[doc_id] = lineno
+        docs.append(Document(id=doc_id, text=text, token_count=count_tokens(text, token_counter), meta=meta))
     return DocumentSet.from_documents(docs)
 
 

@@ -9,12 +9,11 @@ reports, and binned aggregation of externally supplied per-document scores
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Clustering, _product_blocks
+from .cluster import Clustering, _nearest
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
 from .select import SelectionResult
@@ -92,9 +91,9 @@ def cluster_balance(clustering: Clustering) -> float:
     m = sizes.shape[0]
     if m < 2:
         raise ValidationError("cluster balance needs at least 2 nonempty clusters")
-    # Sorted ascending, so pair (i, j) with i < j has ratio sizes[i]/sizes[j].
-    ratios = sizes[:, None] / sizes[None, :]
-    total = float(ratios[np.triu_indices(m, k=1)].sum())
+    # Sorted ascending, so each size divides the sum of the sizes before it;
+    # those sums are exact integers, so equal sizes give exactly 1.0.
+    total = float((np.cumsum(sizes)[:-1] / sizes[1:]).sum())
     return total / (m * (m - 1) / 2)
 
 
@@ -189,20 +188,9 @@ def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
 def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnReport:
     """Exact brute-force nearest neighbor in train for each validation row.
 
-    Ties in distance break toward the lowest train id. The similarities are
-    taken in blocks of about d / 2 validation rows, each at most half the
-    train matrix's size, so memory stays O(n * d) (see
-    :func:`cluster._product_blocks`, which also keeps every block at two or
-    more rows, away from gemv).
-
-    BLAS may round one dot product differently by where it falls in the
-    product, so duplicated train rows need not come out equal. A row whose
-    runner-up lies within that rounding (``2 * d * eps`` for unit vectors)
-    of its best therefore ranks those candidates again by ``math.fsum`` of
-    the elementwise products (an exact dot for the float32 values a file
-    holds), and the lowest train id wins among the best. Each distance is
-    ``1 - s`` for the row's largest computed similarity ``s``, clipped
-    into [0, 2].
+    Neighbors and distances follow :func:`cluster._nearest`, as in
+    ``assign``: O(n * d) memory, near-ties ranked by exact dots, and ties
+    to the lowest train id whatever the block split.
     """
     if valid_emb.d != train_emb.d:
         raise ValidationError(
@@ -215,24 +203,9 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     if valid_emb.n == 0:
         raise ValidationError("validation matrix is empty")
 
-    V, T, train_ids = valid_emb.vectors, train_emb.vectors, train_emb.ids
-    band = 2 * valid_emb.d * np.finfo(np.float64).eps
-    nearest = np.empty(valid_emb.n, dtype=np.intp)
-    best = np.empty(valid_emb.n)
-    for start, stop, sims in _product_blocks(V, T):
-        top = sims.argmax(axis=1)
-        s = sims[np.arange(stop - start), top]
-        nearest[start:stop], best[start:stop] = top, s
-        close = sims >= (s - band)[:, None]
-        for r in np.flatnonzero(np.count_nonzero(close, axis=1) > 1).tolist():
-            rank = {
-                c: (-math.fsum(V[start + r] * T[c]), train_ids[c])
-                for c in np.flatnonzero(close[r]).tolist()
-            }
-            nearest[start + r] = min(rank, key=rank.__getitem__)
-    dists = np.clip(1.0 - best, 0.0, 2.0)
+    nearest, dists = _nearest(valid_emb.vectors, train_emb.vectors, train_emb.ids)
     entries = tuple(
-        NnEntry(valid_id=v, train_id=train_ids[t], distance=float(dist))
+        NnEntry(valid_id=v, train_id=train_emb.ids[t], distance=float(dist))
         for v, t, dist in zip(valid_emb.ids, nearest.tolist(), dists)
     )
     return NnReport(

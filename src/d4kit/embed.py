@@ -400,7 +400,10 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
         # than the file holds fails before the matrix is allocated.
         if stat.S_ISREG(st.st_mode) and st.st_size < 24 + payload_bytes:
             raise FormatError(truncated, st.st_size)
-        vectors = np.empty((count, dim), dtype=np.float64)
+        try:
+            vectors = np.empty((count, dim), dtype=np.float64)
+        except (MemoryError, ValueError) as exc:  # a stream that claims too much
+            raise FormatError(f"claimed shape ({count}, {dim}) cannot be allocated", 8) from exc
         step = _block_step(count)
         for start in range(0, count, step):
             block = vectors[start : start + step]
@@ -419,7 +422,10 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
         offset += 2
         if len(data) < offset + id_len:
             raise FormatError("truncated id entry", size)
-        ids.append(data[offset : offset + id_len].decode("utf-8"))
+        try:
+            ids.append(data[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError("id is not valid UTF-8", 24 + payload_bytes + offset) from exc
         offset += id_len
     if offset != len(data):
         raise FormatError("trailing bytes after id table", 24 + payload_bytes + offset)

@@ -20,11 +20,12 @@ that for sensitivity checks.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering, KmeansConfig, kmeans_spherical
+from .cluster import Clustering, KmeansConfig, _rounding_band, kmeans_spherical
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
 from .graph import components
@@ -182,20 +183,23 @@ def semdedup_kept_counts(
 
 
 def _choose_cut(
-    weights: np.ndarray, n: int, r_target: float, tol: float
+    X: np.ndarray, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
+    n: int, r_target: float, tol: float,
 ) -> tuple[int, float, np.ndarray]:
     """How many of the heaviest forest edges to merge, and the epsilon that does it.
 
     ``weights`` run heaviest first. Merging m edges keeps n - m documents;
-    m is achievable when m = 0 or when the weights strictly drop after the
-    m-th edge, and an edge of weight -1 never merges. The achievable kept
+    m is achievable when m = 0 or when the weights drop by more than the
+    rounding of a dot (``cluster._rounding_band``) after the m-th edge, so
+    every rounding of the forest, in any row order, leaves the same
+    components; an edge of weight -1 never merges. The achievable kept
     count closest to ``r_target * n`` wins, ties toward the smaller kept
     set, except that m = 0 (epsilon 0) is used whenever it is already
     within ``tol``. Returns (m, epsilon, achievable kept counts in
     decreasing order).
     """
     w = weights[weights > -1.0]
-    drops = np.flatnonzero(w[:-1] > w[1:]) + 1
+    drops = np.flatnonzero(w[:-1] - w[1:] > _rounding_band(X.shape[1])) + 1
     merged = np.unique(np.concatenate(([0], drops, [w.size])))
     kept = n - merged
     if abs(1.0 - r_target) <= tol:
@@ -208,8 +212,10 @@ def _choose_cut(
     elif m == w.size:
         eps = 2.0
     else:
-        # Midway through the gap, so rounding cannot move an edge across it.
-        eps = 1.0 - 0.5 * (float(w[m - 1]) + float(w[m]))
+        # Midway through the gap, so rounding cannot move an edge across it;
+        # from the two edges' exact dots, so row order cannot move epsilon.
+        exact = [min(1.0, max(-1.0, math.fsum(X[heads[i]] * X[tails[i]]))) for i in (m - 1, m)]
+        eps = 1.0 - 0.5 * (exact[0] + exact[1])
     return m, eps, kept
 
 
@@ -241,7 +247,7 @@ def semdedup(
 
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
-    m, eps, achievable = _choose_cut(weights, n, r_dedup, tol)
+    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, tol)
     # The m heaviest forest edges join each epsilon-component; its label is
     # its lowest index, used only to group members in the lexsort below.
     labels = components(n, heads[:m], tails[:m])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,19 @@ class TestErrors:
         assert run(["cluster", "--embeddings", str(bad), "--k", "1", "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_claiming_unallocatable_shape_exits_2_with_one_error_line(self, tmp_path, capsys):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"D4EM" + struct.pack("<IQII", 1, 2**40, 2**24, 1),))
+        writer.start()
+        try:
+            assert run(["cluster", "--embeddings", str(fifo), "--out", str(tmp_path / "o")]) == 2
+        finally:
+            writer.join()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"claimed shape ({2**40}, {2**24})" in err[0]
 
     def test_nn_empty_validation_exits_1_with_one_error_line(self, tmp_path, capsys):
         train = _embed(tmp_path, _synth(tmp_path), dim="8")

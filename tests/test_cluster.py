@@ -219,22 +219,43 @@ class TestUpdateCentroids:
         assert got.tobytes() == _update_centroids_add_at(X, centroids, assignment, distance, k).tobytes()
 
 
-@st.composite
-def _assign_inputs(draw):
-    """Unit rows and unit centroids, k both below and above d."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 60)))
-    d = draw(st.sampled_from([2, 3, 5, 8]))
-    k = draw(st.integers(1, 20))
+def _assign_case(seed, n, d, k, copies):
+    """Unit rows and unit centroids, ``copies`` of the centroids copied from others.
+
+    About half the rows lie near a copy, where the copies tie. BLAS tiles a
+    wide product, so copies far apart in a large k can round apart.
+    """
     rng = np.random.default_rng(seed)
     centroids = rng.normal(size=(k, d))
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+    copied = rng.integers(0, k, copies)
+    centroids[copied] = centroids[rng.integers(0, k, copies)]
     rows = rng.normal(size=(n, d))
+    if copies:
+        near = rng.random(n) < 0.5
+        rows[near] = 0.05 * rows[near] + centroids[rng.choice(copied, int(near.sum()))]
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     emb = EmbeddingMatrix(
         ids=tuple(f"p{i:03d}" for i in range(n)), vectors=rows.astype(np.float32), normalized=True
     )
+    return emb, centroids
+
+
+@st.composite
+def _assign_inputs(draw):
+    """An :func:`_assign_case` with k both below and above d, and a block size."""
+    emb, centroids = _assign_case(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 60))),
+        draw(st.sampled_from([2, 3, 5, 8, 16, 64, 128])),
+        draw(st.one_of(st.integers(1, 20), st.integers(100, 300))),
+        draw(st.integers(0, 3)),
+    )
     return emb, centroids, draw(st.integers(1, 6))
+
+
+def _one_block(a, b):
+    return a.shape[0]
 
 
 class TestAssign:
@@ -292,23 +313,79 @@ class TestAssign:
 
     @given(_assign_inputs())
     def test_blocked_matches_full_product(self, inputs):
+        self._check_blocked_matches_one_block(*inputs)
+
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_blocked_matches_full_product_at_wide_k(self, d):
+        # 60 rows against k = 300: one gemm rounds copies apart here.
+        for seed in range(10):
+            emb, centroids = _assign_case(seed, 60, d, 300, 3)
+            for rows in range(1, 7):
+                self._check_blocked_matches_one_block(emb, centroids, rows)
+
+    @staticmethod
+    def _check_blocked_matches_one_block(emb, centroids, rows):
         # A block's gemm may round a dot differently from the full product's,
-        # so assignments agree wherever the two best centroids are farther
-        # apart than the rounding of a d-term dot of unit vectors, and
-        # distances agree within it; with one block they are the same bytes.
-        emb, centroids, rows = inputs
+        # but near-ties are ranked by exact dots, so every assignment equals
+        # the one-block one, duplicated centroids included; distances agree
+        # within the rounding of a d-term dot of unit vectors, and with one
+        # block they are the same bytes.
         with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
             a, dist = assign(emb, centroids)
+        with mock.patch.object(cluster_mod, "_block_rows", _one_block):
+            want, full_dist = assign(emb, centroids)
+        assert np.array_equal(a, want)
+        assert np.abs(dist - full_dist).max() <= cluster_mod._rounding_band(emb.d)
         sims = emb.vectors @ centroids.T
-        want = np.argmax(sims, axis=1)
-        band = 2 * emb.d * np.finfo(np.float64).eps
-        ordered = np.sort(sims, axis=1)
-        clear = ordered[:, -1] - (ordered[:, -2] if centroids.shape[0] > 1 else -np.inf) > band
-        assert np.array_equal(a[clear], want[clear])
-        full_dist = np.clip(1.0 - sims[np.arange(emb.n), want], 0.0, 2.0)
-        assert np.abs(dist - full_dist).max() <= band
-        if emb.n <= cluster_mod._block_rows(emb.vectors, centroids):
-            assert assign(emb, centroids)[1].tobytes() == full_dist.tobytes()
+        assert full_dist.tobytes() == np.clip(1.0 - sims.max(axis=1), 0.0, 2.0).tobytes()
+
+    @pytest.mark.parametrize("d", [16, 64, 128])
+    def test_duplicated_centroid_keeps_lowest_index(self, d):
+        # Centroid 0 copied to the last index: every point near it ties
+        # between the two, and the lower index must win.
+        rng = np.random.default_rng(d)
+        centroids = rng.normal(size=(300, d))
+        centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
+        centroids[299] = centroids[0]
+        rows = centroids[0] + rng.normal(scale=0.05, size=(1000, d))
+        a, _ = assign(_emb_from_rows(rows), centroids)
+        assert np.all(a == 0)
+
+
+class TestBlockedKmeans:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([2, 3, 5, 8, 16]),
+        st.integers(4, 20),
+        st.integers(2, 4),
+        st.integers(1, 6),
+    )
+    def test_same_clustering_at_any_block_split(self, seed, d, distinct, copies, rows):
+        self._check_same_clustering(seed, d, distinct, copies, rows)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_clustering_at_any_block_split_at_wide_k(self, seed):
+        # k = 300: one gemm rounds duplicated centroids apart here.
+        for rows in (1, 4):
+            self._check_same_clustering(seed, 16, 299, 2, rows)
+
+    @staticmethod
+    def _check_same_clustering(seed, d, distinct, copies, rows):
+        # Every row appears ``copies`` times, and k exceeds the distinct-row
+        # count, so the initial sample draws duplicate rows and duplicated
+        # centroids tie; the result must not depend on the block split.
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(distinct, d))
+        emb = _emb_from_rows(base[rng.permutation(np.repeat(np.arange(distinct), copies))])
+        cfg = KmeansConfig(k=distinct + 1, iters=5, seed=seed)
+        with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
+            got = kmeans_spherical(emb, cfg)
+        with mock.patch.object(cluster_mod, "_block_rows", _one_block):
+            want = kmeans_spherical(emb, cfg)
+        assert np.array_equal(got.assignment, want.assignment)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.iters_run == want.iters_run
+        assert np.abs(got.distance - want.distance).max() <= cluster_mod._rounding_band(d)
 
 
 class TestProductBlocks:

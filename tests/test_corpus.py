@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from d4kit import (
     Document,
@@ -13,6 +15,7 @@ from d4kit import (
     synthesize_corpus,
     write_corpus,
 )
+from d4kit.corpus import read_jsonl
 
 
 def _write_jsonl(path, records):
@@ -87,6 +90,54 @@ class TestLoadCorpus:
         assert loaded.ids == docs.ids
         assert [d.text for d in loaded] == [d.text for d in docs]
         assert loaded.docs[0].meta == {"lang": "en"}
+
+
+def _loads_reference(lines):
+    """``(line number, record)`` by ``json.loads`` per non-blank line, or the first error."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            out.append((lineno, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            return out, f"line {lineno}: invalid JSON: {exc.msg}"
+    return out, None
+
+
+_JSONISH = st.text(alphabet=st.sampled_from(list(' \t\r\x0b\u3000\ufeff{}[]":,0123456789.eE-+truefalsnul\\ab')), max_size=24)
+
+
+class TestReadJsonl:
+    @given(st.lists(st.one_of(_JSONISH, st.builds(json.dumps, st.dictionaries(st.text(max_size=4), st.integers()))), max_size=6))
+    def test_matches_json_loads_per_line(self, tmp_path_factory, lines):
+        # Blank lines (by str.strip) are skipped; the others decode, or fail
+        # with the message json.loads gives, including a leading BOM.
+        lines = [line.replace("\n", " ").replace("\r", " ") + "\n" for line in lines]
+        path = tmp_path_factory.mktemp("jsonl") / "f.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        want, error = _loads_reference(lines)
+        got = []
+        if error is None:
+            got = list(read_jsonl(str(path)))
+        else:
+            with pytest.raises(ParseError) as info:
+                got.extend(read_jsonl(str(path)))
+            assert str(info.value) == error
+        assert got == want
+
+    def test_trailing_data_rejected_with_line_number(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\n  {"a": 1} \t\n{"a": 2} x\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 3: invalid JSON in here: Extra data$"):
+            list(read_jsonl(str(path), " in here"))
+        assert next(read_jsonl(str(path))) == (2, {"a": 1})
+
+    def test_leading_bom_named_as_json_loads_names_it(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('\ufeff{"a": 1}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=r"^line 1: invalid JSON: Unexpected UTF-8 BOM \(decode using utf-8-sig\)$"):
+            list(read_jsonl(str(path)))
 
 
 class TestDocumentSet:

@@ -85,6 +85,17 @@ class TestClusterBalance:
         with pytest.raises(ValidationError):
             cluster_balance(_sized_clustering([5]))
 
+    @given(st.lists(st.integers(1, 1000), min_size=2, max_size=60))
+    def test_matches_pairwise_mean(self, sizes):
+        # The mean of min/max over every pair, summed in float64: the O(k)
+        # prefix-sum form rounds differently, by far less than 1e-12.
+        pairs = [min(a, b) / max(a, b) for i, a in enumerate(sizes) for b in sizes[i + 1 :]]
+        got = cluster_balance(_sized_clustering(sizes))
+        assert abs(got - sum(pairs) / len(pairs)) <= 1e-12
+
+    def test_equal_sizes_exact_at_large_k(self):
+        assert cluster_balance(_sized_clustering([3] * 5000)) == 1.0
+
     def test_empty_clusters_excluded(self):
         c = _sized_clustering([10, 20])
         widened = Clustering(

@@ -420,6 +420,8 @@ class TestBlockedSerialization:
             (lambda b: b[:73], "truncated id table", 73),
             (lambda b: b[: 24 + 48 + 2 + 1 + 2 + 1], "truncated id entry", 78),
             (lambda b: b + b"junk", "trailing bytes after id table", 24 + 48 + 12),
+            # The id "bb" starts after "a" and two length prefixes.
+            (lambda b: b[:77] + b"\xff" + b[78:], "id is not valid UTF-8", 77),
         ],
     )
     def test_format_errors_keep_message_and_offset(self, tmp_path, corrupt, message, offset):
@@ -451,6 +453,27 @@ class TestBlockedSerialization:
         finally:
             writer.join()
         assert str(info.value) == "truncated payload: expected 48 bytes of vectors (at byte offset 54)"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("count, dim", [(2**40, 2**16), (2**40, 2**24)])
+    def test_stream_claiming_unallocatable_shape(self, tmp_path, count, dim):
+        # 2**59 bytes is past any address space and 2**67 past numpy's size
+        # limit, so the matrix is never allocated and the claim is named.
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(b"D4EM" + struct.pack("<IQII", 1, count, dim, 1))
+
+        writer = threading.Thread(target=feed)
+        writer.start()
+        try:
+            with pytest.raises(FormatError) as info:
+                read_embeddings(fifo)
+        finally:
+            writer.join()
+        assert str(info.value) == f"claimed shape ({count}, {dim}) cannot be allocated (at byte offset 8)"
 
 
 class TestExternalEmbeddings:

@@ -4,7 +4,9 @@ Each stage runs at n and 4n points (and a validation set 4x larger too),
 under ``tracemalloc``. Its peak may grow at most 4.5x, where a stage
 quadratic in n (or in n * k at the default k = sqrt(n)) would grow 8-16x,
 and must stay under a fixed multiple of the n * d * 8 bytes of the float64
-matrix. Inputs are built before tracing starts, so they are not counted.
+matrix. The ``_half_k`` stages run at k = n / 2, so a term in k * k or
+n * k shows too. Inputs are built before tracing starts, so they are not
+counted.
 """
 
 import tracemalloc
@@ -42,8 +44,8 @@ def _unit_rows(rng, n: int) -> np.ndarray:
     return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
 
 
-def _stage_calls(n: int, tmp_path):
-    """name -> zero-argument call of that stage on n points."""
+def _stage_call(stage: str, n: int, tmp_path):
+    """A zero-argument call of ``stage`` on n points."""
     rng = np.random.default_rng(n)
     emb = EmbeddingMatrix(tuple(f"d{i:05d}" for i in range(n)), _unit_rows(rng, n), True)
     valid = EmbeddingMatrix(tuple(f"v{i:05d}" for i in range(n // 4)), _unit_rows(rng, n // 4), True)
@@ -51,17 +53,22 @@ def _stage_calls(n: int, tmp_path):
     write_embeddings(emb, path)
     docs = DocumentSet.from_documents([Document(id=i, text="", token_count=0) for i in emb.ids])
     clustering = kmeans_spherical(emb, KmeansConfig(k=16, seed=0))
+    if stage == "analyze_clustering_half_k":
+        half_k = kmeans_spherical(emb, KmeansConfig(k=n // 2, iters=3, seed=0))
+        return lambda: analyze_clustering(emb, half_k)
     return {
         "read_embeddings": lambda: read_embeddings(path),
         "embed_corpus_external": lambda: embed_corpus(docs, EmbedderSpec(kind="external", dim=D, path=path)),
         "nn_to_train": lambda: nn_to_train(valid, emb),
         "kmeans_spherical": lambda: kmeans_spherical(emb, KmeansConfig(iters=3, seed=0)),
+        # k > D / 2, so every assign runs in several product blocks.
+        "kmeans_spherical_half_k": lambda: kmeans_spherical(emb, KmeansConfig(k=n // 2, iters=3, seed=0)),
         "semdedup": lambda: semdedup(emb, clustering, 0.75),
         "ssl_prototypes": lambda: ssl_prototypes(emb, clustering, 0.5),
         "d4": lambda: d4(emb, D4Config(r_dedup=0.75, r_proto=0.5, kmeans=KmeansConfig(iters=3)), clustering),
         "analyze_clustering": lambda: analyze_clustering(emb, clustering),
         "write_embeddings": lambda: write_embeddings(emb, str(tmp_path / f"w{n}.d4em")),
-    }
+    }[stage]
 
 
 def _peak(call) -> int:
@@ -81,15 +88,17 @@ def _peak(call) -> int:
         "embed_corpus_external",
         "nn_to_train",
         "kmeans_spherical",
+        "kmeans_spherical_half_k",
         "semdedup",
         "ssl_prototypes",
         "d4",
         "analyze_clustering",
+        "analyze_clustering_half_k",
         "write_embeddings",
     ),
 )
 def test_stage_peak_linear_in_n(stage, tmp_path):
-    peaks = {n: _peak(_stage_calls(n, tmp_path)[stage]) for n in SIZES}
+    peaks = {n: _peak(_stage_call(stage, n, tmp_path)) for n in SIZES}
     for n, peak in peaks.items():
         assert peak < MULTIPLE * n * D * 8, (n, peak / (n * D * 8))
     assert peaks[SIZES[1]] <= 4.5 * peaks[SIZES[0]], peaks

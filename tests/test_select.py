@@ -143,19 +143,8 @@ class TestSemdedup:
         assert near.kept_ids == ("inner",)
 
     def test_permutation_equivariance(self, planted_emb, planted_clustering):
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(planted_emb.n)
-        permuted = EmbeddingMatrix(
-            ids=tuple(planted_emb.ids[i] for i in perm),
-            vectors=planted_emb.vectors[perm].copy(),
-            normalized=True,
-        )
-        permuted_clustering = Clustering(
-            centroids=planted_clustering.centroids,
-            assignment=planted_clustering.assignment[perm],
-            distance=planted_clustering.distance[perm],
-            k=planted_clustering.k,
-        )
+        perm = np.random.default_rng(0).permutation(planted_emb.n)
+        permuted, permuted_clustering = _permuted(planted_emb, planted_clustering, perm)
         a = semdedup(planted_emb, planted_clustering, 0.92)
         b = semdedup(permuted, permuted_clustering, 0.92)
         assert set(a.kept_ids) == set(b.kept_ids)
@@ -264,7 +253,10 @@ def _achievable_counts(emb, c) -> set[int]:
 
     The library compares similarities clipped to [-1, 1], so epsilon 0 keeps
     everything; every other count is the oracle's at a threshold midway
-    between two consecutive distinct pairwise similarities, or at -1.
+    between two consecutive distinct pairwise similarities, or at -1. The
+    library also skips cuts within its rounding band (``2 * d * eps``);
+    exact duplicates give equal levels here, and random rows put no other
+    two levels that close, so the band removes none of these counts.
     """
     rows = emb.vectors.tolist()
     sims = {1.0}
@@ -321,6 +313,58 @@ class TestSpanningForest:
         assert bool(got.warnings) == (abs(expected / n - r) > SEMDEDUP_RATIO_TOL)
 
 
+@st.composite
+def _duplicated_rows(draw):
+    """A k-means clustering of float32 unit rows, a third of them exact copies
+    of other rows, and a row permutation."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(75, 200))
+    d = draw(st.sampled_from([16, 64, 128]))
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(n, d))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows = rows.astype(np.float32)
+    rows[rng.choice(n, n // 3, replace=False)] = rows[rng.integers(0, n, n // 3)]
+    emb = EmbeddingMatrix(ids=tuple(f"r{i:03d}" for i in range(n)), vectors=rows, normalized=True)
+    c = kmeans_spherical(emb, KmeansConfig(k=draw(st.integers(2, 7)), iters=5, seed=seed))
+    return emb, c, rng.permutation(n)
+
+
+def _permuted(emb, c, perm):
+    """``emb`` with its rows (and ids) in the order ``perm``, and ``c`` moved with them."""
+    return (
+        EmbeddingMatrix(ids=tuple(emb.ids[i] for i in perm), vectors=emb.vectors[perm], normalized=True),
+        Clustering(centroids=c.centroids, assignment=c.assignment[perm], distance=c.distance[perm], k=c.k),
+    )
+
+
+class TestRowOrder:
+    @given(_duplicated_rows())
+    def test_kept_sets_and_epsilon_ignore_row_order(self, case):
+        # A duplicate pair's forest weight rounds to 1.0 or a few ulps below
+        # it by the pair's position; no cut may fall inside that noise, and
+        # epsilon may not move with it.
+        emb, c, perm = case
+        pemb, pc = _permuted(emb, c, perm)
+        # Targets among the duplicate edges, whose weights differ by ulps.
+        distinct = np.unique(emb.vectors, axis=0).shape[0]
+        inside = [(distinct + (emb.n - distinct) * f) / emb.n for f in (0.25, 0.5, 0.75)]
+        for r in (0.9, 0.7, 0.5, *inside):
+            a, b = semdedup(emb, c, r), semdedup(pemb, pc, r)
+            assert set(a.kept_ids) == set(b.kept_ids)
+            assert a.epsilon_used == b.epsilon_used
+            assert set(ssl_prototypes(emb, c, r).kept_ids) == set(ssl_prototypes(pemb, pc, r).kept_ids)
+
+    @given(_duplicated_rows(), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
+    def test_kept_sets_nested_across_ratios(self, case, r1, r2):
+        # Components only merge as epsilon grows, and a merged component
+        # keeps the member its parts ranked first.
+        emb, c, _ = case
+        lo, hi = sorted((r1, r2))
+        assert set(semdedup(emb, c, lo).kept_ids) <= set(semdedup(emb, c, hi).kept_ids)
+        assert set(ssl_prototypes(emb, c, lo).kept_ids) <= set(ssl_prototypes(emb, c, hi).kept_ids)
+
+
 class TestPrototypes:
     def test_r_one_keeps_all(self):
         emb = _random_emb(10, 4, seed=1)
@@ -357,18 +401,7 @@ class TestPrototypes:
     def test_permutation_equivariance(self):
         emb = _random_emb(25, 5, seed=8)
         c = kmeans_spherical(emb, KmeansConfig(k=4, seed=0))
-        perm = np.random.default_rng(1).permutation(25)
-        permuted = EmbeddingMatrix(
-            ids=tuple(emb.ids[i] for i in perm),
-            vectors=emb.vectors[perm].copy(),
-            normalized=True,
-        )
-        pc = Clustering(
-            centroids=c.centroids,
-            assignment=c.assignment[perm],
-            distance=c.distance[perm],
-            k=c.k,
-        )
+        permuted, pc = _permuted(emb, c, np.random.default_rng(1).permutation(25))
         a = ssl_prototypes(emb, c, 0.6)
         b = ssl_prototypes(permuted, pc, 0.6)
         assert set(a.kept_ids) == set(b.kept_ids)
