@@ -19,7 +19,7 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from . import cluster as cluster_mod
 from . import corpus as corpus_mod
@@ -62,8 +62,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
+    """Write each string of ``lines`` and a newline; the file appears whole or not at all."""
+    with corpus_mod.open_output(path) as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _write_json(path: Path, payload: Any) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_lines(path, [json.dumps(payload, sort_keys=True, indent=2)])
 
 
 def _prepare_out(args: argparse.Namespace) -> Path:
@@ -96,18 +102,17 @@ def _selection_summary(result: select_mod.SelectionResult) -> dict[str, Any]:
 def _write_selection(out: Path, result: select_mod.SelectionResult) -> None:
     # The bytes of json.dumps({"id": ..., "score": ..., "kept": True}) per
     # record, built without it and streamed, never joined into one string.
-    with (out / "selection.jsonl").open("w", encoding="utf-8") as fh:
-        fh.writelines(
-            f'{{"id": {encode_basestring_ascii(doc_id)}, "score": {float.__repr__(score)}, "kept": true}}\n'
-            for doc_id, score in zip(result.kept_ids, result.scores)
-        )
+    records = zip(result.kept_ids, result.scores)
+    _write_lines(
+        out / "selection.jsonl",
+        (f'{{"id": {encode_basestring_ascii(i)}, "score": {float.__repr__(s)}, "kept": true}}' for i, s in records),
+    )
     if result.stages:
-        stage_names = ("semdedup", "prototypes")
-        with (out / "stages.jsonl").open("w", encoding="utf-8") as fh:
-            for name, stage in zip(stage_names, result.stages):
-                rec = _selection_summary(stage)
-                rec["stage"] = name
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        stages = zip(("semdedup", "prototypes"), result.stages)
+        _write_lines(
+            out / "stages.jsonl",
+            (json.dumps({**_selection_summary(s), "stage": name}, sort_keys=True) for name, s in stages),
+        )
     _write_json(out / "summary.json", _selection_summary(result))
 
 
@@ -165,15 +170,8 @@ def cmd_minhash(args: argparse.Namespace) -> None:
         seed=stage_seed(args.seed, "minhash"),
     )
     result = minhash_mod.lsh_dedup(docs, cfg)
-    (out / "kept_ids.txt").write_text(
-        "".join(i + "\n" for i in result.kept_ids), encoding="utf-8"
-    )
-    with (out / "groups.jsonl").open("w", encoding="utf-8") as fh:
-        for g in result.groups:
-            fh.write(
-                json.dumps({"group_id": g.group_id, "member_ids": list(g.member_ids)})
-                + "\n"
-            )
+    _write_lines(out / "kept_ids.txt", result.kept_ids)
+    _write_lines(out / "groups.jsonl", (json.dumps(vars(g)) for g in result.groups))
     _write_json(
         out / "summary.json",
         {
@@ -292,23 +290,11 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
             "notes": list(report.notes),
         },
     )
-    with (out / "duplicate_driven.jsonl").open("w", encoding="utf-8") as fh:
-        for f in report.duplicate_driven:
-            fh.write(
-                json.dumps(
-                    {
-                        "cluster_index": f.cluster_index,
-                        "std": f.std,
-                        "mean_distance": f.mean_distance,
-                        "size": f.size,
-                    }
-                )
-                + "\n"
-            )
-    with (out / "ecdf.tsv").open("w", encoding="utf-8") as fh:
-        fh.write("mean_distance\tcumulative_fraction\n")
-        for x, y in report.ecdf:
-            fh.write(f"{x!r}\t{y!r}\n")
+    _write_lines(
+        out / "duplicate_driven.jsonl", (json.dumps(vars(f)) for f in report.duplicate_driven)
+    )
+    ecdf = (f"{x!r}\t{y!r}" for x, y in report.ecdf)
+    _write_lines(out / "ecdf.tsv", ["mean_distance\tcumulative_fraction", *ecdf])
     balance = "n/a" if report.cluster_balance is None else f"{report.cluster_balance:.4f}"
     print(f"cluster balance: {balance}")
     print(f"duplicate-driven clusters (std < {args.std_threshold:g}): {len(report.duplicate_driven)}")
@@ -356,10 +342,8 @@ def cmd_overlap(args: argparse.Namespace) -> None:
         out / "overlap.json",
         {"labels": list(matrix.labels), "cells": matrix.cells.tolist()},
     )
-    with (out / "overlap.tsv").open("w", encoding="utf-8") as fh:
-        fh.write("\t" + "\t".join(matrix.labels) + "\n")
-        for label, row in zip(matrix.labels, matrix.cells):
-            fh.write(label + "\t" + "\t".join(f"{v!r}" for v in row) + "\n")
+    rows = ("\t".join([label, *map(repr, row)]) for label, row in zip(matrix.labels, matrix.cells))
+    _write_lines(out / "overlap.tsv", ["\t".join(["", *matrix.labels]), *rows])
     print("overlap (% of smaller set):")
     for label, row in zip(matrix.labels, matrix.cells):
         print(f"  {label}: " + " ".join(f"{v:6.2f}" for v in row))
@@ -372,14 +356,7 @@ def cmd_nn(args: argparse.Namespace) -> None:
     valid = embed_mod.read_embeddings(args.valid_embeddings)
     train = embed_mod.read_embeddings(args.embeddings)
     report = diag_mod.nn_to_train(valid, train)
-    with (out / "nn.jsonl").open("w", encoding="utf-8") as fh:
-        for e in report.entries:
-            fh.write(
-                json.dumps(
-                    {"valid_id": e.valid_id, "train_id": e.train_id, "distance": e.distance}
-                )
-                + "\n"
-            )
+    _write_lines(out / "nn.jsonl", (json.dumps(vars(e)) for e in report.entries))
     _write_json(
         out / "summary.json",
         {"n": len(report.entries), "mean": report.mean, "median": report.median},
@@ -392,28 +369,13 @@ def cmd_nn(args: argparse.Namespace) -> None:
             dict(_read_scored(args.scores_after)),
             n_bins=args.bins,
         )
-        with (out / "binned.jsonl").open("w", encoding="utf-8") as fh:
-            for i, b in enumerate(binned.bins):
-                fh.write(
-                    json.dumps(
-                        {
-                            "bin": i,
-                            "lo": binned.edges[i],
-                            "hi": binned.edges[i + 1],
-                            "count": b.count,
-                            "mean_distance": b.mean_distance,
-                            "mean_before": b.mean_before,
-                            "mean_delta": b.mean_delta,
-                        }
-                    )
-                    + "\n"
-                )
-        with (out / "binned.tsv").open("w", encoding="utf-8") as fh:
-            fh.write("bin_center\tmean_delta\n")
-            for i, b in enumerate(binned.bins):
-                if b.count:
-                    center = 0.5 * (binned.edges[i] + binned.edges[i + 1])
-                    fh.write(f"{center!r}\t{b.mean_delta!r}\n")
+        edges, bins = binned.edges, list(enumerate(binned.bins))
+        _write_lines(
+            out / "binned.jsonl",
+            (json.dumps({"bin": i, "lo": edges[i], "hi": edges[i + 1], **vars(b)}) for i, b in bins),
+        )
+        centers = (f"{0.5 * (edges[i] + edges[i + 1])!r}\t{b.mean_delta!r}" for i, b in bins if b.count)
+        _write_lines(out / "binned.tsv", ["bin_center\tmean_delta", *centers])
 
 
 def cmd_schedule(args: argparse.Namespace) -> None:
@@ -425,9 +387,7 @@ def cmd_schedule(args: argparse.Namespace) -> None:
         seed=stage_seed(args.seed, "schedule"),
         reshuffle_each_epoch=args.reshuffle,
     )
-    (out / "order.txt").write_text(
-        "".join(i + "\n" for i in plan.order), encoding="utf-8"
-    )
+    _write_lines(out / "order.txt", plan.order)
     _write_json(
         out / "summary.json",
         {

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import open_output
 from .embed import EmbeddingMatrix
 from .errors import FormatError, ValidationError
 
@@ -205,7 +206,8 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
             f"dimension mismatch: matrix is {emb.d}, centroids are {centroids.shape[1]}"
         )
     norms = np.linalg.norm(centroids, axis=1)
-    if centroids.shape[0] and float(np.abs(norms - 1.0).max()) > NORM_TOL:
+    # Written so that a NaN norm fails too.
+    if centroids.shape[0] and not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
         raise ValidationError("centroids must be unit-norm")
     nearest, distance = _nearest(emb.vectors, centroids, range(centroids.shape[0]))
     return nearest.astype(np.uint32), distance
@@ -272,13 +274,14 @@ def kmeans_spherical(
     X = emb.vectors
     if init_centroids is not None:
         C = np.asarray(init_centroids, dtype=np.float64)
-        if C.ndim != 2 or C.shape[1] != emb.d:
-            raise ValidationError("init_centroids must be (k, d)")
+        if C.ndim != 2 or C.shape[1] != emb.d or not C.shape[0]:
+            raise ValidationError("init_centroids must be (k, d) with k >= 1")
         k = C.shape[0]
         if cfg.k is not None and cfg.k != k:
             raise ValidationError("cfg.k disagrees with init_centroids row count")
         norms = np.linalg.norm(C, axis=1)
-        if float(np.abs(norms - 1.0).max()) > NORM_TOL:
+        # Written so that a NaN norm fails too.
+        if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
             raise ValidationError("init_centroids must be unit-norm")
         C = C / norms[:, None]
     else:
@@ -326,7 +329,7 @@ def objective(emb: EmbeddingMatrix, clustering: Clustering) -> float:
 
 def write_clustering(c: Clustering, path: str) -> None:
     """Persist a clustering (fit metadata is not stored)."""
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIQ", VERSION, c.k, c.d, c.n))
         fh.write(np.ascontiguousarray(c.centroids, dtype="<f4").tobytes())

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import IO, Any, Iterator
 
 import numpy as np
 
@@ -119,6 +121,37 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
             yield lineno, rec
 
 
+@contextmanager
+def open_output(path, mode: str = "w") -> Iterator[IO]:
+    """Open ``path`` for writing (``"w"``, UTF-8 text, or ``"wb"``) so it appears whole or not at all.
+
+    Writes go to a temp file beside the target, or beside a symlink's target,
+    made by ``open`` so it has open's default mode bits; it replaces the
+    target on success. On any exception the temp file is removed, an older target is
+    left as it was, and the exception propagates. An existing target that is
+    not a regular file (a FIFO, a device) is written in place, since renaming
+    over it would replace the node. No fsync: a power loss is not covered.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=encoding) as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = os.fspath(path)  # name the artifact, not its temp file
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
     """Load a JSONL corpus file, preserving file order.
 
@@ -153,7 +186,7 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
 
 def write_corpus(docs: DocumentSet, path: str) -> None:
     """Write documents as JSONL (``id``, ``text``, optional ``meta``)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for d in docs:
             rec: dict[str, Any] = {"id": d.id, "text": d.text}
             if d.meta is not None:

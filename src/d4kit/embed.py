@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import DocumentSet
+from .corpus import DocumentSet, open_output
 from .errors import FormatError, ValidationError
 
 MAGIC = b"D4EM"
@@ -368,7 +368,7 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
     for doc_id, raw in zip(m.ids, raw_ids):
         if len(raw) > 0xFFFF:
             raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         flags = 1 if m.normalized else 0
         fh.write(MAGIC)
         fh.write(struct.pack("<IQII", VERSION, m.n, m.d, flags))

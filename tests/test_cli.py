@@ -1,6 +1,10 @@
+import argparse
 import ast
+import contextlib
+import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -11,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d4kit
-from d4kit.cli import _write_selection, run
+from d4kit.cli import _write_selection, build_parser, run
 from d4kit.select import SelectionResult
 
 
@@ -551,3 +555,180 @@ class TestPipeline:
         assert summary["epochs"] == 2.0
         order = (out / "order.txt").read_text().splitlines()
         assert len(order) == 2 * summary["n_docs"]
+
+
+# ----------------------------------------------------------------------
+# robustness: generated argv and byte-level corruptions of valid inputs
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory) -> dict[str, str]:
+    base = tmp_path_factory.mktemp("valid")
+    steps = [
+        ["synth", "--out", str(base / "synth"), "--n-topics", "3", "--docs-per-topic", "6",
+         "--template-groups", "2", "--dupes-per-group", "3", "--min-len", "5", "--max-len", "15"],
+        ["embed", "--corpus", str(base / "synth" / "corpus.jsonl"), "--dim", "8",
+         "--out", str(base / "embed")],
+        ["cluster", "--embeddings", str(base / "embed" / "embeddings.d4em"), "--k", "3",
+         "--out", str(base / "cluster")],
+        ["select", "--embeddings", str(base / "embed" / "embeddings.d4em"), "--method", "random",
+         "--r", "1.0", "--out", str(base / "selection")],
+    ]
+    for argv in steps:
+        assert run(argv) == 0
+    return {
+        "corpus": str(base / "synth" / "corpus.jsonl"),
+        "embeddings": str(base / "embed" / "embeddings.d4em"),
+        "clustering": str(base / "cluster" / "clustering.d4km"),
+        "selection": str(base / "selection"),
+        "scores": str(base / "selection" / "selection.jsonl"),
+    }
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name} in an output")
+
+
+def _run_checked(argv: list[str], out: Path) -> None:
+    """Run the CLI in process and check what every run must satisfy."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = run(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert sum(line.startswith("error:") for line in err.splitlines()) <= 1, err
+    for path in out.rglob("*") if out.exists() else ():
+        assert not path.name.endswith(".tmp"), f"temp file left behind: {path}"
+        if path.suffix in (".json", ".jsonl"):
+            text = path.read_text(encoding="utf-8")
+            for doc in [text] if path.suffix == ".json" else text.splitlines():
+                json.loads(doc, parse_constant=_reject_constant)
+
+
+# Readers of each input kind; {f} is the corrupted file, {f_dir} its directory.
+_READERS = {
+    "corpus": [
+        ["minhash", "--corpus", "{f}"],
+        ["embed", "--corpus", "{f}", "--dim", "8"],
+        ["schedule", "--corpus", "{f}", "--budget-tokens", "200"],
+    ],
+    "embeddings": [
+        ["cluster", "--embeddings", "{f}", "--k", "2"],
+        ["select", "--embeddings", "{f}", "--method", "semdedup", "--r", "0.5", "--k", "2"],
+        ["select", "--embeddings", "{f}", "--method", "d4", "--r-dedup", "0.8", "--r-proto", "0.7", "--k", "2"],
+        ["nn", "{f}", "--embeddings", "{embeddings}"],
+        ["nn", "{embeddings}", "--embeddings", "{f}"],
+        ["embed", "--corpus", "{corpus}", "--embedder", "external", "--embeddings", "{f}"],
+    ],
+    "clustering": [
+        ["select", "--embeddings", "{embeddings}", "--clustering", "{f}", "--method", "prototypes", "--r", "0.5"],
+        ["diagnose", "--embeddings", "{embeddings}", "--clustering", "{f}"],
+    ],
+    "scores": [
+        ["overlap", "{f_dir}", "{selection}"],
+        ["nn", "{embeddings}", "--embeddings", "{embeddings}",
+         "--scores-before", "{f}", "--scores-after", "{scores}", "--bins", "3"],
+    ],
+}
+
+
+@st.composite
+def _corruption(draw, data: bytes) -> bytes:
+    """One to three truncations, byte overwrites or insertions."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["truncate", "overwrite", "insert"]))
+        if kind == "truncate":
+            del data[at:]
+        elif kind == "overwrite" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        else:
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+    return bytes(data)
+
+
+# A valid base command per subcommand; drawn options are appended and, since
+# argparse keeps an option's last value, may override the base.
+_BASES = {
+    "synth": ["--n-topics", "2", "--docs-per-topic", "3"],
+    "minhash": ["--corpus", "corpus"],
+    "embed": ["--corpus", "corpus", "--dim", "8"],
+    "cluster": ["--embeddings", "embeddings", "--k", "2"],
+    "select": ["--embeddings", "embeddings", "--method", "random", "--r", "0.5"],
+    "diagnose": ["--embeddings", "embeddings", "--clustering", "clustering"],
+    "overlap": ["selection"],
+    "nn": ["embeddings", "--embeddings", "embeddings"],
+    "schedule": ["--corpus", "corpus", "--budget-tokens", "100"],
+    "cost": ["--baseline-gpu-hours", "10", "--fraction-saved", "0.2"],
+}
+_INTS = ["-1", "0", "1", "2", "3"]
+_FLOATS = ["-1", "0", "1e-9", "0.5", "1", "1.5", "nan", "inf", "-inf", "1e400"]
+_PATHS = ["corpus", "embeddings", "clustering", "selection", "scores", "", "missing"]
+
+
+def _candidates(action: argparse.Action) -> list[str]:
+    """Values to try for an option: mostly of its type, some not."""
+    if action.nargs == 0:
+        return []
+    if action.choices:
+        return [*action.choices, "x"]
+    if action.type is int:
+        return _INTS + ["x", "0.5"]
+    if action.type is not None:
+        return _FLOATS + ["x"]
+    return _PATHS
+
+
+# Per subcommand, (flag, values) for every option but --out and --help.
+# Small values only: a large count asks for a large corpus or matrix, not a defect.
+_OPTIONS = {
+    name: [
+        (action.option_strings[-1], _candidates(action))
+        for action in sub._actions
+        if action.option_strings and action.option_strings[-1] not in ("--out", "--help")
+    ]
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+    for name, sub in action.choices.items()
+}
+
+
+@st.composite
+def _argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_BASES)))
+    argv = [command, *_BASES[command]]
+    for _ in range(draw(st.integers(0, 4))):
+        flag, values = draw(st.sampled_from(_OPTIONS[command] + [("--nonsense", ["1"])]))
+        argv += [flag, draw(st.sampled_from(values))] if values else [flag]
+    return argv
+
+
+class TestRobustness:
+    """Any argv and any corrupted input: exit 0, 1 or 2 with at most one
+    ``error:`` line, no traceback, strict JSON and no temp file left."""
+
+    @settings(max_examples=100)
+    @given(argv=_argv())
+    def test_generated_argv(self, valid_inputs, argv):
+        argv = [valid_inputs.get(token, token) for token in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            _run_checked(argv + ["--out", str(out)], out)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), kind=st.sampled_from(sorted(_READERS)))
+    def test_corrupted_input(self, valid_inputs, data, kind):
+        source = Path(valid_inputs[kind])
+        command = data.draw(st.sampled_from(_READERS[kind]))
+        corrupted = data.draw(_corruption(source.read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "in" / source.name
+            f.parent.mkdir()
+            f.write_bytes(corrupted)
+            if kind == "scores":
+                shutil.copy(Path(valid_inputs["selection"]) / "summary.json", f.parent)
+            out = Path(tmp) / "out"
+            argv = [t.format(f=f, f_dir=f.parent, **valid_inputs) for t in command]
+            _run_checked(argv + ["--out", str(out)], out)

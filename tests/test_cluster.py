@@ -300,6 +300,18 @@ class TestAssign:
         with pytest.raises(ValidationError):
             assign(emb, np.eye(2))
 
+    def test_nan_centroids_rejected(self):
+        emb = _random_emb(4, 3, seed=1)
+        with pytest.raises(ValidationError, match="unit-norm"):
+            assign(emb, np.full((2, 3), np.nan))
+        with pytest.raises(ValidationError, match="unit-norm"):
+            kmeans_spherical(emb, init_centroids=np.full((2, 3), np.nan))
+
+    def test_empty_init_centroids_rejected(self):
+        emb = _random_emb(4, 3, seed=1)
+        with pytest.raises(ValidationError, match="k >= 1"):
+            kmeans_spherical(emb, init_centroids=np.zeros((0, 3)))
+
     @pytest.mark.parametrize("n, d, k", [(2000, 64, 16), (4000, 128, 63), (3, 8, 8)])
     def test_one_block_while_k_at_most_d(self, n, d, k):
         emb = _random_emb(n, d, seed=n)

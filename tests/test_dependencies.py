@@ -39,3 +39,66 @@ def test_every_third_party_import_is_a_declared_dependency():
     }
     undeclared = {name: file for name, file in third_party.items() if name.lower() not in declared}
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
+
+
+def _write_calls(source: str) -> list[int]:
+    """Line of every call in ``source`` that can write a file, other than those
+    inside a function named ``open_output``: an ``open`` whose mode is not a
+    constant free of ``w``, ``a``, ``x`` and ``+``, and any ``write_text`` or
+    ``write_bytes``."""
+    tree = ast.parse(source)
+    exempt = {
+        id(node)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name == "open_output"
+        for node in ast.walk(fn)
+    }
+    found: list[int] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(node.lineno)
+        elif name == "open":
+            # open(file, mode) and Path.open(mode); a missing mode reads.
+            position = 1 if isinstance(func, ast.Name) else 0
+            mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if mode is None and len(node.args) > position:
+                mode = node.args[position]
+            if mode is not None and not (
+                isinstance(mode, ast.Constant)
+                and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+")
+            ):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_write_scan_finds_every_write_form():
+    source = """
+open(p)
+open(p, "rb")
+open(p, "w")
+open(p, mode="ab")
+open(p, "r+")
+open(p, m)
+path.open()
+path.open("x")
+path.write_text(s)
+path.write_bytes(b)
+def open_output(p, m):
+    open(p, m)
+"""
+    assert _write_calls(source) == [4, 5, 6, 7, 9, 10, 11]
+
+
+def test_every_file_is_written_through_open_output():
+    """Every artifact goes through one atomic write path, ``corpus.open_output``."""
+    found = {
+        path.name: lines
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        if (lines := _write_calls(path.read_text(encoding="utf-8")))
+    }
+    assert not found, f"file writes outside open_output: {found}"
