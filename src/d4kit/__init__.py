@@ -42,7 +42,6 @@ from .diagnostics import (
 from .embed import (
     EmbedderSpec,
     EmbeddingMatrix,
-    chunk_average,
     embed_corpus,
     feature_hash_embed,
     read_embeddings,

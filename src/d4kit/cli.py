@@ -202,10 +202,7 @@ def cmd_embed(args: argparse.Namespace) -> None:
 def cmd_cluster(args: argparse.Namespace) -> None:
     out = _prepare_out(args)
     emb = embed_mod.read_embeddings(args.embeddings)
-    cfg = cluster_mod.KmeansConfig(
-        k=args.k, iters=args.iters, seed=stage_seed(args.seed, "cluster")
-    )
-    clustering = cluster_mod.kmeans_spherical(emb, cfg)
+    clustering = cluster_mod.kmeans_spherical(emb, _kmeans_config(args, "cluster"))
     cluster_mod.write_clustering(clustering, str(out / "clustering.d4km"))
     _write_json(
         out / "summary.json",
@@ -219,13 +216,14 @@ def cmd_cluster(args: argparse.Namespace) -> None:
     print(f"cluster: k={clustering.k}, {clustering.iters_run} iterations")
 
 
+def _kmeans_config(args: argparse.Namespace, stage: str) -> cluster_mod.KmeansConfig:
+    return cluster_mod.KmeansConfig(k=args.k, iters=args.iters, seed=stage_seed(args.seed, stage))
+
+
 def _clustering_for(args: argparse.Namespace, emb: embed_mod.EmbeddingMatrix, stage: str):
     if args.clustering:
         return cluster_mod.read_clustering(args.clustering)
-    cfg = cluster_mod.KmeansConfig(
-        k=args.k, iters=args.iters, seed=stage_seed(args.seed, stage)
-    )
-    return cluster_mod.kmeans_spherical(emb, cfg)
+    return cluster_mod.kmeans_spherical(emb, _kmeans_config(args, stage))
 
 
 def cmd_select(args: argparse.Namespace) -> None:
@@ -248,18 +246,13 @@ def cmd_select(args: argparse.Namespace) -> None:
         else:
             result = select_mod.ssl_prototypes(emb, clustering, args.r)
     else:  # d4
-        kcfg = cluster_mod.KmeansConfig(
-            k=args.k, iters=args.iters, seed=stage_seed(args.seed, "select.kmeans")
-        )
         cfg = select_mod.D4Config(
             r_dedup=args.r_dedup,
             r_proto=args.r_proto,
             recluster=not args.no_recluster,
-            kmeans=kcfg,
+            kmeans=_kmeans_config(args, "select.kmeans"),
         )
-        clustering = (
-            cluster_mod.read_clustering(args.clustering) if args.clustering else None
-        )
+        clustering = _clustering_for(args, emb, "select.kmeans")
         artifacts: dict = {}
         result = select_mod.d4(emb, cfg, clustering=clustering, artifacts=artifacts)
         embed_mod.write_embeddings(
@@ -342,7 +335,9 @@ def cmd_overlap(args: argparse.Namespace) -> None:
         out / "overlap.json",
         {"labels": list(matrix.labels), "cells": matrix.cells.tolist()},
     )
-    rows = ("\t".join([label, *map(repr, row)]) for label, row in zip(matrix.labels, matrix.cells))
+    rows = (
+        "\t".join([label, *map(repr, row.tolist())]) for label, row in zip(matrix.labels, matrix.cells)
+    )
     _write_lines(out / "overlap.tsv", ["\t".join(["", *matrix.labels]), *rows])
     print("overlap (% of smaller set):")
     for label, row in zip(matrix.labels, matrix.cells):

@@ -21,12 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import open_output
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, _check_unit_norm
 from .errors import FormatError, ValidationError
 
 MAGIC = b"D4KM"
 VERSION = 1
-NORM_TOL = 1e-5
 DIST_TOL = 1e-5
 
 
@@ -87,9 +86,7 @@ class Clustering:
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):
             raise ValidationError("cosine distances must lie in [0, 2]")
-        norms = np.linalg.norm(self.centroids, axis=1)
-        if self.k and float(np.abs(norms - 1.0).max()) > NORM_TOL:
-            raise ValidationError("centroid rows must be unit-norm")
+        _check_unit_norm(self.centroids, "centroid rows must be unit-norm")
 
     @property
     def n(self) -> int:
@@ -205,10 +202,7 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
         raise ValidationError(
             f"dimension mismatch: matrix is {emb.d}, centroids are {centroids.shape[1]}"
         )
-    norms = np.linalg.norm(centroids, axis=1)
-    # Written so that a NaN norm fails too.
-    if centroids.shape[0] and not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
-        raise ValidationError("centroids must be unit-norm")
+    _check_unit_norm(centroids, "centroids must be unit-norm")
     nearest, distance = _nearest(emb.vectors, centroids, range(centroids.shape[0]))
     return nearest.astype(np.uint32), distance
 
@@ -279,11 +273,8 @@ def kmeans_spherical(
         k = C.shape[0]
         if cfg.k is not None and cfg.k != k:
             raise ValidationError("cfg.k disagrees with init_centroids row count")
-        norms = np.linalg.norm(C, axis=1)
-        # Written so that a NaN norm fails too.
-        if not float(np.abs(norms - 1.0).max()) <= NORM_TOL:
-            raise ValidationError("init_centroids must be unit-norm")
-        C = C / norms[:, None]
+        _check_unit_norm(C, "init_centroids must be unit-norm")
+        C = C / np.linalg.norm(C, axis=1)[:, None]
     else:
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:

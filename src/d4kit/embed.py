@@ -1,18 +1,21 @@
-"""Unit-norm document embeddings behind a pluggable embedder interface.
+"""Unit-norm document embeddings, one row per document.
 
-Two embedder kinds are supported: a deterministic feature-hashing embedder
-(word unigrams and bigrams hashed into ``dim`` signed buckets) and
-ingestion of externally precomputed vectors. Either way the output rows
-are L2-normalized, so cosine distance is ``1 - dot`` everywhere downstream.
+``EmbedderSpec.kind`` picks one of two embedders: a deterministic
+feature-hashing embedder (word unigrams and bigrams hashed into ``dim``
+signed buckets, optionally averaged over fixed-size chunks) or ingestion of
+externally precomputed vectors. Either way the output rows are
+L2-normalized, so cosine distance is ``1 - dot`` everywhere downstream.
 
-The hashing embedder works on the whole corpus at once, in blocks of
-documents. One vocabulary maps tokens to ids and holds each token's unigram
-bucket and sign, so a token is hashed once per corpus; each distinct bigram
-is hashed once per block; and one ``bincount`` accumulates a block's signed
-bucket counts. Python touches each distinct feature once, to hash it, and
-no Python loop runs per feature occurrence. Working memory is bounded by the
-block size, not by the corpus. ``feature_hash_embed`` is the same routine
-on a one-text corpus, so there is one hashing path.
+The hashing embedder is one routine, :func:`_hash_embed`, which works on
+the whole corpus at once, in blocks of documents. One vocabulary maps
+tokens to ids and holds each token's unigram bucket and sign, so a token is
+hashed once per corpus; each distinct bigram is hashed once per block; and
+one ``bincount`` accumulates a block's signed bucket counts. Python
+touches each distinct feature once, to hash it, and no Python loop runs per
+feature occurrence. Working memory is bounded by the block size, not by the
+corpus. With chunking, each chunk is a row of the block and a document's
+chunk rows are averaged as the block closes. ``feature_hash_embed`` is the
+same routine on a one-text corpus, so there is one hashing path.
 
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
 is written and read a block at a time, and rows are normalized a block at a
@@ -29,16 +32,15 @@ averaging can cancel exactly, and that also gives e_0.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 import stat
 import struct
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
+from . import hashing
 from .corpus import DocumentSet, open_output
 from .errors import FormatError, ValidationError
 
@@ -46,11 +48,10 @@ MAGIC = b"D4EM"
 VERSION = 1
 NORM_TOL = 1e-5
 
-TextEmbedder = Callable[[str], np.ndarray]
-
-# A block of documents closes once its tokens, plus d per document (or per
-# chunk, with chunking) for its row of bucket counts, reach this many. So neither long documents nor runs
-# of short ones can grow the block's working arrays.
+# A block of documents closes once its tokens, plus d per row of bucket
+# counts (one per document, or per chunk with chunking), reach this many. So
+# neither long documents nor runs of short ones can grow the block's working
+# arrays.
 _BLOCK_SIZE = 1 << 14
 
 
@@ -102,14 +103,8 @@ class EmbeddingMatrix:
             raise ValidationError("embedding ids must be unique")
         if not np.isfinite(self.vectors).all():
             raise ValidationError("vectors must be finite (no NaN or infinity)")
-        if self.normalized and self.n:
-            # Row-wise, so the check makes no n x d temporary.
-            norms = np.sqrt(np.einsum("ij,ij->i", self.vectors, self.vectors))
-            worst = float(np.abs(norms - 1.0).max())
-            if worst > NORM_TOL:
-                raise ValidationError(
-                    f"normalized flag set but a row norm deviates by {worst:.2e}"
-                )
+        if self.normalized:
+            _check_unit_norm(self.vectors, "normalized flag set but a row norm deviates by {worst:.2e}")
 
     @property
     def n(self) -> int:
@@ -126,6 +121,19 @@ class EmbeddingMatrix:
             vectors=self.vectors[indices],
             normalized=self.normalized,
         )
+
+
+def _check_unit_norm(rows: np.ndarray, message: str) -> None:
+    """Raise ``ValidationError(message)`` unless every row's L2 norm is within
+    NORM_TOL of 1; ``{worst}`` in ``message`` names the largest deviation.
+
+    Written so that a NaN norm fails too, and row-wise, so the check makes
+    no n x d temporary.
+    """
+    if rows.shape[0]:
+        worst = float(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0).max())
+        if not worst <= NORM_TOL:
+            raise ValidationError(message.format(worst=worst))
 
 
 def _e0(d: int) -> np.ndarray:
@@ -165,23 +173,33 @@ def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None =
         out[rows] = block / norms[:, None]
 
 
-def _signed_buckets(
-    features: list[bytes], keyed: hashlib.blake2b, d: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _signed_buckets(features: list[bytes], d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Bucket ``(h >> 1) % d`` and sign (+1 if h is odd, else -1) of each
-    feature, where h is its 8-byte blake2b hash under the key of ``keyed``
-    (an empty keyed hasher, copied per feature to skip re-keying)."""
-    digests = []
-    for f in features:
-        h = keyed.copy()
-        h.update(f)
-        digests.append(h.digest())
-    h = np.frombuffer(b"".join(digests), dtype="<u8")
+    feature, where h is its seed-keyed hash (:func:`hashing.keyed_digests`)."""
+    h = hashing.keyed_digests(features, seed)
     return ((h >> 1) % d).astype(np.int64), np.where(h & 1, 1.0, -1.0)
 
 
-def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
-    """Feature-hash each text into one float32 row, L2-normalized once.
+def _chunk_lengths(n_tokens: int, chunk_size: int | None) -> list[int]:
+    """Tokens per row of a text: one row, or one per consecutive ``chunk_size``-token chunk."""
+    if chunk_size is None or n_tokens <= chunk_size:
+        return [n_tokens]
+    return [min(chunk_size, n_tokens - i) for i in range(0, n_tokens, chunk_size)]
+
+
+def _chunk_mean(rows: np.ndarray) -> np.ndarray:
+    """The renormalized float64 mean of a text's chunk vectors, as float32."""
+    mean = np.mean(rows.astype(np.float64), axis=0)
+    return _normalize(mean).astype(np.float32)
+
+
+def _hash_embed(texts: list[str], d: int, seed: int, chunk_size: int | None = None) -> np.ndarray:
+    """Feature-hash each text into one L2-normalized float32 row.
+
+    A text gives one row of features, or with ``chunk_size`` one row per
+    chunk of at most that many tokens (a text of at most one chunk stays
+    whole), and a chunked text's row is :func:`_chunk_mean` of its chunk
+    rows. Bigrams never cross a chunk boundary.
 
     Token ids come from one vocabulary kept across the corpus, and each
     token's unigram is hashed once. Texts are taken in blocks; within a block
@@ -189,7 +207,6 @@ def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
     come from one ``bincount``. The counts are sums of +-1, exact in float64,
     so neither the order nor the grouping of the additions matters.
     """
-    keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
     out = np.empty((len(texts), d), dtype=np.float32)
     vocab: dict[str, int] = {}
     words: list[bytes] = []  # UTF-8 of each token id
@@ -198,13 +215,16 @@ def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
     start = 0
     while start < len(texts):
         tokens: list[str] = []
-        lengths: list[int] = []
+        lengths: list[int] = []  # tokens per row
+        counts: list[int] = []  # rows per text
         stop, size = start, 0
         while stop < len(texts) and size < _BLOCK_SIZE:
             doc = texts[stop].split()
+            rows = _chunk_lengths(len(doc), chunk_size)
             tokens.extend(doc)
-            lengths.append(len(doc))
-            size += len(doc) + d
+            lengths.extend(rows)
+            counts.append(len(rows))
+            size += len(doc) + d * len(rows)
             stop += 1
 
         new = [t for t in dict.fromkeys(tokens) if t not in vocab]
@@ -213,10 +233,10 @@ def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
         if len(vocab) > bucket.size:
             bucket, sign = np.resize(bucket, 2 * len(vocab)), np.resize(sign, 2 * len(vocab))
         added = slice(len(vocab) - len(new), len(vocab))
-        bucket[added], sign[added] = _signed_buckets([b"u:" + w for w in words[added]], keyed, d)
+        bucket[added], sign[added] = _signed_buckets([b"u:" + w for w in words[added]], d, seed)
 
         ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-        row = np.repeat(np.arange(stop - start), lengths)
+        row = np.repeat(np.arange(len(lengths)), lengths)
         first = np.flatnonzero(row[1:] == row[:-1])  # first token of each bigram
         distinct, which = np.unique(ids[first] * len(vocab) + ids[first + 1], return_inverse=True)
         pair_bucket, pair_sign = _signed_buckets(
@@ -224,17 +244,22 @@ def _hash_embed(texts: list[str], d: int, seed: int) -> np.ndarray:
                 b"b:" + words[a] + b" " + words[b]
                 for a, b in zip((distinct // len(vocab)).tolist(), (distinct % len(vocab)).tolist())
             ],
-            keyed,
             d,
+            seed,
         )
         cell = np.concatenate([row * d + bucket[ids], row[first] * d + pair_bucket[which]])
         weight = np.concatenate([sign[ids], pair_sign[which]])
-        acc = np.bincount(cell, weights=weight, minlength=(stop - start) * d).reshape(-1, d)
+        acc = np.bincount(cell, weights=weight, minlength=len(lengths) * d).reshape(-1, d)
         # Integer sums of squares are exact, so these norms equal _normalize's.
         norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
         empty = norms == 0.0  # an empty text; its row becomes e_0
         acc[empty, 0] = norms[empty] = 1.0
-        out[start:stop] = acc / norms[:, None]
+        vectors = (acc / norms[:, None]).astype(np.float32)
+        heads = np.cumsum(counts) - counts  # each text's first row
+        out[start:stop] = vectors[heads]
+        for i, count in enumerate(counts):
+            if count > 1:
+                out[start + i] = _chunk_mean(vectors[heads[i] : heads[i] + count])
         start = stop
     return out
 
@@ -252,84 +277,13 @@ def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
     return _hash_embed([text], d, seed)[0]
 
 
-def hash_embedder(d: int, seed: int = 0) -> TextEmbedder:
-    """The feature-hashing embedder as a text -> vector callable."""
-
-    def embed(text: str) -> np.ndarray:
-        return feature_hash_embed(text, d, seed)
-
-    return embed
-
-
-def _chunks(text: str, chunk_size: int) -> list[str]:
-    """Consecutive ``chunk_size``-token chunks; a text of at most one chunk as-is."""
-    tokens = text.split()
-    if len(tokens) <= chunk_size:
-        return [text]
-    return [" ".join(tokens[i : i + chunk_size]) for i in range(0, len(tokens), chunk_size)]
-
-
-def _chunk_mean(rows) -> np.ndarray:
-    """The renormalized float64 mean of a text's chunk vectors, as float32."""
-    mean = np.mean(np.asarray(rows, dtype=np.float64), axis=0)
-    return _normalize(mean).astype(np.float32)
-
-
-def chunk_average(base: TextEmbedder, chunk_size: int) -> TextEmbedder:
-    """Derive an embedder that averages the base embedder over chunks.
-
-    The document is split into consecutive ``chunk_size``-token chunks;
-    each chunk is embedded, the vectors are averaged and renormalized.
-    Documents of at most one chunk are passed to the base embedder as-is.
-    """
-    if chunk_size < 1:
-        raise ValidationError("chunk_size must be >= 1")
-
-    def embed(text: str) -> np.ndarray:
-        chunks = _chunks(text, chunk_size)
-        if len(chunks) == 1:
-            return base(text)
-        return _chunk_mean([base(c) for c in chunks])
-
-    return embed
-
-
-def _chunked_hash_embed(texts: list[str], d: int, seed: int, chunk_size: int) -> np.ndarray:
-    """Each text's chunk rows averaged by :func:`_chunk_mean`; a one-chunk text's row as-is.
-
-    The chunks of a block of texts are hashed in one :func:`_hash_embed`
-    call. A block closes once its tokens, plus d per chunk, reach
-    ``_BLOCK_SIZE``, so only one block's chunk rows are held at a time.
-    """
-    out = np.empty((len(texts), d), dtype=np.float32)
-    start = 0
-    while start < len(texts):
-        chunks: list[str] = []
-        counts: list[int] = []
-        stop, size = start, 0
-        while stop < len(texts) and size < _BLOCK_SIZE:
-            doc = _chunks(texts[stop], chunk_size)
-            chunks.extend(doc)
-            counts.append(len(doc))
-            size += len(texts[stop].split()) + d * len(doc)
-            stop += 1
-        rows = _hash_embed(chunks, d, seed)
-        first = 0
-        for i, count in enumerate(counts, start):
-            out[i] = rows[first] if count == 1 else _chunk_mean(rows[first : first + count])
-            first += count
-        start = stop
-    return out
-
-
 def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
     """Embed every document, one row per document in corpus order.
 
     Output is always normalized. For ``external`` specs the precomputed
     file must cover every document id; missing ids are reported together.
-    With ``chunk_size`` set, each document's chunks are hash-embedded and
-    averaged, exactly as :func:`chunk_average` over :func:`hash_embedder`
-    computes it.
+    With ``chunk_size`` set, a document longer than one chunk gets the
+    renormalized mean of its chunks' hash embeddings.
     """
     ids = tuple(d.id for d in docs)
     if spec.kind == "external":
@@ -347,11 +301,7 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
         del m, index
         return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
 
-    texts = [d.text for d in docs]
-    if spec.chunk_size is None:
-        vectors = _hash_embed(texts, spec.dim, spec.seed)
-    else:
-        vectors = _chunked_hash_embed(texts, spec.dim, spec.seed, spec.chunk_size)
+    vectors = _hash_embed([d.text for d in docs], spec.dim, spec.seed, spec.chunk_size)
     # Rows are normalized a second time, in float64 from the float32 values;
     # the output bytes depend on this pass.
     _normalize_rows(vectors, vectors)
@@ -393,6 +343,8 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
         version, count, dim, flags = struct.unpack_from("<IQII", header, 4)
         if version != VERSION:
             raise FormatError(f"unsupported version {version}", 4)
+        if dim == 0:
+            raise FormatError("dimension must be >= 1", 16)
         payload_bytes = count * dim * 4
         truncated = f"truncated payload: expected {payload_bytes} bytes of vectors"
         st = os.fstat(fh.fileno())

@@ -14,11 +14,11 @@ also uses), and each duplicate group keeps its lexicographically lowest id.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import hashing
 from .corpus import DocumentSet
 from .errors import ValidationError
 from .graph import components
@@ -105,13 +105,7 @@ def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature
     """
     if not sh:
         raise ValidationError("cannot sign an empty shingle set")
-    keyed = hashlib.blake2b(digest_size=8, key=(cfg.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-    digests = []
-    for s in sh:
-        h = keyed.copy()
-        h.update(s.encode("utf-8"))
-        digests.append(h.digest())
-    base = np.frombuffer(b"".join(digests), dtype="<u8")
+    base = hashing.keyed_digests([s.encode("utf-8") for s in sh], cfg.seed)
     keys = np.arange(1, cfg.num_hashes + 1, dtype=np.uint64) * _POSITION_STEP
     values = _fmix64(base[:, None] ^ keys[None, :]).min(axis=0)
     return MinHashSignature(values=tuple(values.tolist()), shingle_width=cfg.shingle_width)

@@ -180,6 +180,24 @@ class TestErrors:
         bad.write_bytes(b"NOPE" + b"\x00" * 40)
         assert run(["cluster", "--embeddings", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_dimension_external_embeddings_exit_2(self, tmp_path, capsys):
+        # A one-document corpus whose id the file holds, so only the dimension is wrong.
+        first = _synth(tmp_path).read_text(encoding="utf-8").splitlines()[0]
+        corpus = tmp_path / "one.jsonl"
+        corpus.write_text(first + "\n", encoding="utf-8")
+        doc_id = json.loads(first)["id"].encode()
+        bad = tmp_path / "dim0.d4em"
+        bad.write_bytes(b"D4EM" + struct.pack("<IQII", 1, 1, 0, 0) + struct.pack("<H", len(doc_id)) + doc_id)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        code = run(
+            ["embed", "--corpus", str(corpus), "--embedder", "external", "--embeddings", str(bad), "--out", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: dimension must be >= 1 (at byte offset 16)"]
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
     def test_validation_error_exits_1(self, tmp_path):
         corpus = _synth(tmp_path)
         emb = _embed(tmp_path, corpus)
@@ -519,6 +537,10 @@ class TestPipeline:
         cells = matrix["cells"]
         assert cells[0][0] == 100.0 and cells[1][1] == 100.0
         assert cells[0][1] == cells[1][0]
+        tsv = [line.split("\t") for line in (out / "overlap.tsv").read_text().splitlines()]
+        assert tsv[0] == ["", *matrix["labels"]]
+        assert [row[0] for row in tsv[1:]] == matrix["labels"]
+        assert [[float(cell) for cell in row[1:]] for row in tsv[1:]] == cells
 
     def test_nn_with_binned_scores(self, tmp_path):
         corpus_a = _synth(tmp_path, name="train")

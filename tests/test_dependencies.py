@@ -102,3 +102,35 @@ def test_every_file_is_written_through_open_output():
         if (lines := _write_calls(path.read_text(encoding="utf-8")))
     }
     assert not found, f"file writes outside open_output: {found}"
+
+
+def _keyed_blake2b_calls(source: str) -> list[int]:
+    """Line of every ``blake2b`` call in ``source`` that passes a ``key``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "blake2b" and any(kw.arg == "key" for kw in node.keywords):
+                found.append(node.lineno)
+    return found
+
+
+def test_keyed_hash_scan_finds_every_form():
+    source = """
+hashlib.blake2b(b"x", digest_size=8)
+hashlib.blake2b(digest_size=8, key=k)
+blake2b(s, key=k)
+hashlib.sha256(key=k)
+"""
+    assert _keyed_blake2b_calls(source) == [3, 4]
+
+
+def test_one_keyed_hash_site():
+    """MinHash and the hash embedder share one seed-keyed hash, ``hashing.keyed_digests``."""
+    found = [
+        (path.name, line)
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        for line in _keyed_blake2b_calls(path.read_text(encoding="utf-8"))
+    ]
+    assert len(found) == 1, f"keyed blake2b built at {found}"

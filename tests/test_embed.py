@@ -18,7 +18,6 @@ from d4kit import (
     FormatError,
     SynthSpec,
     ValidationError,
-    chunk_average,
     embed_corpus,
     feature_hash_embed,
     read_embeddings,
@@ -26,7 +25,7 @@ from d4kit import (
     write_embeddings,
 )
 from d4kit import embed as embed_mod
-from d4kit.embed import _chunks, _normalize, _normalize_rows, hash_embedder
+from d4kit.embed import _check_unit_norm, _chunk_lengths, _normalize, _normalize_rows
 
 from oracles import feature_hash_oracle, scalar_cosine
 
@@ -202,7 +201,8 @@ class TestChunkBlocks:
     def test_corpus_spanning_real_blocks(self):
         docs = synthesize_corpus(SynthSpec(n_topics=4, docs_per_topic=100, seed=8))
         d, chunk_size = 64, 16
-        assert sum(len(doc.text.split()) + d * len(_chunks(doc.text, chunk_size)) for doc in docs) > 2 * embed_mod._BLOCK_SIZE
+        tokens = [len(doc.text.split()) for doc in docs]
+        assert sum(t + d * len(_chunk_lengths(t, chunk_size)) for t in tokens) > 2 * embed_mod._BLOCK_SIZE
         emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=4, chunk_size=chunk_size))
         for doc, row in zip(docs, emb.vectors):
             assert row.astype(np.float32).tobytes() == _oracle_row(doc.text, d, 4, chunk_size).tobytes()
@@ -286,42 +286,51 @@ class TestEmbedMemory:
         assert peaks[4000] <= 4.5 * peaks[1000], peaks
 
 
+def _hash_rows(texts, d, chunk_size=None):
+    spec = EmbedderSpec(kind="hash", dim=d, seed=0, chunk_size=chunk_size)
+    return embed_corpus(_docs(texts), spec).vectors
+
+
 class TestChunkAverage:
+    # Chunked rows against the plain rows of the same texts, all through embed_corpus.
     def test_short_document_equals_base(self):
-        base = hash_embedder(16, seed=0)
-        wrapped = chunk_average(base, chunk_size=10)
         text = "only four words here"
-        assert np.array_equal(wrapped(text), base(text))
+        assert np.array_equal(_hash_rows([text], 16, chunk_size=10), _hash_rows([text], 16))
 
     def test_identical_chunks_equal_one_chunk(self):
-        base = hash_embedder(16, seed=0)
-        wrapped = chunk_average(base, chunk_size=2)
-        out = wrapped("a b a b")
-        np.testing.assert_allclose(out, base("a b"), atol=1e-6)
+        out = _hash_rows(["a b a b"], 16, chunk_size=2)[0]
+        np.testing.assert_allclose(out, _hash_rows(["a b"], 16)[0], atol=1e-6)
 
     def test_orthogonal_chunks_land_at_45_degrees(self):
-        base = hash_embedder(8, seed=0)
         # Find two single tokens hashed to different buckets, so their
         # embeddings are orthogonal basis vectors.
         tokens = [f"t{i}" for i in range(20)]
-        pair = None
-        for a in tokens:
-            for b in tokens:
-                if a != b and np.dot(base(a), base(b)) == 0.0:
-                    pair = (a, b)
-                    break
-            if pair:
-                break
+        base = dict(zip(tokens, _hash_rows(tokens, 8)))
+        pair = next(
+            ((a, b) for a in tokens for b in tokens if a != b and np.dot(base[a], base[b]) == 0.0),
+            None,
+        )
         assert pair is not None
-        wrapped = chunk_average(base, chunk_size=1)
-        out = wrapped(f"{pair[0]} {pair[1]}")
-        np.testing.assert_allclose(np.dot(out, base(pair[0])), 1 / np.sqrt(2), atol=1e-6)
-        np.testing.assert_allclose(np.dot(out, base(pair[1])), 1 / np.sqrt(2), atol=1e-6)
+        out = _hash_rows([f"{pair[0]} {pair[1]}"], 8, chunk_size=1)[0]
+        np.testing.assert_allclose(np.dot(out, base[pair[0]]), 1 / np.sqrt(2), atol=1e-6)
+        np.testing.assert_allclose(np.dot(out, base[pair[1]]), 1 / np.sqrt(2), atol=1e-6)
 
     def test_empty_text_sentinel_passthrough(self):
-        base = hash_embedder(8, seed=0)
-        wrapped = chunk_average(base, chunk_size=3)
-        assert np.array_equal(wrapped(""), base(""))
+        assert np.array_equal(_hash_rows([""], 8, chunk_size=3), _hash_rows([""], 8))
+
+
+class TestUnitNormCheck:
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    def test_off_unit_and_nan_rows_fail_with_message(self, bad):
+        rows = np.eye(2)
+        rows[1, 1] = bad
+        with pytest.raises(ValidationError) as info:
+            _check_unit_norm(rows, "deviates by {worst:.1f}")
+        assert str(info.value) == ("deviates by nan" if np.isnan(bad) else "deviates by 0.5")
+
+    def test_unit_rows_and_no_rows_pass(self):
+        _check_unit_norm(np.eye(3, 5), "unreachable")
+        _check_unit_norm(np.empty((0, 4)), "unreachable")
 
 
 class TestSerialization:
@@ -422,6 +431,7 @@ class TestBlockedSerialization:
             (lambda b: b + b"junk", "trailing bytes after id table", 24 + 48 + 12),
             # The id "bb" starts after "a" and two length prefixes.
             (lambda b: b[:77] + b"\xff" + b[78:], "id is not valid UTF-8", 77),
+            (lambda b: b[:16] + struct.pack("<I", 0) + b[20:], "dimension must be >= 1", 16),
         ],
     )
     def test_format_errors_keep_message_and_offset(self, tmp_path, corrupt, message, offset):
