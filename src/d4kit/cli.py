@@ -8,6 +8,9 @@ counts.
 
 Exit codes: 0 success, 1 validation or usage error, 2 I/O or file-format
 error.
+
+Each subcommand imports the library modules it runs, so a command loads
+only those (``minhash`` never loads the embedding-space stages).
 """
 
 from __future__ import annotations
@@ -19,16 +22,15 @@ import math
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from . import cluster as cluster_mod
 from . import corpus as corpus_mod
-from . import diagnostics as diag_mod
-from . import embed as embed_mod
-from . import minhash as minhash_mod
-from . import schedule_cost as sched_mod
-from . import select as select_mod
 from .errors import FormatError, ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from . import cluster as cluster_mod
+    from . import embed as embed_mod
+    from . import select as select_mod
 
 
 def stage_seed(seed: int, stage: str) -> int:
@@ -160,6 +162,8 @@ def cmd_synth(args: argparse.Namespace) -> None:
 
 
 def cmd_minhash(args: argparse.Namespace) -> None:
+    from . import minhash as minhash_mod
+
     out = _prepare_out(args)
     docs = corpus_mod.load_corpus(args.corpus)
     cfg = minhash_mod.LshConfig(
@@ -184,6 +188,8 @@ def cmd_minhash(args: argparse.Namespace) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
+    from . import embed as embed_mod
+
     out = _prepare_out(args)
     docs = corpus_mod.load_corpus(args.corpus)
     spec = embed_mod.EmbedderSpec(
@@ -200,6 +206,9 @@ def cmd_embed(args: argparse.Namespace) -> None:
 
 
 def cmd_cluster(args: argparse.Namespace) -> None:
+    from . import cluster as cluster_mod
+    from . import embed as embed_mod
+
     out = _prepare_out(args)
     emb = embed_mod.read_embeddings(args.embeddings)
     clustering = cluster_mod.kmeans_spherical(emb, _kmeans_config(args, "cluster"))
@@ -217,16 +226,24 @@ def cmd_cluster(args: argparse.Namespace) -> None:
 
 
 def _kmeans_config(args: argparse.Namespace, stage: str) -> cluster_mod.KmeansConfig:
+    from . import cluster as cluster_mod
+
     return cluster_mod.KmeansConfig(k=args.k, iters=args.iters, seed=stage_seed(args.seed, stage))
 
 
 def _clustering_for(args: argparse.Namespace, emb: embed_mod.EmbeddingMatrix, stage: str):
+    from . import cluster as cluster_mod
+
     if args.clustering:
         return cluster_mod.read_clustering(args.clustering)
     return cluster_mod.kmeans_spherical(emb, _kmeans_config(args, stage))
 
 
 def cmd_select(args: argparse.Namespace) -> None:
+    from . import cluster as cluster_mod
+    from . import embed as embed_mod
+    from . import select as select_mod
+
     method = args.method
     if method == "d4":
         if args.r_dedup is None or args.r_proto is None:
@@ -271,6 +288,12 @@ def cmd_select(args: argparse.Namespace) -> None:
 
 
 def cmd_diagnose(args: argparse.Namespace) -> None:
+    from . import cluster as cluster_mod
+    from . import diagnostics as diag_mod
+    from . import embed as embed_mod
+
+    if args.std_threshold is None:
+        args.std_threshold = diag_mod.STD_THRESHOLD
     out = _prepare_out(args)
     emb = embed_mod.read_embeddings(args.embeddings)
     clustering = cluster_mod.read_clustering(args.clustering)
@@ -300,6 +323,8 @@ _SUMMARY_FIELDS = {"method": str, "R_target": (int, float), "n_source": int, "fi
 
 
 def _read_selection_dir(path: str) -> select_mod.SelectionResult:
+    from . import select as select_mod
+
     base = Path(path)
     summary_path = base / "summary.json"
     try:
@@ -328,6 +353,8 @@ def _read_selection_dir(path: str) -> select_mod.SelectionResult:
 
 
 def cmd_overlap(args: argparse.Namespace) -> None:
+    from . import diagnostics as diag_mod
+
     out = _prepare_out(args)
     results = [_read_selection_dir(p) for p in args.selections]
     matrix = diag_mod.selection_overlap(results)
@@ -345,6 +372,9 @@ def cmd_overlap(args: argparse.Namespace) -> None:
 
 
 def cmd_nn(args: argparse.Namespace) -> None:
+    from . import diagnostics as diag_mod
+    from . import embed as embed_mod
+
     if bool(args.scores_before) != bool(args.scores_after):
         raise ValidationError("--scores-before and --scores-after go together")
     out = _prepare_out(args)
@@ -374,6 +404,8 @@ def cmd_nn(args: argparse.Namespace) -> None:
 
 
 def cmd_schedule(args: argparse.Namespace) -> None:
+    from . import schedule_cost as sched_mod
+
     out = _prepare_out(args)
     docs = corpus_mod.load_corpus(args.corpus)
     plan = sched_mod.plan_epochs(
@@ -397,6 +429,8 @@ def cmd_schedule(args: argparse.Namespace) -> None:
 
 
 def cmd_cost(args: argparse.Namespace) -> None:
+    from . import schedule_cost as sched_mod
+
     model = sched_mod.CostModel(
         baseline_train_gpu_hours=args.baseline_gpu_hours,
         fraction_updates_saved=args.fraction_saved,
@@ -482,7 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--clustering", required=True)
-    p.add_argument("--std-threshold", type=_finite_float, default=diag_mod.STD_THRESHOLD)
+    # None stands for diagnostics.STD_THRESHOLD, which cmd_diagnose fills in.
+    p.add_argument("--std-threshold", type=_finite_float, default=None)
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("overlap", help="selection overlap matrix")

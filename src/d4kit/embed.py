@@ -72,7 +72,8 @@ class EmbedderSpec:
     def __post_init__(self):
         if self.kind not in ("hash", "external"):
             raise ValidationError(f"unknown embedder kind: {self.kind!r}")
-        if self.dim < 2:
+        # External vectors take their width from the file, so only the hash embedder checks dim.
+        if self.kind == "hash" and self.dim < 2:
             raise ValidationError("embedding dimension must be >= 2")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValidationError("chunk_size must be >= 1")

@@ -4,9 +4,11 @@ Each shingle is hashed once, with blake2b keyed by the seed, to a 64-bit
 ``base``. Signature position i is the minimum over the shingles of
 fmix64(base ^ key_i): fmix64 is MurmurHash3's 64-bit finaliser and key_i a
 fixed per-position constant (Broder 1997; one hash plus cheap permutations,
-as in datasketch). Signatures have 20 positions by default, banded 20 x 1,
-so two documents become duplicate candidates iff any signature position
-matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets, ch. 3).
+as in datasketch). The corpus is signed in blocks of shingles by one
+routine, :func:`_signatures`; ``signature`` is that routine on one set.
+Signatures have 20 positions by default, banded 20 x 1, so two documents
+become duplicate candidates iff any signature position matches (Leskovec,
+Rajaraman & Ullman, Mining of Massive Datasets, ch. 3).
 Candidates are grouped transitively, as connected components of the
 band-collision graph found by ``graph.components`` (the routine SemDeDup
 also uses), and each duplicate group keeps its lexicographically lowest id.
@@ -15,6 +17,7 @@ also uses), and each duplicate group keeps its lexicographically lowest id.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -75,7 +78,7 @@ def shingles(text: str, w: int) -> frozenset[str]:
     words = text.split()
     if len(words) < w:
         return frozenset({text})
-    return frozenset(" ".join(words[i : i + w]) for i in range(len(words) - w + 1))
+    return frozenset(map(" ".join, zip(*(words[i:] for i in range(w)))))
 
 
 # Weyl increment of splitmix64; position i XORs (i + 1) times it into the base hash.
@@ -96,18 +99,49 @@ def _fmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature:
-    """Position i holds the minimum of fmix64(base ^ key_i) over the shingle set.
+# A block of documents closes once it holds this many shingles, so the
+# block's digests and its (shingles x num_hashes) fmix64 temporaries stay
+# bounded however long the corpus is. A document is never split, so a block
+# can exceed this by one document's shingles.
+_SIGN_BLOCK = 1 << 12
 
-    ``base`` is one 8-byte blake2b digest per shingle, keyed by the seed;
+
+def _signatures(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfig) -> np.ndarray:
+    """Row j holds the MinHash values of the j-th shingle set, as uint64.
+
+    Position i is the minimum of fmix64(base ^ key_i) over the set, where
+    ``base`` is each shingle's 8-byte blake2b digest keyed by the seed and
     ``key_i`` is fixed per position. fmix64 is a bijection, so distinct
-    bases never collide at any position.
+    bases never collide at any position. Sets are taken in blocks: one
+    ``keyed_digests`` call hashes a block's shingles and one
+    ``minimum.reduceat`` takes each set's minima.
     """
-    if not sh:
-        raise ValidationError("cannot sign an empty shingle set")
-    base = hashing.keyed_digests([s.encode("utf-8") for s in sh], cfg.seed)
     keys = np.arange(1, cfg.num_hashes + 1, dtype=np.uint64) * _POSITION_STEP
-    values = _fmix64(base[:, None] ^ keys[None, :]).min(axis=0)
+    rows = [np.empty((0, cfg.num_hashes), dtype=np.uint64)]
+    items: list[bytes] = []
+    sizes: list[int] = []  # shingles per set of the open block
+    for sh in shingle_sets:
+        if not sh:
+            raise ValidationError("cannot sign an empty shingle set")
+        items.extend(map(str.encode, sh))  # UTF-8
+        sizes.append(len(sh))
+        if len(items) >= _SIGN_BLOCK:
+            rows.append(_block_minima(items, sizes, keys, cfg.seed))
+            items, sizes = [], []
+    if sizes:
+        rows.append(_block_minima(items, sizes, keys, cfg.seed))
+    return np.concatenate(rows)
+
+
+def _block_minima(items: list[bytes], sizes: list[int], keys: np.ndarray, seed: int) -> np.ndarray:
+    """One row of per-position minima for each run of ``sizes`` items."""
+    base = hashing.keyed_digests(items, seed)
+    return np.minimum.reduceat(_fmix64(base[:, None] ^ keys), np.cumsum(sizes) - sizes, axis=0)
+
+
+def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature:
+    """The MinHash signature of one shingle set: :func:`_signatures` of that set."""
+    values = _signatures([sh], cfg)[0]
     return MinHashSignature(values=tuple(values.tolist()), shingle_width=cfg.shingle_width)
 
 
@@ -134,9 +168,8 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     independent of corpus permutation up to that keep rule.
     """
     cfg = cfg or LshConfig()
-    sigs = [signature(shingles(d.text, cfg.shingle_width), cfg) for d in docs]
-    n = len(sigs)
-    matrix = np.array([sig.values for sig in sigs], dtype=np.uint64).reshape(n, cfg.num_hashes)
+    matrix = _signatures((shingles(d.text, cfg.shingle_width) for d in docs), cfg)
+    n = len(matrix)
 
     # Each band links every document to the first document in its bucket.
     heads = [

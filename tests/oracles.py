@@ -151,6 +151,14 @@ def exact_jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
+def shingles_oracle(text: str, w: int) -> frozenset[str]:
+    """Word w-grams of ``text`` by index arithmetic; ``{text}`` if it has fewer than w words."""
+    words = text.split()
+    if len(words) < w:
+        return frozenset({text})
+    return frozenset(" ".join(words[i : i + w]) for i in range(len(words) - w + 1))
+
+
 MASK64 = (1 << 64) - 1
 
 

@@ -119,19 +119,31 @@ class TestCost:
         assert not out.exists()
 
 
+# Modules that only the embedding-space commands need.
+EMBEDDING_SPACE = {"d4kit.cluster", "d4kit.embed", "d4kit.select", "d4kit.diagnostics", "d4kit.schedule_cost"}
+
+
 def test_no_command_loads_scipy(tmp_path):
     # A fresh interpreter, since this one may already have imported scipy.
+    # Commands run in one interpreter, so each records the d4kit modules
+    # loaded by it and every command before it.
     script = textwrap.dedent(
         """
         import sys
         from d4kit.cli import run
 
         tmp = sys.argv[1]
+
+        def modules():
+            return sorted(m for m in sys.modules if m == "d4kit" or m.startswith("d4kit."))
+
         loaded = {"import": "scipy" in sys.modules}
+        d4kit_loaded = {"import": modules()}
 
         def check(name, *argv):
             assert run([name, *argv]) == 0, argv
             loaded[name] = "scipy" in sys.modules
+            d4kit_loaded[name] = modules()
 
         check("synth", "--out", f"{tmp}/c", "--seed", "1", "--n-topics", "2",
               "--docs-per-topic", "10", "--min-len", "20", "--max-len", "30")
@@ -150,6 +162,7 @@ def test_no_command_loads_scipy(tmp_path):
         check("nn", emb, "--embeddings", emb, "--out", f"{tmp}/nn")
         check("schedule", "--corpus", corpus, "--budget-tokens", "1000", "--out", f"{tmp}/s")
         check("cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2")
+        print(d4kit_loaded)
         print(loaded)
         """
     )
@@ -167,6 +180,82 @@ def test_no_command_loads_scipy(tmp_path):
         "diagnose", "overlap", "nn", "schedule", "cost",
     }
     assert not any(loaded.values()), loaded
+
+    d4kit_loaded = {name: set(mods) for name, mods in ast.literal_eval(proc.stdout.splitlines()[-2]).items()}
+    assert d4kit_loaded["import"] == {"d4kit", "d4kit.cli", "d4kit.corpus", "d4kit.errors"}
+    assert d4kit_loaded["synth"] == d4kit_loaded["import"]
+    assert "d4kit.minhash" in d4kit_loaded["minhash"]
+    assert not d4kit_loaded["minhash"] & EMBEDDING_SPACE, d4kit_loaded["minhash"]
+
+
+# Every name ``d4kit/__init__`` exported when it imported each module eagerly.
+PUBLIC_NAMES = (
+    "Clustering", "KmeansConfig", "assign", "default_k", "kmeans_spherical", "objective",
+    "read_clustering", "write_clustering",
+    "Document", "DocumentSet", "SynthSpec", "count_tokens", "load_corpus", "synthesize_corpus",
+    "write_corpus",
+    "BinnedScores", "DiagnosticsReport", "FlaggedCluster", "NnReport", "OverlapMatrix",
+    "analyze_clustering", "binned_score_analysis", "cluster_balance", "ecdf_mean_distance",
+    "find_duplicate_driven_clusters", "nn_to_train", "selection_overlap",
+    "EmbedderSpec", "EmbeddingMatrix", "embed_corpus", "feature_hash_embed", "read_embeddings",
+    "write_embeddings",
+    "FormatError", "ParseError", "ValidationError",
+    "DedupResult", "LshConfig", "MinHashSignature", "lsh_dedup", "shingles", "signature",
+    "CostModel", "EpochPlan", "embed_cost", "naive_gain", "overall_gain", "plan_epochs",
+    "D4Config", "SelectionResult", "d4", "select_random", "semdedup", "ssl_prototypes",
+)
+
+
+class TestPackageNames:
+    def test_every_public_name_imports(self):
+        assert sorted(d4kit.__all__) == sorted(PUBLIC_NAMES)
+        listed = dir(d4kit)
+        for name in PUBLIC_NAMES:
+            assert name in listed, name
+            obj = getattr(d4kit, name)
+            assert getattr(obj, "__name__", name) == name
+            assert obj.__module__.startswith("d4kit."), (name, obj.__module__)
+
+    def test_star_import(self):
+        namespace: dict = {}
+        exec("from d4kit import *", namespace)
+        assert set(PUBLIC_NAMES) <= set(namespace)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError):
+            d4kit.no_such_name
+        # An unknown attribute is how ``from d4kit import <submodule>`` finds submodules.
+        from d4kit import graph, hashing
+
+        assert graph.__name__ == "d4kit.graph" and hashing.__name__ == "d4kit.hashing"
+
+    def test_version(self):
+        assert d4kit.__version__ == "0.1.0"
+
+
+def test_external_embedder_ignores_dim(tmp_path):
+    corpus = _synth(tmp_path)
+    emb = _embed(tmp_path, corpus, dim="8")
+    out = tmp_path / "ext"
+    assert run(
+        ["embed", "--corpus", str(corpus), "--embedder", "external", "--embeddings", str(emb),
+         "--dim", "1", "--out", str(out)]
+    ) == 0
+    rows = d4kit.read_embeddings(str(out / "embeddings.d4em"))
+    assert rows.d == 8 and rows.n == len(d4kit.load_corpus(str(corpus)))
+    assert _read_json(out / "summary.json")["dim"] == 8
+
+
+def test_diagnose_records_default_std_threshold(tmp_path):
+    corpus = _synth(tmp_path)
+    emb = _embed(tmp_path, corpus)
+    out = tmp_path / "k"
+    assert run(["cluster", "--embeddings", str(emb), "--k", "3", "--out", str(out)]) == 0
+    diag = tmp_path / "g"
+    assert run(
+        ["diagnose", "--embeddings", str(emb), "--clustering", str(out / "clustering.d4km"), "--out", str(diag)]
+    ) == 0
+    assert _read_json(diag / "config.json")["std_threshold"] == 0.03
 
 
 class TestErrors:

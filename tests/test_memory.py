@@ -1,4 +1,4 @@
-"""Every stage's memory is O(n * d).
+"""Every stage's memory is O(n * d), and MinHash's O(n) plus one block.
 
 Each stage runs at n and 4n points (and a validation set 4x larger too),
 under ``tracemalloc``. Its peak may grow at most 4.5x, where a stage
@@ -21,10 +21,12 @@ from d4kit import (
     EmbedderSpec,
     EmbeddingMatrix,
     KmeansConfig,
+    LshConfig,
     analyze_clustering,
     d4,
     embed_corpus,
     kmeans_spherical,
+    lsh_dedup,
     nn_to_train,
     read_embeddings,
     semdedup,
@@ -102,3 +104,25 @@ def test_stage_peak_linear_in_n(stage, tmp_path):
     for n, peak in peaks.items():
         assert peak < MULTIPLE * n * D * 8, (n, peak / (n * D * 8))
     assert peaks[SIZES[1]] <= 4.5 * peaks[SIZES[0]], peaks
+
+
+def _lsh_call(n_docs: int, words: int):
+    """A zero-argument ``lsh_dedup`` of n_docs documents of ``words`` random words each."""
+    rng = np.random.default_rng(n_docs * words)
+    vocab = np.array([f"w{i}" for i in range(5000)])
+    texts = [" ".join(row) for row in vocab[rng.integers(0, len(vocab), size=(n_docs, words))]]
+    docs = DocumentSet.from_documents(
+        [Document(id=f"d{i:05d}", text=t, token_count=words) for i, t in enumerate(texts)]
+    )
+    return lambda: lsh_dedup(docs, LshConfig(seed=0))
+
+
+def test_lsh_dedup_peak_bounded_by_sign_block():
+    # 500 documents of 50 words already fill several signing blocks. Longer
+    # documents add shingles but not blocks in flight, so only the per-document
+    # arrays (one signature row, band heads, labels) grow with the corpus.
+    base = _peak(_lsh_call(500, 50))
+    longer = _peak(_lsh_call(500, 200))
+    more = _peak(_lsh_call(2000, 50))
+    assert longer <= 1.5 * base, (base, longer)
+    assert more <= 4.5 * base, (base, more)

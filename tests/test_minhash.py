@@ -1,9 +1,10 @@
 import itertools
 import operator
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from d4kit import (
@@ -18,9 +19,10 @@ from d4kit import (
     synthesize_corpus,
 )
 
-from d4kit.minhash import _band_heads
+from d4kit import minhash as minhash_mod
+from d4kit.minhash import _band_heads, _signatures
 
-from oracles import OracleUnionFind, exact_jaccard, minhash_signature_oracle
+from oracles import OracleUnionFind, exact_jaccard, minhash_signature_oracle, shingles_oracle
 
 
 def _docs(texts, ids=None):
@@ -43,6 +45,10 @@ class TestShingles:
     @given(st.text(alphabet="ab ", max_size=40), st.integers(min_value=1, max_value=4))
     def test_never_empty(self, text, w):
         assert len(shingles(text, w)) >= 1
+
+    @given(st.text(alphabet="ab\u00e9\u6f22 \t\n\u00a0\u3000", max_size=40), st.integers(1, 6))
+    def test_matches_index_definition(self, text, w):
+        assert shingles(text, w) == shingles_oracle(text, w)
 
 
 class TestSignature:
@@ -108,6 +114,48 @@ class TestSignature:
     def test_negative_band_shape_rejected(self):
         with pytest.raises(ValidationError):
             LshConfig(num_hashes=20, bands=-1, rows_per_band=-20)
+
+
+# Few distinct words make repeated windows likely; the alphabet holds
+# non-ASCII letters and Unicode whitespace (no-break and ideographic space).
+_WORDY_TEXT = st.text(alphabet="ab\u00e9\u00df\u6f22\U0001f600 \t\n\u00a0\u2003\u3000", max_size=60)
+
+
+class TestSignatures:
+    @given(
+        texts=st.lists(_WORDY_TEXT, max_size=12),
+        w=st.integers(1, 6),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        num_hashes=st.integers(1, 8),
+        block=st.integers(1, 64),
+    )
+    # Sets of 3, 3, 10 and 1 shingles in blocks of 4: the first block closes
+    # inside the second set, the third set alone exceeds a block, and the
+    # last set is signed after the loop.
+    @example(
+        texts=["a b c", "b c d", " ".join("abcdefghij"), ""], w=1, seed=2**65 + 3, num_hashes=3, block=4
+    )
+    def test_rows_match_scalar_oracle(self, texts, w, seed, num_hashes, block):
+        cfg = LshConfig(num_hashes=num_hashes, bands=num_hashes, rows_per_band=1, shingle_width=w, seed=seed)
+        with mock.patch.object(minhash_mod, "_SIGN_BLOCK", block):
+            rows = _signatures((shingles(t, w) for t in texts), cfg)
+        assert rows.shape == (len(texts), num_hashes) and rows.dtype == np.uint64
+        for text, row in zip(texts, rows.tolist()):
+            assert tuple(row) == minhash_signature_oracle(shingles_oracle(text, w), seed, num_hashes)
+
+    def test_empty_corpus(self):
+        rows = _signatures(iter(()), LshConfig(num_hashes=4, bands=4, seed=1))
+        assert rows.shape == (0, 4) and rows.dtype == np.uint64
+
+    def test_single_document(self):
+        sh = shingles("one document of several words", 2)
+        rows = _signatures([sh], LshConfig(seed=9))
+        assert rows.tolist() == [list(minhash_signature_oracle(sh, 9, 20))]
+        assert tuple(rows[0].tolist()) == signature(sh, LshConfig(seed=9)).values
+
+    def test_empty_set_rejected_mid_corpus(self):
+        with pytest.raises(ValidationError):
+            _signatures([frozenset({"a"}), frozenset()], LshConfig())
 
 
 class TestLshDedup:
