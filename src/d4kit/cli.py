@@ -6,8 +6,8 @@ All randomness fans out from the single ``--seed`` by stable hashing of
 (seed, stage name), and outputs are byte-identical across runs and thread
 counts.
 
-Exit codes: 0 success, 1 validation or usage error, 2 I/O or file-format
-error.
+Exit codes: 0 success, 1 validation or usage error or an allocation that
+failed (``MemoryError``), 2 I/O or file-format error.
 
 Each subcommand imports the library modules it runs, so a command loads
 only those (``minhash`` never loads the embedding-space stages).
@@ -200,6 +200,10 @@ def cmd_embed(args: argparse.Namespace) -> None:
         path=args.embeddings,
     )
     m = embed_mod.embed_corpus(docs, spec)
+    if m.d != args.dim:
+        # The external embedder keeps its file's width, whatever --dim says.
+        args.dim = m.d
+        _prepare_out(args)
     embed_mod.write_embeddings(m, str(out / "embeddings.d4em"))
     _write_json(out / "summary.json", {"n": m.n, "dim": m.d})
     print(f"embed: {m.n} rows, dim {m.d}")
@@ -562,8 +566,9 @@ def run(argv: list[str]) -> int:
     except (ParseError, FormatError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, MemoryError) as exc:
+        # numpy's MemoryError names the allocation it refused; a bare one has no message.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     return 0
 

@@ -89,34 +89,48 @@ class D4Config:
     kmeans: KmeansConfig = field(default_factory=KmeansConfig)
 
     def __post_init__(self):
-        if not 0.0 < self.r_dedup <= 1.0:
-            raise ValidationError("r_dedup must be in (0, 1]")
-        if not 0.0 < self.r_proto <= 1.0:
-            raise ValidationError("r_proto must be in (0, 1]")
+        _check_ratio("r_dedup", self.r_dedup)
+        _check_ratio("r_proto", self.r_proto)
 
     @property
     def r_overall(self) -> float:
         return self.r_dedup * self.r_proto
 
 
+def _check_ratio(name: str, r: float) -> None:
+    if not 0.0 < r <= 1.0:
+        raise ValidationError(f"{name} must be in (0, 1]")
+
+
+def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str) -> None:
+    if not emb.normalized:
+        raise ValidationError(f"{method} requires a normalized embedding matrix")
+    clustering.validate_for(emb)
+
+
+def _result(
+    method: str, r_target: float, ids: tuple[str, ...], rows: np.ndarray, scores: np.ndarray, **extra
+) -> SelectionResult:
+    """The result of keeping ``ids[rows]``; ``rows`` ascend and ``scores`` align with them."""
+    return SelectionResult(
+        method=method,
+        r_target=r_target,
+        kept_ids=tuple(ids[i] for i in rows.tolist()),
+        scores=tuple(scores.tolist()),
+        n_source=len(ids),
+        fingerprint=source_fingerprint(ids),
+        **extra,
+    )
+
+
 def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> SelectionResult:
     """Uniform sample without replacement of round(r * n) ids."""
-    if not 0.0 < r <= 1.0:
-        raise ValidationError("selection ratio must be in (0, 1]")
+    _check_ratio("selection ratio", r)
     ids = tuple(ids)
     n = len(ids)
-    n_keep = _round_half_up(r * n)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
-    chosen = np.sort(rng.choice(n, size=n_keep, replace=False))
-    kept = tuple(ids[i] for i in chosen)
-    return SelectionResult(
-        method=f"random(seed={seed})",
-        r_target=r,
-        kept_ids=kept,
-        scores=(0.0,) * len(kept),
-        n_source=n,
-        fingerprint=source_fingerprint(ids),
-    )
+    rows = np.sort(rng.choice(n, size=_round_half_up(r * n), replace=False))
+    return _result(f"random(seed={seed})", r, ids, rows, np.zeros(rows.size))
 
 
 def _id_rank(ids: tuple[str, ...]) -> np.ndarray:
@@ -173,15 +187,6 @@ def _spanning_forest(
     return np.concatenate(heads)[order], np.concatenate(tails)[order], weights[order]
 
 
-def semdedup_kept_counts(
-    emb: EmbeddingMatrix, clustering: Clustering, epsilons: list[float]
-) -> list[int]:
-    """Kept-document counts at each epsilon, read off the spanning forest."""
-    weights = _spanning_forest(emb, clustering)[2][::-1]  # lightest first
-    merged = weights.size - np.searchsorted(weights, [1.0 - e for e in epsilons], side="right")
-    return [clustering.n - int(m) for m in merged]
-
-
 def _choose_cut(
     X: np.ndarray, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
     n: int, r_target: float, tol: float,
@@ -219,6 +224,41 @@ def _choose_cut(
     return m, eps, kept
 
 
+def _semdedup(
+    emb: EmbeddingMatrix, clustering: Clustering, r_dedup: float, keep_rule: str, tol: float
+) -> tuple[np.ndarray, SelectionResult]:
+    """SemDeDup's kept rows, ascending, and its result, on checked inputs."""
+    n = emb.n
+    heads, tails, weights = _spanning_forest(emb, clustering)
+    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, tol)
+    # The m heaviest forest edges join each epsilon-component; its label is
+    # its lowest index, used only to group members in the lexsort below.
+    labels = components(n, heads[:m], tails[:m])
+
+    # Each component keeps its member farthest from (or nearest to) the
+    # centroid, ties to the lowest id.
+    distance = clustering.distance
+    sign = -1.0 if keep_rule == "farthest" else 1.0
+    order = np.lexsort((_id_rank(emb.ids), sign * distance, labels))
+    first = np.ones(n, dtype=bool)
+    first[1:] = labels[order[1:]] != labels[order[:-1]]
+    rows = np.sort(order[first])
+
+    warnings = ()
+    if n and abs(rows.size / n - r_dedup) > tol:
+        # Achievable counts run high to low: the nearest on either side.
+        below = achievable[achievable < r_dedup * n][:1]
+        above = achievable[achievable > r_dedup * n][-1:]
+        nearest = " / ".join(f"{k / n:.4f}" for k in (*below, *above))
+        warnings = (
+            f"target kept fraction {r_dedup:.4f} unreachable; "
+            f"closest achievable: {nearest}; "
+            f"kept {rows.size / n:.4f} at epsilon {eps:.6g}",
+        )
+    method = f"semdedup(r_dedup={r_dedup:g}, keep_rule={keep_rule})"
+    return rows, _result(method, r_dedup, emb.ids, rows, distance[rows], epsilon_used=eps, warnings=warnings)
+
+
 def semdedup(
     emb: EmbeddingMatrix,
     clustering: Clustering,
@@ -237,52 +277,22 @@ def semdedup(
     a warning naming the nearest achievable fractions on either side is
     recorded on the result.
     """
-    if not 0.0 < r_dedup <= 1.0:
-        raise ValidationError("r_dedup must be in (0, 1]")
+    _check_ratio("r_dedup", r_dedup)
     if keep_rule not in ("farthest", "nearest"):
         raise ValidationError(f"unknown keep_rule: {keep_rule!r}")
-    if not emb.normalized:
-        raise ValidationError("semdedup requires a normalized embedding matrix")
-    clustering.validate_for(emb)
+    _check_inputs(emb, clustering, "semdedup")
+    return _semdedup(emb, clustering, r_dedup, keep_rule, tol)[1]
 
-    n = emb.n
-    heads, tails, weights = _spanning_forest(emb, clustering)
-    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, tol)
-    # The m heaviest forest edges join each epsilon-component; its label is
-    # its lowest index, used only to group members in the lexsort below.
-    labels = components(n, heads[:m], tails[:m])
 
-    # Each component keeps its member farthest from (or nearest to) the
-    # centroid, ties to the lowest id.
-    ids = emb.ids
-    distance = clustering.distance
-    sign = -1.0 if keep_rule == "farthest" else 1.0
-    order = np.lexsort((_id_rank(ids), sign * distance, labels))
-    first = np.ones(n, dtype=bool)
-    first[1:] = labels[order[1:]] != labels[order[:-1]]
-    keep_idx = np.sort(order[first])
-
-    warnings = ()
-    if n and abs(keep_idx.size / n - r_dedup) > tol:
-        # Achievable counts run high to low: the nearest on either side.
-        below = achievable[achievable < r_dedup * n][:1]
-        above = achievable[achievable > r_dedup * n][-1:]
-        nearest = " / ".join(f"{k / n:.4f}" for k in (*below, *above))
-        warnings = (
-            f"target kept fraction {r_dedup:.4f} unreachable; "
-            f"closest achievable: {nearest}; "
-            f"kept {keep_idx.size / n:.4f} at epsilon {eps:.6g}",
-        )
-    return SelectionResult(
-        method=f"semdedup(r_dedup={r_dedup:g}, keep_rule={keep_rule})",
-        r_target=r_dedup,
-        kept_ids=tuple(ids[i] for i in keep_idx),
-        scores=tuple(float(distance[i]) for i in keep_idx),
-        n_source=n,
-        fingerprint=source_fingerprint(ids),
-        epsilon_used=eps,
-        warnings=warnings,
-    )
+def _prototypes(
+    ids: tuple[str, ...], distance: np.ndarray, r_proto: float
+) -> tuple[np.ndarray, SelectionResult]:
+    """Prototype pruning's kept rows, ascending, and its result, on checked inputs."""
+    n_discard = _round_half_up((1.0 - r_proto) * len(ids))
+    keep = np.ones(len(ids), dtype=bool)
+    keep[np.lexsort((_id_rank(ids), distance))[:n_discard]] = False
+    rows = np.flatnonzero(keep)
+    return rows, _result(f"prototypes(r_proto={r_proto:g})", r_proto, ids, rows, distance[rows])
 
 
 def ssl_prototypes(
@@ -293,27 +303,9 @@ def ssl_prototypes(
     Ranking is global across clusters; ties break by discarding the lowest
     id first. Scores are distances to the assigned (nearest) centroid.
     """
-    if not 0.0 < r_proto <= 1.0:
-        raise ValidationError("r_proto must be in (0, 1]")
-    if not emb.normalized:
-        raise ValidationError("prototype pruning requires a normalized embedding matrix")
-    clustering.validate_for(emb)
-
-    n = emb.n
-    n_discard = _round_half_up((1.0 - r_proto) * n)
-    ids = emb.ids
-    distance = clustering.distance
-    keep = np.ones(n, dtype=bool)
-    keep[np.lexsort((_id_rank(ids), distance))[:n_discard]] = False
-    keep_idx = np.flatnonzero(keep)
-    return SelectionResult(
-        method=f"prototypes(r_proto={r_proto:g})",
-        r_target=r_proto,
-        kept_ids=tuple(ids[i] for i in keep_idx),
-        scores=tuple(float(distance[i]) for i in keep_idx),
-        n_source=n,
-        fingerprint=source_fingerprint(ids),
-    )
+    _check_ratio("r_proto", r_proto)
+    _check_inputs(emb, clustering, "prototype pruning")
+    return _prototypes(emb.ids, clustering.distance, r_proto)[1]
 
 
 def d4(
@@ -337,46 +329,42 @@ def d4(
     """
     if clustering is None:
         clustering = kmeans_spherical(emb, cfg.kmeans)
+    _check_inputs(emb, clustering, "semdedup")
 
-    stage1 = semdedup(emb, clustering, cfg.r_dedup)
-    kept_set = set(stage1.kept_ids)
-    keep_idx = np.array([i for i, doc_id in enumerate(emb.ids) if doc_id in kept_set])
-    sub = emb.subset(keep_idx)
-
+    rows1, stage1 = _semdedup(emb, clustering, cfg.r_dedup, "farthest", SEMDEDUP_RATIO_TOL)
+    sub = emb.subset(rows1)
+    # Either clustering describes ``sub`` by construction, so stage 3 needs no check.
     if cfg.recluster:
         sub_clustering = kmeans_spherical(sub, cfg.kmeans)
     else:
         sub_clustering = Clustering(
             centroids=clustering.centroids,
-            assignment=clustering.assignment[keep_idx],
-            distance=clustering.distance[keep_idx],
+            assignment=clustering.assignment[rows1],
+            distance=clustering.distance[rows1],
             k=clustering.k,
             seed=clustering.seed,
         )
-
-    stage3 = ssl_prototypes(sub, sub_clustering, cfg.r_proto)
+    rows3, stage3 = _prototypes(sub.ids, sub_clustering.distance, cfg.r_proto)
     if artifacts is not None:
         artifacts["stage1_clustering"] = clustering
         artifacts["stage2_embeddings"] = sub
         artifacts["stage2_clustering"] = sub_clustering
 
     warnings = list(stage1.warnings)
-    overall = stage3.n_kept / emb.n if emb.n else 0.0
-    if abs(overall - cfg.r_overall) > D4_RATIO_TOL:
+    if emb.n and abs(rows3.size / emb.n - cfg.r_overall) > D4_RATIO_TOL:
         warnings.append(
-            f"overall kept fraction {overall:.4f} outside {D4_RATIO_TOL} of "
+            f"overall kept fraction {rows3.size / emb.n:.4f} outside {D4_RATIO_TOL} of "
             f"target {cfg.r_overall:.4f}"
         )
-    return SelectionResult(
-        method=(
+    return _result(
+        (
             f"d4(r_dedup={cfg.r_dedup:g}, r_proto={cfg.r_proto:g}, "
             f"recluster={str(cfg.recluster).lower()})"
         ),
-        r_target=cfg.r_overall,
-        kept_ids=stage3.kept_ids,
-        scores=stage3.scores,
-        n_source=emb.n,
-        fingerprint=source_fingerprint(emb.ids),
+        cfg.r_overall,
+        emb.ids,
+        rows1[rows3],
+        sub_clustering.distance[rows3],
         epsilon_used=stage1.epsilon_used,
         stages=(stage1, stage3),
         warnings=tuple(warnings),

@@ -5,12 +5,16 @@ criterion (a failed assert marks the criterion failed).
 """
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import d4kit
 from d4kit import (
     CostModel,
     D4Config,
@@ -362,3 +366,45 @@ def test_c10_pipeline_determinism(tmp_path):
             assert a.read_bytes() == b.read_bytes(), rel
             assert a.read_bytes() == c.read_bytes(), rel
     _ok(10, "synth -> embed -> cluster -> select d4 -> diagnose byte-identical across runs and threads 1 vs 8")
+
+
+def test_pipeline_bytes_independent_of_blas_threads(tmp_path):
+    # --threads starts no thread; the arithmetic that can vary with threads
+    # is BLAS's. At 6,000 x 128 and k = 40, OpenBLAS splits the gemms over
+    # its threads, so each run sets its BLAS thread count in its children.
+    src = str(Path(d4kit.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        root = tmp_path / f"blas{threads}"
+        emb = str(root / "embed" / "embeddings.d4em")
+        km = str(root / "cluster" / "clustering.d4km")
+        steps = [
+            ["synth", "--out", str(root / "synth"), "--n-topics", "20", "--docs-per-topic", "300",
+             "--template-groups", "40", "--dupes-per-group", "5", "--mutation-rate", "0.01"],
+            ["embed", "--corpus", str(root / "synth" / "corpus.jsonl"), "--dim", "128",
+             "--out", str(root / "embed")],
+            ["cluster", "--embeddings", emb, "--k", "40", "--out", str(root / "cluster")],
+            ["select", "--embeddings", emb, "--clustering", km, "--method", "d4",
+             "--r-dedup", "0.8", "--r-proto", "0.5", "--out", str(root / "select")],
+            ["nn", str(root / "select" / "stage2_embeddings.d4em"), "--embeddings", emb,
+             "--out", str(root / "nn")],
+            ["diagnose", "--embeddings", emb, "--clustering", km, "--out", str(root / "diagnose")],
+        ]
+        env = {
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        for argv in steps:
+            proc = subprocess.run(
+                [sys.executable, "-m", "d4kit.cli", *argv, "--seed", "5"],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, (argv, proc.stderr)
+        runs[threads] = {
+            p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file() and p.name != "config.json"
+        }
+    assert sorted(runs["1"]) == sorted(runs["2"])
+    for rel, data in runs["1"].items():
+        assert data == runs["2"][rel], rel

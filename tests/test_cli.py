@@ -41,6 +41,19 @@ def _synth(tmp_path, name="corpus", **kw) -> Path:
     return out / "corpus.jsonl"
 
 
+def _write_empty_pair(base: Path) -> tuple[str, str]:
+    """A 0-row ``.d4em`` and a matching 0-point ``.d4km`` (k = 1, d = 8)."""
+    emb, km = base / "empty.d4em", base / "empty.d4km"
+    d4kit.write_embeddings(
+        d4kit.EmbeddingMatrix(ids=(), vectors=np.zeros((0, 8), dtype=np.float32), normalized=True), str(emb)
+    )
+    d4kit.write_clustering(
+        d4kit.Clustering(centroids=np.eye(1, 8), assignment=np.zeros(0, dtype=np.intp), distance=np.zeros(0), k=1),
+        str(km),
+    )
+    return str(emb), str(km)
+
+
 def _embed(tmp_path, corpus: Path, name="emb", dim="32") -> Path:
     out = tmp_path / name
     assert run(["embed", "--corpus", str(corpus), "--dim", dim, "--seed", "1", "--out", str(out)]) == 0
@@ -244,6 +257,7 @@ def test_external_embedder_ignores_dim(tmp_path):
     rows = d4kit.read_embeddings(str(out / "embeddings.d4em"))
     assert rows.d == 8 and rows.n == len(d4kit.load_corpus(str(corpus)))
     assert _read_json(out / "summary.json")["dim"] == 8
+    assert _read_json(out / "config.json")["dim"] == 8
 
 
 def test_diagnose_records_default_std_threshold(tmp_path):
@@ -306,6 +320,30 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
 
+    def test_refused_allocation_exits_1_with_one_error_line(self, tmp_path, capsys):
+        # 2 x 2**57 float32 is 1 EiB, which numpy refuses at once rather than allocating.
+        corpus = tmp_path / "two.jsonl"
+        corpus.write_text('{"id": "a", "text": "one"}\n{"id": "b", "text": "two"}\n', encoding="utf-8")
+        code = run(["embed", "--corpus", str(corpus), "--dim", str(2**57), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flags, code, err",
+        [([], 1, ["error: cannot cluster an empty matrix"]), (["--no-recluster"], 0, [])],
+    )
+    def test_d4_on_empty_matrix(self, tmp_path, capsys, flags, code, err):
+        emb, km = _write_empty_pair(tmp_path)
+        out = tmp_path / "sel"
+        argv = ["select", "--embeddings", emb, "--clustering", km, "--method", "d4",
+                "--r-dedup", "0.8", "--r-proto", "0.5", *flags, "--out", str(out)]
+        assert run(argv) == code
+        assert capsys.readouterr().err.splitlines() == err
+        if code == 0:
+            summary = _read_json(out / "summary.json")
+            assert (summary["n_kept"], summary["n_source"]) == (0, 0)
+            assert (out / "selection.jsonl").read_bytes() == b""
 
     def test_nan_embeddings_exit_1_with_one_error_line(self, tmp_path, capsys):
         rows = np.eye(2, 4, dtype="<f4")
@@ -687,12 +725,15 @@ def valid_inputs(tmp_path_factory) -> dict[str, str]:
     ]
     for argv in steps:
         assert run(argv) == 0
+    empty_embeddings, empty_clustering = _write_empty_pair(base)
     return {
         "corpus": str(base / "synth" / "corpus.jsonl"),
         "embeddings": str(base / "embed" / "embeddings.d4em"),
         "clustering": str(base / "cluster" / "clustering.d4km"),
         "selection": str(base / "selection"),
         "scores": str(base / "selection" / "selection.jsonl"),
+        "empty_embeddings": empty_embeddings,
+        "empty_clustering": empty_clustering,
     }
 
 
@@ -776,7 +817,10 @@ _BASES = {
 }
 _INTS = ["-1", "0", "1", "2", "3"]
 _FLOATS = ["-1", "0", "1e-9", "0.5", "1", "1.5", "nan", "inf", "-inf", "1e400"]
-_PATHS = ["corpus", "embeddings", "clustering", "selection", "scores", "", "missing"]
+_PATHS = [
+    "corpus", "embeddings", "clustering", "selection", "scores", "empty_embeddings", "empty_clustering",
+    "", "missing",
+]
 
 
 def _candidates(action: argparse.Action) -> list[str]:

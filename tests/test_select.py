@@ -17,7 +17,7 @@ from d4kit import (
     ssl_prototypes,
 )
 from d4kit.diagnostics import find_duplicate_driven_clusters
-from d4kit.select import SEMDEDUP_RATIO_TOL, semdedup_kept_counts
+from d4kit.select import SEMDEDUP_RATIO_TOL, _spanning_forest
 
 from oracles import prototypes_oracle, scalar_dot, semdedup_oracle
 
@@ -31,6 +31,12 @@ def _random_emb(n, d, seed):
         vectors=rows.astype(np.float32),
         normalized=True,
     )
+
+
+def _kept_counts(emb, clustering, epsilons):
+    """Kept-document counts at each epsilon: n minus the forest edges heavier than 1 - epsilon."""
+    weights = _spanning_forest(emb, clustering)[2]
+    return [emb.n - int(np.count_nonzero(weights > 1.0 - e)) for e in epsilons]
 
 
 def _clustering_from_centroids(emb, centroids):
@@ -115,7 +121,7 @@ class TestSemdedup:
 
     def test_kept_count_monotone_in_epsilon(self, planted_emb, planted_clustering):
         eps_grid = [0.0, 0.05, 0.1, 0.3, 0.5, 1.0, 1.5, 2.0]
-        counts = semdedup_kept_counts(planted_emb, planted_clustering, eps_grid)
+        counts = _kept_counts(planted_emb, planted_clustering, eps_grid)
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_unreachable_ratio_warns_with_closest(self, planted_emb, planted_clustering):
@@ -174,7 +180,7 @@ class TestSemdedup:
             normalized=True,
         )
         c = _clustering_from_centroids(emb, np.array([[0.0, 1.0]]))
-        assert semdedup_kept_counts(emb, c, [0.0, 1.0, 2.0]) == [2, 2, 2]
+        assert _kept_counts(emb, c, [0.0, 1.0, 2.0]) == [2, 2, 2]
         r = semdedup(emb, c, 0.5)
         assert r.kept_ids == ("a", "b")
         assert "closest achievable: 1.0000;" in r.warnings[0]
@@ -290,7 +296,7 @@ class TestSpanningForest:
     def test_kept_counts_match_union_find_oracle(self, case, epsilons):
         emb, c = case
         expected = [len(semdedup_oracle(*_oracle_args(emb, c), e)) for e in epsilons]
-        assert semdedup_kept_counts(emb, c, epsilons) == expected
+        assert _kept_counts(emb, c, epsilons) == expected
 
     @given(_small_clustering(), st.integers(1, 32), st.floats(0.01, 1.0), st.booleans())
     def test_kept_ratio_is_closest_achievable(self, case, half_steps, r_free, on_half_step):
