@@ -10,13 +10,14 @@ Exit codes: 0 success, 1 validation or usage error or an allocation that
 failed (``MemoryError``), 2 I/O or file-format error.
 
 Each subcommand imports the library modules it runs, so a command loads
-only those (``minhash`` never loads the embedding-space stages).
+only those (``minhash`` never loads the embedding-space stages), and
+``hashlib`` is imported only by the functions that hash, so a command that
+never hashes never loads OpenSSL.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -35,6 +36,8 @@ if TYPE_CHECKING:
 
 def stage_seed(seed: int, stage: str) -> int:
     """Derive a per-stage seed so stages never share randomness."""
+    import hashlib
+
     digest = hashlib.blake2b(
         f"{seed}:{stage}".encode("utf-8"), digest_size=8
     ).digest()
@@ -165,7 +168,6 @@ def cmd_minhash(args: argparse.Namespace) -> None:
     from . import minhash as minhash_mod
 
     out = _prepare_out(args)
-    docs = corpus_mod.load_corpus(args.corpus)
     cfg = minhash_mod.LshConfig(
         num_hashes=args.num_hashes,
         bands=args.bands,
@@ -173,33 +175,35 @@ def cmd_minhash(args: argparse.Namespace) -> None:
         shingle_width=args.shingle_width,
         seed=stage_seed(args.seed, "minhash"),
     )
-    result = minhash_mod.lsh_dedup(docs, cfg)
+    result = minhash_mod.lsh_dedup(corpus_mod.iter_records(args.corpus), cfg)
+    # Each group keeps one member, and every document outside a group is kept.
+    n_source = len(result.kept_ids) + sum(len(g.member_ids) - 1 for g in result.groups)
     _write_lines(out / "kept_ids.txt", result.kept_ids)
     _write_lines(out / "groups.jsonl", (json.dumps(vars(g)) for g in result.groups))
     _write_json(
         out / "summary.json",
         {
-            "n_source": len(docs),
+            "n_source": n_source,
             "n_kept": len(result.kept_ids),
             "n_groups": len(result.groups),
         },
     )
-    print(f"minhash: kept {len(result.kept_ids)}/{len(docs)}, {len(result.groups)} duplicate groups")
+    print(f"minhash: kept {len(result.kept_ids)}/{n_source}, {len(result.groups)} duplicate groups")
 
 
 def cmd_embed(args: argparse.Namespace) -> None:
     from . import embed as embed_mod
 
     out = _prepare_out(args)
-    docs = corpus_mod.load_corpus(args.corpus)
     spec = embed_mod.EmbedderSpec(
         kind=args.embedder,
         dim=args.dim,
-        seed=stage_seed(args.seed, "embed"),
+        # External vectors are read as they are, so only the hash embedder needs a seed.
+        seed=stage_seed(args.seed, "embed") if args.embedder == "hash" else 0,
         chunk_size=args.chunk_size,
         path=args.embeddings,
     )
-    m = embed_mod.embed_corpus(docs, spec)
+    m = embed_mod.embed_corpus(corpus_mod.iter_records(args.corpus), spec)
     if m.d != args.dim:
         # The external embedder keeps its file's width, whatever --dim says.
         args.dim = m.d

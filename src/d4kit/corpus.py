@@ -3,6 +3,9 @@
 A corpus file is newline-delimited JSON, one record per document, with
 fields ``id`` (string), ``text`` (string) and an optional ``meta`` object.
 File order is preserved everywhere; nothing in this module shuffles.
+:func:`iter_records` is the one corpus reader: it yields a file's records
+one at a time, so a stage that reads them once holds one record, and
+:func:`load_corpus` collects them into a :class:`DocumentSet`.
 
 The synthetic generator plants two kinds of structure that downstream
 stages can be tested against: topic clusters (bags of topic-biased
@@ -17,7 +20,7 @@ import math
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterator
+from typing import IO, Any, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -152,13 +155,22 @@ def open_output(path, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
-    """Load a JSONL corpus file, preserving file order.
+class Record(NamedTuple):
+    """One corpus record, as :func:`iter_records` yields it."""
 
-    Raises :class:`ParseError` (with the line number) for malformed lines
-    and :class:`ValidationError` for duplicate ids.
+    id: str
+    text: str
+    meta: dict[str, Any] | None
+
+
+def iter_records(path: str) -> Iterator[Record]:
+    """Yield each record of a JSONL corpus file, in file order, as it is read.
+
+    Raises :class:`ParseError` (with the line number) for a malformed line
+    and :class:`ValidationError` for a duplicate id, when that line is
+    reached. Only each id's first line is kept, so a pass over the file
+    holds O(n) ids and one record.
     """
-    docs: list[Document] = []
     first_line: dict[str, int] = {}
     for lineno, rec in read_jsonl(path):
         if not isinstance(rec, dict):
@@ -180,8 +192,28 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
             raise ValidationError(f"line {lineno}: duplicate document id {doc_id!r}"
                                   f" (first seen on line {first_line[doc_id]})")
         first_line[doc_id] = lineno
-        docs.append(Document(id=doc_id, text=text, token_count=count_tokens(text, token_counter), meta=meta))
-    return DocumentSet.from_documents(docs)
+        yield Record(doc_id, text, meta)
+
+
+def iter_texts(docs: Iterable[Document | Record], ids: list[str]) -> Iterator[str]:
+    """Each document's text, in order, appending its id to ``ids`` as it is reached.
+
+    So a stage reads its documents in one pass and keeps only their ids.
+    """
+    for d in docs:
+        ids.append(d.id)
+        yield d.text
+
+
+def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
+    """Load a JSONL corpus file, preserving file order.
+
+    Raises :class:`ParseError` (with the line number) for malformed lines
+    and :class:`ValidationError` for duplicate ids.
+    """
+    return DocumentSet.from_documents(
+        [Document(r.id, r.text, count_tokens(r.text, token_counter), r.meta) for r in iter_records(path)]
+    )
 
 
 def write_corpus(docs: DocumentSet, path: str) -> None:

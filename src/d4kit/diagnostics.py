@@ -10,13 +10,16 @@ reports, and binned aggregation of externally supplied per-document scores
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cluster import Clustering, _nearest
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
-from .select import SelectionResult
+
+if TYPE_CHECKING:
+    from .select import SelectionResult
 
 STD_THRESHOLD = 0.03
 

@@ -17,11 +17,16 @@ corpus. With chunking, each chunk is a row of the block and a document's
 chunk rows are averaged as the block closes. ``feature_hash_embed`` is the
 same routine on a one-text corpus, so there is one hashing path.
 
+``embed_corpus`` reads its documents once, from any iterable such as
+``corpus.iter_records``, so no text outlives its block: embedding a corpus
+file holds the ids, the n x d output and one block, however long the texts.
+
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
 is written and read a block at a time, and rows are normalized a block at a
 time. So ingesting external vectors takes at most 1.5 * n * d * 8 bytes plus
 the ids (the float64 matrix read, then the float32 rows beside the float64
-``EmbeddingMatrix``), and writing takes one block beyond the matrix.
+``EmbeddingMatrix``), and writing takes one block beyond the matrix. The
+corpus is read for its ids alone, one record at a time.
 
 Empty documents map to the basis vector e_0. This is a deliberate sentinel
 so corpora with blank documents flow through instead of erroring; callers
@@ -37,22 +42,24 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import hashing
-from .corpus import DocumentSet, open_output
+from .corpus import Document, Record, iter_texts, open_output
 from .errors import FormatError, ValidationError
 
 MAGIC = b"D4EM"
 VERSION = 1
 NORM_TOL = 1e-5
 
-# A block of documents closes once its tokens, plus d per row of bucket
-# counts (one per document, or per chunk with chunking), reach this many. So
-# neither long documents nor runs of short ones can grow the block's working
-# arrays.
-_BLOCK_SIZE = 1 << 14
+# A block of documents closes once its tokens, plus d / 8 per row of bucket
+# counts (one per document, or per chunk with chunking), reach this many. A
+# row's float64 counts and their normalized copies take about the working
+# memory of d / 8 tokens' strings, ids and features, so neither long
+# documents nor runs of short ones can grow the block's working arrays.
+_BLOCK_SIZE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,32 @@ def _chunk_mean(rows: np.ndarray) -> np.ndarray:
     return _normalize(mean).astype(np.float32)
 
 
-def _hash_embed(texts: list[str], d: int, seed: int, chunk_size: int | None = None) -> np.ndarray:
+def _token_blocks(
+    texts: Iterable[str], d: int, chunk_size: int | None
+) -> Iterator[tuple[list[str], list[int], list[int]]]:
+    """The texts in blocks, as (tokens, tokens per row, rows per text).
+
+    A block closes once its tokens plus d / 8 per row reach ``_BLOCK_SIZE``.
+    """
+    tokens: list[str] = []
+    lengths: list[int] = []
+    counts: list[int] = []
+    size = 0
+    for text in texts:
+        doc = text.split()
+        rows = _chunk_lengths(len(doc), chunk_size)
+        tokens.extend(doc)
+        lengths.extend(rows)
+        counts.append(len(rows))
+        size += len(doc) + len(rows) * d // 8
+        if size >= _BLOCK_SIZE:
+            yield tokens, lengths, counts
+            tokens, lengths, counts, size = [], [], [], 0
+    if counts:
+        yield tokens, lengths, counts
+
+
+def _hash_embed(texts: Iterable[str], d: int, seed: int, chunk_size: int | None = None) -> np.ndarray:
     """Feature-hash each text into one L2-normalized float32 row.
 
     A text gives one row of features, or with ``chunk_size`` one row per
@@ -203,31 +235,18 @@ def _hash_embed(texts: list[str], d: int, seed: int, chunk_size: int | None = No
     rows. Bigrams never cross a chunk boundary.
 
     Token ids come from one vocabulary kept across the corpus, and each
-    token's unigram is hashed once. Texts are taken in blocks; within a block
-    each distinct bigram is hashed once, and the block's signed bucket counts
-    come from one ``bincount``. The counts are sums of +-1, exact in float64,
-    so neither the order nor the grouping of the additions matters.
+    token's unigram is hashed once. ``texts`` is read once, in blocks
+    (:func:`_token_blocks`); within a block each distinct bigram is hashed
+    once, and the block's signed bucket counts come from one ``bincount``.
+    The counts are sums of +-1, exact in float64, so neither the order nor
+    the grouping of the additions matters.
     """
-    out = np.empty((len(texts), d), dtype=np.float32)
+    out = [np.empty((0, d), dtype=np.float32)]  # each block's rows
     vocab: dict[str, int] = {}
     words: list[bytes] = []  # UTF-8 of each token id
     bucket = np.empty(0, dtype=np.int64)  # unigram bucket of each token id
     sign = np.empty(0)  # and its sign
-    start = 0
-    while start < len(texts):
-        tokens: list[str] = []
-        lengths: list[int] = []  # tokens per row
-        counts: list[int] = []  # rows per text
-        stop, size = start, 0
-        while stop < len(texts) and size < _BLOCK_SIZE:
-            doc = texts[stop].split()
-            rows = _chunk_lengths(len(doc), chunk_size)
-            tokens.extend(doc)
-            lengths.extend(rows)
-            counts.append(len(rows))
-            size += len(doc) + d * len(rows)
-            stop += 1
-
+    for tokens, lengths, counts in _token_blocks(texts, d, chunk_size):
         new = [t for t in dict.fromkeys(tokens) if t not in vocab]
         vocab.update(zip(new, range(len(vocab), len(vocab) + len(new))))
         words.extend(t.encode("utf-8") for t in new)
@@ -237,6 +256,7 @@ def _hash_embed(texts: list[str], d: int, seed: int, chunk_size: int | None = No
         bucket[added], sign[added] = _signed_buckets([b"u:" + w for w in words[added]], d, seed)
 
         ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        tokens.clear()  # the strings are not needed past their ids
         row = np.repeat(np.arange(len(lengths)), lengths)
         first = np.flatnonzero(row[1:] == row[:-1])  # first token of each bigram
         distinct, which = np.unique(ids[first] * len(vocab) + ids[first + 1], return_inverse=True)
@@ -251,18 +271,20 @@ def _hash_embed(texts: list[str], d: int, seed: int, chunk_size: int | None = No
         cell = np.concatenate([row * d + bucket[ids], row[first] * d + pair_bucket[which]])
         weight = np.concatenate([sign[ids], pair_sign[which]])
         acc = np.bincount(cell, weights=weight, minlength=len(lengths) * d).reshape(-1, d)
+        # Drop the per-token arrays, so they do not outlive their block.
+        del ids, row, first, distinct, which, pair_bucket, pair_sign, cell, weight
         # Integer sums of squares are exact, so these norms equal _normalize's.
         norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
         empty = norms == 0.0  # an empty text; its row becomes e_0
         acc[empty, 0] = norms[empty] = 1.0
         vectors = (acc / norms[:, None]).astype(np.float32)
         heads = np.cumsum(counts) - counts  # each text's first row
-        out[start:stop] = vectors[heads]
+        block = vectors[heads]
         for i, count in enumerate(counts):
             if count > 1:
-                out[start + i] = _chunk_mean(vectors[heads[i] : heads[i] + count])
-        start = stop
-    return out
+                block[i] = _chunk_mean(vectors[heads[i] : heads[i] + count])
+        out.append(block)
+    return np.concatenate(out)
 
 
 def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
@@ -278,16 +300,19 @@ def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
     return _hash_embed([text], d, seed)[0]
 
 
-def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
+def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> EmbeddingMatrix:
     """Embed every document, one row per document in corpus order.
 
-    Output is always normalized. For ``external`` specs the precomputed
-    file must cover every document id; missing ids are reported together.
-    With ``chunk_size`` set, a document longer than one chunk gets the
-    renormalized mean of its chunks' hash embeddings.
+    ``docs`` is any iterable of documents with unique ids, such as a
+    ``DocumentSet`` or ``corpus.iter_records``; it is read once, and only
+    the ids and one block of texts are held. Output is always normalized.
+    For ``external`` specs the precomputed file must cover every document
+    id; missing ids are reported together. With ``chunk_size`` set, a
+    document longer than one chunk gets the renormalized mean of its
+    chunks' hash embeddings.
     """
-    ids = tuple(d.id for d in docs)
     if spec.kind == "external":
+        ids = tuple(d.id for d in docs)
         m = read_embeddings(spec.path)
         index = {doc_id: i for i, doc_id in enumerate(m.ids)}
         missing = [i for i in ids if i not in index]
@@ -302,11 +327,12 @@ def embed_corpus(docs: DocumentSet, spec: EmbedderSpec) -> EmbeddingMatrix:
         del m, index
         return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
 
-    vectors = _hash_embed([d.text for d in docs], spec.dim, spec.seed, spec.chunk_size)
+    ids: list[str] = []
+    vectors = _hash_embed(iter_texts(docs, ids), spec.dim, spec.seed, spec.chunk_size)
     # Rows are normalized a second time, in float64 from the float32 values;
     # the output bytes depend on this pass.
     _normalize_rows(vectors, vectors)
-    return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
+    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors, normalized=True)
 
 
 def write_embeddings(m: EmbeddingMatrix, path: str) -> None:

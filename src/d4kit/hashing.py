@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from typing import Iterable
 
 import numpy as np
@@ -14,6 +13,8 @@ def keyed_digests(items: Iterable[bytes], seed: int) -> np.ndarray:
     The key is ``seed`` mod 2**64 as 8 little-endian bytes. One keyed
     hasher is built and copied per item, which skips re-keying.
     """
+    import hashlib
+
     keyed = hashlib.blake2b(digest_size=8, key=(seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
     digests = []
     for item in items:

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from . import hashing
-from .corpus import DocumentSet
+from .corpus import Document, Record, iter_texts
 from .errors import ValidationError
 from .graph import components
 
@@ -160,15 +160,21 @@ def _band_heads(rows: np.ndarray) -> np.ndarray:
     return heads
 
 
-def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
+def lsh_dedup(docs: Iterable[Document | Record], cfg: LshConfig | None = None) -> DedupResult:
     """Collapse near-duplicate documents found by banded MinHash.
 
-    Documents sharing any band bucket are joined into groups; each group
-    keeps its lowest id. Kept ids preserve corpus order. The result is
-    independent of corpus permutation up to that keep rule.
+    ``docs`` is any iterable of documents with unique ids, such as a
+    ``DocumentSet`` or ``corpus.iter_records``; it is read once, and only
+    the ids and one signing block are held. Documents sharing any band
+    bucket are joined into groups; each group keeps its lowest id. Kept ids
+    preserve corpus order. The result is independent of corpus permutation
+    up to that keep rule.
     """
     cfg = cfg or LshConfig()
-    matrix = _signatures((shingles(d.text, cfg.shingle_width) for d in docs), cfg)
+    ids: list[str] = []
+    matrix = _signatures((shingles(text, cfg.shingle_width) for text in iter_texts(docs, ids)), cfg)
+    if len(set(ids)) != len(ids):
+        raise ValidationError("document ids must be unique")
     n = len(matrix)
 
     # Each band links every document to the first document in its bucket.
@@ -183,7 +189,6 @@ def lsh_dedup(docs: DocumentSet, cfg: LshConfig | None = None) -> DedupResult:
     for i, label in enumerate(labels.tolist()):
         members.setdefault(label, []).append(i)
 
-    ids = docs.ids
     keep: set[str] = set()
     groups: list[DuplicateGroup] = []
     for idx in members.values():

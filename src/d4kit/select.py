@@ -19,7 +19,6 @@ that for sensitivity checks.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +39,8 @@ def _round_half_up(x: float) -> int:
 
 def source_fingerprint(ids: tuple[str, ...] | list[str]) -> str:
     """Stable digest of an id sequence, used to detect source mismatches."""
+    import hashlib
+
     h = hashlib.sha256()
     for doc_id in ids:
         h.update(doc_id.encode("utf-8"))
@@ -205,7 +206,9 @@ def _choose_cut(
     """
     w = weights[weights > -1.0]
     drops = np.flatnonzero(w[:-1] - w[1:] > _rounding_band(X.shape[1])) + 1
-    merged = np.unique(np.concatenate(([0], drops, [w.size])))
+    # drops ascend strictly inside (0, w.size), so these counts are distinct;
+    # an empty forest merges only 0.
+    merged = np.concatenate(([0], drops, [w.size])) if w.size else np.zeros(1, dtype=np.int64)
     kept = n - merged
     if abs(1.0 - r_target) <= tol:
         m = 0

@@ -136,6 +136,18 @@ class TestCost:
 EMBEDDING_SPACE = {"d4kit.cluster", "d4kit.embed", "d4kit.select", "d4kit.diagnostics", "d4kit.schedule_cost"}
 
 
+def _run_fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this d4kit; it must exit 0."""
+    src = str(Path(d4kit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_no_command_loads_scipy(tmp_path):
     # A fresh interpreter, since this one may already have imported scipy.
     # Commands run in one interpreter, so each records the d4kit modules
@@ -179,14 +191,7 @@ def test_no_command_loads_scipy(tmp_path):
         print(loaded)
         """
     )
-    src = str(Path(d4kit.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc = _run_fresh(script, str(tmp_path))
     loaded = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert set(loaded) == {
         "import", "synth", "minhash", "embed", "cluster", "select",
@@ -199,6 +204,54 @@ def test_no_command_loads_scipy(tmp_path):
     assert d4kit_loaded["synth"] == d4kit_loaded["import"]
     assert "d4kit.minhash" in d4kit_loaded["minhash"]
     assert not d4kit_loaded["minhash"] & EMBEDDING_SPACE, d4kit_loaded["minhash"]
+
+
+# One command in a fresh interpreter: its exit code, whether it loaded
+# OpenSSL's hashlib backend, and the numpy submodules it loaded beyond those
+# a bare ``import numpy`` loads (numpy 1.x loads ``numpy.ma`` there).
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import sys
+    import numpy
+
+    bare = set(sys.modules)
+    from d4kit.cli import run
+
+    code = run(sys.argv[1:])
+    extra = sorted(m for m in set(sys.modules) - bare if m.startswith("numpy."))
+    print(repr((code, "_hashlib" in sys.modules, extra)))
+    """
+)
+
+
+def _probe_imports(argv: list[str]) -> tuple[int, bool, list[str]]:
+    return ast.literal_eval(_run_fresh(_IMPORT_PROBE, *argv).stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--corpus", "{corpus}", "--embedder", "external", "--embeddings", "{embeddings}"],
+        ["nn", "{embeddings}", "--embeddings", "{embeddings}"],
+        ["diagnose", "--embeddings", "{embeddings}", "--clustering", "{clustering}"],
+        ["overlap", "{selection}", "{selection}"],
+        ["cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2"],
+    ],
+    ids=["embed-external", "nn", "diagnose", "overlap", "cost"],
+)
+def test_command_that_never_hashes_never_loads_openssl(valid_inputs, tmp_path, argv):
+    argv = [t.format(**valid_inputs) for t in argv] + ["--out", str(tmp_path / "out")]
+    code, hashlib_loaded, _ = _probe_imports(argv)
+    assert (code, hashlib_loaded) == (0, False)
+
+
+def test_semdedup_loads_no_numpy_submodule(valid_inputs, tmp_path):
+    argv = [
+        "select", "--embeddings", valid_inputs["embeddings"], "--clustering", valid_inputs["clustering"],
+        "--method", "semdedup", "--r", "0.5", "--out", str(tmp_path / "out"),
+    ]
+    code, _, extra = _probe_imports(argv)
+    assert (code, extra) == (0, [])
 
 
 # Every name ``d4kit/__init__`` exported when it imported each module eagerly.
@@ -371,6 +424,71 @@ class TestErrors:
             writer.join()
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and f"claimed shape ({2**40}, {2**24})" in err[0]
+
+    @pytest.mark.parametrize(
+        "fault, text",
+        [
+            ("invalid JSON", '{"id": "b", "text": \n'),
+            ("BOM", '\ufeff{"id": "b", "text": "x"}\n'),
+            ("non-object record", '["b", "x"]\n'),
+            ("missing id", '{"text": "x"}\n'),
+            ("missing text", '{"id": "b"}\n'),
+            ("non-string id", '{"id": 2, "text": "x"}\n'),
+            ("non-string text", '{"id": "b", "text": ["x"]}\n'),
+            ("lone surrogate", '{"id": "b", "text": "x \\ud800 y"}\n'),
+            ("non-object meta", '{"id": "b", "text": "x", "meta": "m"}\n'),
+            ("duplicate id", '{"id": "a", "text": "again"}\n'),
+        ],
+    )
+    def test_corpus_readers_report_a_fault_alike(self, valid_inputs, tmp_path, capsys, fault, text):
+        # The fault is on line 2, after a valid record, so a streaming reader
+        # has already consumed a record when it meets it.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "a", "text": "fine text"}\n' + text, encoding="utf-8")
+        with pytest.raises((d4kit.ParseError, d4kit.ValidationError)) as info:
+            d4kit.load_corpus(str(path))
+        assert str(info.value).startswith("line 2: ")
+        expected = (2 if isinstance(info.value, d4kit.ParseError) else 1, [f"error: {info.value}"])
+        readers = [
+            ["minhash"],
+            ["embed"],
+            ["embed", "--embedder", "external", "--embeddings", valid_inputs["embeddings"]],
+            ["schedule", "--budget-tokens", "100"],
+        ]
+        for argv in readers:
+            code = run([*argv, "--corpus", str(path), "--out", str(tmp_path / "out")])
+            assert (code, capsys.readouterr().err.splitlines()) == expected, argv
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minhash"],
+            ["embed", "--dim", "8"],
+            ["embed", "--dim", "8", "--chunk-size", "4"],
+            ["embed", "--embedder", "external", "--embeddings", "{embeddings}"],
+        ],
+    )
+    def test_corpus_from_pipe_is_read_in_one_pass(self, valid_inputs, tmp_path, argv):
+        # A pipe can be read only once, so the same bytes as from the file
+        # show that the command makes one pass over the corpus.
+        argv = [t.format(**valid_inputs) for t in argv]
+        corpus = Path(valid_inputs["corpus"])
+        assert run([*argv, "--corpus", str(corpus), "--out", str(tmp_path / "from_file")]) == 0
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A daemon, so a command that never opens the pipe fails the test rather than hangs it.
+        writer = threading.Thread(target=fifo.write_bytes, args=(corpus.read_bytes(),), daemon=True)
+        writer.start()
+        assert run([*argv, "--corpus", str(fifo), "--out", str(tmp_path / "from_pipe")]) == 0
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+        outputs = {
+            name: sorted((p.name, p.read_bytes()) for p in (tmp_path / name).iterdir() if p.name != "config.json")
+            for name in ("from_file", "from_pipe")
+        }
+        assert outputs["from_pipe"] == outputs["from_file"]
+        assert len(outputs["from_file"]) >= 2
 
     def test_nn_empty_validation_exits_1_with_one_error_line(self, tmp_path, capsys):
         train = _embed(tmp_path, _synth(tmp_path), dim="8")
@@ -763,6 +881,7 @@ _READERS = {
     "corpus": [
         ["minhash", "--corpus", "{f}"],
         ["embed", "--corpus", "{f}", "--dim", "8"],
+        ["embed", "--corpus", "{f}", "--embedder", "external", "--embeddings", "{embeddings}"],
         ["schedule", "--corpus", "{f}", "--budget-tokens", "200"],
     ],
     "embeddings": [

@@ -15,7 +15,7 @@ from d4kit import (
     synthesize_corpus,
     write_corpus,
 )
-from d4kit.corpus import read_jsonl
+from d4kit.corpus import Record, iter_records, read_jsonl
 
 
 def _write_jsonl(path, records):
@@ -70,6 +70,15 @@ class TestLoadCorpus:
         path.write_text('{"id": "a", "text": "x"}\n{broken\n', encoding="utf-8")
         with pytest.raises(ParseError, match="line 2"):
             load_corpus(str(path))
+
+    def test_records_stream_up_to_a_later_fault(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "text": "x", "meta": {"k": 1}}\n\n{"id": "b", "text": "y"}\n{broken\n', encoding="utf-8")
+        records = iter_records(str(path))
+        assert next(records) == Record("a", "x", {"k": 1})
+        assert next(records) == Record("b", "y", None)
+        with pytest.raises(ParseError, match="line 4"):
+            next(records)
 
     def test_missing_field_cites_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"

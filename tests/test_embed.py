@@ -25,6 +25,7 @@ from d4kit import (
     write_embeddings,
 )
 from d4kit import embed as embed_mod
+from d4kit.corpus import Record
 from d4kit.embed import _check_unit_norm, _chunk_lengths, _normalize, _normalize_rows
 
 from oracles import feature_hash_oracle, scalar_cosine
@@ -114,6 +115,19 @@ class TestEmbedCorpus:
         )
         assert cross < within
 
+    @pytest.mark.parametrize("kind, chunk_size", [("hash", None), ("hash", 16), ("external", None)])
+    def test_one_pass_iterable_equals_document_set(self, tmp_path, kind, chunk_size):
+        # Records, as corpus.iter_records yields them, in a one-shot iterator
+        # long enough to span several hashing blocks.
+        docs = synthesize_corpus(SynthSpec(n_topics=3, docs_per_topic=100, doc_length_range=(5, 300), seed=4))
+        path = tmp_path / "pre.d4em"
+        write_embeddings(embed_corpus(docs, EmbedderSpec(kind="hash", dim=16, seed=2)), str(path))
+        spec = EmbedderSpec(kind=kind, dim=16, seed=1, chunk_size=chunk_size, path=str(path))
+        streamed = embed_corpus(iter([Record(d.id, d.text, d.meta) for d in docs]), spec)
+        whole = embed_corpus(docs, spec)
+        assert streamed.ids == whole.ids == docs.ids
+        assert streamed.vectors.tobytes() == whole.vectors.tobytes()
+
     @given(st.permutations(list(range(6))))
     def test_permutation_equivariance(self, perm):
         texts = [f"doc number {i} words w{i} w{i+1}" for i in range(6)]
@@ -176,7 +190,7 @@ class TestBlockEmbedderOracle:
     def test_corpus_spanning_real_blocks(self):
         docs = synthesize_corpus(SynthSpec(n_topics=4, docs_per_topic=200, seed=5))
         d = 128
-        assert sum(len(doc.text.split()) + d for doc in docs) > 2 * embed_mod._BLOCK_SIZE
+        assert sum(len(doc.text.split()) + d // 8 for doc in docs) > 2 * embed_mod._BLOCK_SIZE
         emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=9))
         for doc, row in zip(docs, emb.vectors):
             assert row.astype(np.float32).tobytes() == _oracle_row(doc.text, d, 9).tobytes()
@@ -202,7 +216,7 @@ class TestChunkBlocks:
         docs = synthesize_corpus(SynthSpec(n_topics=4, docs_per_topic=100, seed=8))
         d, chunk_size = 64, 16
         tokens = [len(doc.text.split()) for doc in docs]
-        assert sum(t + d * len(_chunk_lengths(t, chunk_size)) for t in tokens) > 2 * embed_mod._BLOCK_SIZE
+        assert sum(t + len(_chunk_lengths(t, chunk_size)) * d // 8 for t in tokens) > 2 * embed_mod._BLOCK_SIZE
         emb = embed_corpus(docs, EmbedderSpec(kind="hash", dim=d, seed=4, chunk_size=chunk_size))
         for doc, row in zip(docs, emb.vectors):
             assert row.astype(np.float32).tobytes() == _oracle_row(doc.text, d, 4, chunk_size).tobytes()

@@ -1,5 +1,8 @@
 """Every stage's memory is O(n * d), and MinHash's O(n) plus one block.
 
+The text commands stream their corpus, so 16x longer texts barely move
+their peak.
+
 Each stage runs at n and 4n points (and a validation set 4x larger too),
 under ``tracemalloc``. Its peak may grow at most 4.5x, where a stage
 quadratic in n (or in n * k at the default k = sqrt(n)) would grow 8-16x,
@@ -9,6 +12,8 @@ n * k shows too. Inputs are built before tracing starts, so they are not
 counted.
 """
 
+import contextlib
+import io
 import tracemalloc
 
 import numpy as np
@@ -22,6 +27,7 @@ from d4kit import (
     EmbeddingMatrix,
     KmeansConfig,
     LshConfig,
+    SynthSpec,
     analyze_clustering,
     d4,
     embed_corpus,
@@ -30,8 +36,11 @@ from d4kit import (
     nn_to_train,
     read_embeddings,
     semdedup,
+    synthesize_corpus,
+    write_corpus,
     write_embeddings,
 )
+from d4kit.cli import run
 from d4kit.select import ssl_prototypes
 
 D = 32  # below the default k at 4n, so k-means's n x k product must block
@@ -126,3 +135,23 @@ def test_lsh_dedup_peak_bounded_by_sign_block():
     more = _peak(_lsh_call(2000, 50))
     assert longer <= 1.5 * base, (base, longer)
     assert more <= 4.5 * base, (base, more)
+
+
+@pytest.mark.parametrize("command", ["minhash", "embed"])
+def test_text_command_peak_independent_of_text_length(command, tmp_path):
+    # The same 128 documents at 100 and at 1,600 words. Each corpus fills
+    # several blocks, and the longer one is 16x the bytes; a command that
+    # held every text would grow its peak ~2x here, and more with n.
+    peaks = {}
+    for words in (100, 1600):
+        corpus = tmp_path / f"c{words}.jsonl"
+        spec = SynthSpec(n_topics=4, docs_per_topic=32, doc_length_range=(words, words), seed=1)
+        write_corpus(synthesize_corpus(spec), str(corpus))
+        argv = [command, "--corpus", str(corpus), "--out", str(tmp_path / f"out{words}")]
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+
+        peaks[words] = _peak(call)
+    assert peaks[1600] <= 1.5 * peaks[100], peaks

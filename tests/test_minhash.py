@@ -20,6 +20,7 @@ from d4kit import (
 )
 
 from d4kit import minhash as minhash_mod
+from d4kit.corpus import Record
 from d4kit.minhash import _band_heads, _signatures
 
 from oracles import OracleUnionFind, exact_jaccard, minhash_signature_oracle, shingles_oracle
@@ -266,6 +267,16 @@ class TestLshDedup:
         res = lsh_dedup(_docs(["only one document here"]))
         assert res.kept_ids == ("d0",)
         assert res.groups == ()
+
+    def test_one_pass_iterable_equals_document_set(self, planted_docs):
+        # Records, as corpus.iter_records yields them, in a one-shot iterator.
+        records = iter([Record(d.id, d.text, d.meta) for d in planted_docs])
+        assert lsh_dedup(records) == lsh_dedup(planted_docs)
+
+    def test_duplicate_ids_rejected(self):
+        docs = [Document(id="a", text="one text", token_count=2), Document(id="a", text="two", token_count=1)]
+        with pytest.raises(ValidationError, match="unique"):
+            lsh_dedup(docs)
 
 
 class TestBandHeads:

@@ -17,7 +17,7 @@ from d4kit import (
     ssl_prototypes,
 )
 from d4kit.diagnostics import find_duplicate_driven_clusters
-from d4kit.select import SEMDEDUP_RATIO_TOL, _spanning_forest
+from d4kit.select import SEMDEDUP_RATIO_TOL, _choose_cut, _spanning_forest
 
 from oracles import prototypes_oracle, scalar_dot, semdedup_oracle
 
@@ -184,6 +184,15 @@ class TestSemdedup:
         r = semdedup(emb, c, 0.5)
         assert r.kept_ids == ("a", "b")
         assert "closest achievable: 1.0000;" in r.warnings[0]
+
+    @pytest.mark.parametrize("weights", [np.zeros(0), np.full(3, -1.0)], ids=["empty", "all_antipodal"])
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_forest_that_merges_nothing_keeps_everything(self, weights, r):
+        n, X = 4, np.eye(4)
+        edges = np.arange(weights.size, dtype=np.intp)
+        m, eps, kept = _choose_cut(X, edges, edges + 1, weights, n, r, SEMDEDUP_RATIO_TOL)
+        assert (m, eps) == (0, 0.0)
+        assert kept.tolist() == [n]
 
 
 @st.composite
