@@ -10,9 +10,11 @@ Exit codes: 0 success, 1 validation or usage error or an allocation that
 failed (``MemoryError``), 2 I/O or file-format error.
 
 Each subcommand imports the library modules it runs, so a command loads
-only those (``minhash`` never loads the embedding-space stages), and
-``hashlib`` is imported only by the functions that hash, so a command that
-never hashes never loads OpenSSL.
+only those (``minhash`` never loads the embedding-space stages). Hashes
+come from :mod:`d4kit.hashing`, which takes them from CPython's bundled
+modules, so no command loads OpenSSL except through ``numpy.random``:
+``cluster``, ``select`` with ``random`` or ``d4``, and a reshuffled
+``schedule`` draw from it.
 """
 
 from __future__ import annotations
@@ -36,11 +38,9 @@ if TYPE_CHECKING:
 
 def stage_seed(seed: int, stage: str) -> int:
     """Derive a per-stage seed so stages never share randomness."""
-    import hashlib
+    from .hashing import blake2b
 
-    digest = hashlib.blake2b(
-        f"{seed}:{stage}".encode("utf-8"), digest_size=8
-    ).digest()
+    digest = blake2b(f"{seed}:{stage}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -415,9 +415,13 @@ def cmd_schedule(args: argparse.Namespace) -> None:
     from . import schedule_cost as sched_mod
 
     out = _prepare_out(args)
-    docs = corpus_mod.load_corpus(args.corpus)
-    plan = sched_mod.plan_epochs(
-        docs,
+    # Only ids and token counts are kept, so no text outlives its record.
+    ids: list[str] = []
+    texts = corpus_mod.iter_texts(corpus_mod.iter_records(args.corpus), ids)
+    tokens = [corpus_mod.count_tokens(text) for text in texts]
+    plan = sched_mod._plan(
+        ids,
+        tokens,
         args.budget_tokens,
         seed=stage_seed(args.seed, "schedule"),
         reshuffle_each_epoch=args.reshuffle,
@@ -429,7 +433,7 @@ def cmd_schedule(args: argparse.Namespace) -> None:
             "T_total": plan.t_total,
             "T_selected": plan.t_selected,
             "epochs": plan.epochs,
-            "n_docs": len(docs),
+            "n_docs": len(ids),
             "n_scheduled": len(plan.order),
         },
     )

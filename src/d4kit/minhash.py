@@ -90,17 +90,24 @@ _SHIFT = np.uint64(33)
 
 
 def _fmix64(x: np.ndarray) -> np.ndarray:
-    """MurmurHash3's 64-bit finaliser, a bijection on uint64 (products wrap mod 2**64)."""
-    x = x ^ (x >> _SHIFT)
+    """MurmurHash3's 64-bit finaliser, a bijection on uint64 (products wrap mod 2**64).
+
+    Works in place: ``x`` is overwritten and returned, with one scratch
+    array for the shifts.
+    """
+    t = np.right_shift(x, _SHIFT)
+    x ^= t
     x *= _FMIX_C1
-    x ^= x >> _SHIFT
+    np.right_shift(x, _SHIFT, out=t)
+    x ^= t
     x *= _FMIX_C2
-    x ^= x >> _SHIFT
+    np.right_shift(x, _SHIFT, out=t)
+    x ^= t
     return x
 
 
 # A block of documents closes once it holds this many shingles, so the
-# block's digests and its (shingles x num_hashes) fmix64 temporaries stay
+# block's digests and its two (shingles x num_hashes) fmix64 arrays stay
 # bounded however long the corpus is. A document is never split, so a block
 # can exceed this by one document's shingles.
 _SIGN_BLOCK = 1 << 12

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +71,21 @@ def plan_epochs(
     stops at the first document whose tokens reach the budget, so the
     overshoot is bounded by the largest document.
     """
-    if len(selected) == 0 or selected.total_tokens <= 0:
+    tokens = [d.token_count for d in selected.docs]
+    return _plan(selected.ids, tokens, t_total, seed, reshuffle_each_epoch)
+
+
+def _plan(
+    ids: Sequence[str], tokens: Sequence[int], t_total: int, seed: int, reshuffle_each_epoch: bool
+) -> EpochPlan:
+    """:func:`plan_epochs` from the selected ids and their token counts alone,
+    so a caller that streams its corpus holds no text."""
+    t_selected = sum(tokens)
+    if len(ids) == 0 or t_selected <= 0:
         raise ValidationError("cannot schedule an empty selection")
     if t_total <= 0:
         raise ValidationError("token budget must be > 0")
 
-    ids = selected.ids
-    tokens = [d.token_count for d in selected.docs]
     n = len(ids)
     order: list[str] = []
     cumulative = 0
@@ -96,8 +105,8 @@ def plan_epochs(
 
     return EpochPlan(
         t_total=t_total,
-        t_selected=selected.total_tokens,
-        epochs=t_total / selected.total_tokens,
+        t_selected=t_selected,
+        epochs=t_total / t_selected,
         order=tuple(order),
         reshuffle_seed=seed,
     )

@@ -28,6 +28,7 @@ from .cluster import Clustering, KmeansConfig, _rounding_band, kmeans_spherical
 from .embed import EmbeddingMatrix
 from .errors import ValidationError
 from .graph import components
+from .hashing import sha256
 
 SEMDEDUP_RATIO_TOL = 0.005
 D4_RATIO_TOL = 0.01
@@ -38,14 +39,14 @@ def _round_half_up(x: float) -> int:
 
 
 def source_fingerprint(ids: tuple[str, ...] | list[str]) -> str:
-    """Stable digest of an id sequence, used to detect source mismatches."""
-    import hashlib
+    """Stable digest of an id sequence, used to detect source mismatches.
 
-    h = hashlib.sha256()
-    for doc_id in ids:
-        h.update(doc_id.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()[:16]
+    The first 16 hex digits of sha256 over each id's UTF-8 bytes followed by
+    a newline. ``overlap`` compares fingerprints across selection
+    directories, so this digest must never change.
+    """
+    # The trailing "" ends the last id with a newline and keeps no ids at b"".
+    return sha256("\n".join([*ids, ""]).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d4kit
-from d4kit.cli import _write_selection, build_parser, run
+from d4kit.cli import _write_selection, build_parser, run, stage_seed
 from d4kit.select import SelectionResult
 
 
@@ -201,7 +201,8 @@ def test_no_command_loads_scipy(tmp_path):
 
     d4kit_loaded = {name: set(mods) for name, mods in ast.literal_eval(proc.stdout.splitlines()[-2]).items()}
     assert d4kit_loaded["import"] == {"d4kit", "d4kit.cli", "d4kit.corpus", "d4kit.errors"}
-    assert d4kit_loaded["synth"] == d4kit_loaded["import"]
+    # synth hashes only its stage seed, through the one hashing module.
+    assert d4kit_loaded["synth"] == d4kit_loaded["import"] | {"d4kit.hashing"}
     assert "d4kit.minhash" in d4kit_loaded["minhash"]
     assert not d4kit_loaded["minhash"] & EMBEDDING_SPACE, d4kit_loaded["minhash"]
 
@@ -245,13 +246,26 @@ def test_command_that_never_hashes_never_loads_openssl(valid_inputs, tmp_path, a
     assert (code, hashlib_loaded) == (0, False)
 
 
-def test_semdedup_loads_no_numpy_submodule(valid_inputs, tmp_path):
-    argv = [
-        "select", "--embeddings", valid_inputs["embeddings"], "--clustering", valid_inputs["clustering"],
-        "--method", "semdedup", "--r", "0.5", "--out", str(tmp_path / "out"),
-    ]
-    code, _, extra = _probe_imports(argv)
-    assert (code, extra) == (0, [])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minhash", "--corpus", "{corpus}"],
+        ["embed", "--corpus", "{corpus}"],
+        ["select", "--embeddings", "{embeddings}", "--clustering", "{clustering}", "--method", "semdedup",
+         "--r", "0.5"],
+        ["select", "--embeddings", "{embeddings}", "--clustering", "{clustering}", "--method", "prototypes",
+         "--r", "0.5"],
+        ["nn", "{embeddings}", "--embeddings", "{embeddings}"],
+    ],
+    ids=["minhash", "embed-hash", "select-semdedup", "select-prototypes", "nn"],
+)
+def test_command_loads_neither_openssl_nor_a_numpy_submodule(valid_inputs, tmp_path, argv):
+    # The hashing commands take blake2b and sha256 from CPython's bundled
+    # modules, and ``nn`` takes its median without ``numpy.ma``. Commands that
+    # draw from ``numpy.random`` (cluster, select random and d4) still load
+    # OpenSSL through it.
+    argv = [t.format(**valid_inputs) for t in argv] + ["--out", str(tmp_path / "out")]
+    assert _probe_imports(argv) == (0, False, [])
 
 
 # Every name ``d4kit/__init__`` exported when it imported each module eagerly.
@@ -467,6 +481,7 @@ class TestErrors:
             ["embed", "--dim", "8"],
             ["embed", "--dim", "8", "--chunk-size", "4"],
             ["embed", "--embedder", "external", "--embeddings", "{embeddings}"],
+            ["schedule", "--budget-tokens", "100", "--reshuffle"],
         ],
     )
     def test_corpus_from_pipe_is_read_in_one_pass(self, valid_inputs, tmp_path, argv):
@@ -822,6 +837,26 @@ class TestPipeline:
         assert summary["epochs"] == 2.0
         order = (out / "order.txt").read_text().splitlines()
         assert len(order) == 2 * summary["n_docs"]
+
+    def test_schedule_streams_the_plan_of_the_loaded_corpus(self, tmp_path):
+        # The command keeps only ids and token counts; its plan is the one
+        # ``plan_epochs`` makes from the whole corpus.
+        corpus = _synth(tmp_path)
+        docs = d4kit.load_corpus(str(corpus))
+        budget = docs.total_tokens * 5 // 2 + 1
+        out = tmp_path / "sch"
+        argv = ["schedule", "--corpus", str(corpus), "--budget-tokens", str(budget), "--reshuffle",
+                "--seed", "7", "--out", str(out)]
+        assert run(argv) == 0
+        plan = d4kit.plan_epochs(docs, budget, seed=stage_seed(7, "schedule"), reshuffle_each_epoch=True)
+        assert (out / "order.txt").read_text().splitlines() == list(plan.order)
+        assert _read_json(out / "summary.json") == {
+            "T_total": budget,
+            "T_selected": docs.total_tokens,
+            "epochs": plan.epochs,
+            "n_docs": len(docs),
+            "n_scheduled": len(plan.order),
+        }
 
 
 # ----------------------------------------------------------------------

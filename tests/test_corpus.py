@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import d4kit.corpus as corpus_mod
 from d4kit import (
     Document,
     DocumentSet,
@@ -35,6 +37,13 @@ class TestCountTokens:
 
     def test_simple_sentence(self):
         assert count_tokens("one two three", "whitespace") == 3
+
+    # Words, ASCII separators and Unicode spaces, in windows of 1 to 6 chars,
+    # so window edges fall inside words, inside space runs and between them.
+    @given(st.text(alphabet="ab \t\n\x1c\u00a0\u2003", max_size=40), st.integers(1, 6))
+    def test_windowed_word_count_equals_split(self, text, window):
+        with mock.patch.object(corpus_mod, "_WORD_WINDOW", window):
+            assert count_tokens(text, "whitespace") == len(text.split())
 
     def test_bad_counter_spec(self):
         with pytest.raises(ValidationError):

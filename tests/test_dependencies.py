@@ -1,5 +1,8 @@
 import ast
+import hashlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,21 +13,31 @@ tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _imported_names(source: str) -> list[str]:
+    """Top-level package of every absolute import in ``source``, imports
+    inside functions included."""
+    names: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.partition(".")[0])
+    return names
+
+
 def _imported_packages() -> dict[str, str]:
-    """Top-level package of every absolute import in the package source, with
-    the first file importing it; imports inside functions are included."""
+    """Every package the package source imports, with the first file importing it."""
     found: dict[str, str] = {}
     for path in sorted((ROOT / "src" / "d4kit").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                found.setdefault(name.partition(".")[0], path.name)
+        for name in _imported_names(path.read_text(encoding="utf-8")):
+            found.setdefault(name, path.name)
     return found
+
+
+# sha256's bundled module is _sha256 before Python 3.12 and _sha2 from it, so
+# each is standard library on its own versions and missing from the other's
+# ``sys.stdlib_module_names``.
+STDLIB_SHA256 = {"_sha2", "_sha256"}
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -35,7 +48,7 @@ def test_every_third_party_import_is_a_declared_dependency():
     third_party = {
         name: file
         for name, file in imported.items()
-        if name not in sys.stdlib_module_names and name != "d4kit"
+        if name not in sys.stdlib_module_names | STDLIB_SHA256 and name != "d4kit"
     }
     undeclared = {name: file for name, file in third_party.items() if name.lower() not in declared}
     assert not undeclared, f"imported but not in [project] dependencies: {undeclared}"
@@ -134,3 +147,33 @@ def test_one_keyed_hash_site():
         for line in _keyed_blake2b_calls(path.read_text(encoding="utf-8"))
     ]
     assert len(found) == 1, f"keyed blake2b built at {found}"
+
+
+HASH_MODULES = {"hashlib", "_blake2", "_sha2", "_sha256"}
+
+
+def test_only_hashing_imports_a_hash():
+    """Every hash comes from ``hashing``, which takes blake2b and sha256 from
+    CPython's bundled modules, so no command loads OpenSSL to reach them."""
+    found = {
+        (path.name, name)
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        for name in _imported_names(path.read_text(encoding="utf-8"))
+        if name in HASH_MODULES
+    }
+    assert {file for file, _ in found} == {"hashing.py"}, found
+
+
+def test_sha256_falls_back_to_hashlib_without_a_bundled_module():
+    # A fresh interpreter, with both bundled sha256 modules made unimportable.
+    script = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from d4kit import hashing\n"
+        "print(hashing.sha256 is hashlib.sha256, hashing.sha256(b'abc').hexdigest())\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["True", hashlib.sha256(b"abc").hexdigest()]

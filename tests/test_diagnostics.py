@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import d4kit.cluster as cluster_mod
@@ -26,7 +26,7 @@ from d4kit import (
     synthesize_corpus,
 )
 from d4kit import EmbedderSpec
-from d4kit.diagnostics import ecdf_value
+from d4kit.diagnostics import _median, ecdf_value
 from d4kit.select import ssl_prototypes
 
 from oracles import brute_force_nn
@@ -381,6 +381,22 @@ def _nn_inputs(draw):
     train = _emb(train_rows, ids=tuple(f"t{i:03d}" for i in order))
     valid = _emb(valid_rows, ids=tuple(f"v{i:03d}" for i in range(n_valid)))
     return valid, train, draw(st.integers(1, 6))
+
+
+class TestMedian:
+    # Distances lie in [0, 2]; a small pool of values makes repeats common.
+    @given(
+        st.lists(
+            st.floats(0.0, 2.0) | st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @example([0.3, 1.0, 0.1])
+    @example([1.0, 0.1, 0.1, 0.3])
+    def test_bit_equal_to_np_median(self, values):
+        dists = np.array(values)
+        assert _median(dists).hex() == float(np.median(dists)).hex()
 
 
 class TestBlockedNn:

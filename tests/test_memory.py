@@ -137,17 +137,20 @@ def test_lsh_dedup_peak_bounded_by_sign_block():
     assert more <= 4.5 * base, (base, more)
 
 
-@pytest.mark.parametrize("command", ["minhash", "embed"])
+@pytest.mark.parametrize("command", ["minhash", "embed", "schedule"])
 def test_text_command_peak_independent_of_text_length(command, tmp_path):
     # The same 128 documents at 100 and at 1,600 words. Each corpus fills
     # several blocks, and the longer one is 16x the bytes; a command that
     # held every text would grow its peak ~2x here, and more with n.
+    # ``schedule`` gets a budget of two epochs at either length.
     peaks = {}
     for words in (100, 1600):
         corpus = tmp_path / f"c{words}.jsonl"
         spec = SynthSpec(n_topics=4, docs_per_topic=32, doc_length_range=(words, words), seed=1)
         write_corpus(synthesize_corpus(spec), str(corpus))
         argv = [command, "--corpus", str(corpus), "--out", str(tmp_path / f"out{words}")]
+        if command == "schedule":
+            argv += ["--budget-tokens", str(2 * 128 * words)]
 
         def call():
             with contextlib.redirect_stdout(io.StringIO()):

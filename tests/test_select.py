@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from d4kit import (
@@ -17,7 +19,7 @@ from d4kit import (
     ssl_prototypes,
 )
 from d4kit.diagnostics import find_duplicate_driven_clusters
-from d4kit.select import SEMDEDUP_RATIO_TOL, _choose_cut, _spanning_forest
+from d4kit.select import SEMDEDUP_RATIO_TOL, _choose_cut, _spanning_forest, source_fingerprint
 
 from oracles import prototypes_oracle, scalar_dot, semdedup_oracle
 
@@ -47,6 +49,20 @@ def _clustering_from_centroids(emb, centroids):
         distance=dist,
         k=len(centroids),
     )
+
+
+class TestSourceFingerprint:
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",))), max_size=20))
+    @example([])
+    @example(["é", "文書-7", "a\nb", ""])
+    def test_equals_per_id_stream(self, ids):
+        # ``overlap`` compares fingerprints across selection directories, so
+        # the digest stays that of each id's UTF-8 bytes and a newline.
+        h = hashlib.sha256()
+        for doc_id in ids:
+            h.update(doc_id.encode("utf-8"))
+            h.update(b"\n")
+        assert source_fingerprint(ids) == h.hexdigest()[:16]
 
 
 class TestRandom:
