@@ -12,9 +12,9 @@ failed (``MemoryError``), 2 I/O or file-format error.
 Each subcommand imports the library modules it runs, so a command loads
 only those (``minhash`` never loads the embedding-space stages). Hashes
 come from :mod:`d4kit.hashing`, which takes them from CPython's bundled
-modules, so no command loads OpenSSL except through ``numpy.random``:
-``cluster``, ``select`` with ``random`` or ``d4``, and a reshuffled
-``schedule`` draw from it.
+modules, and k-means seeds from :mod:`d4kit.draws`, so no command loads
+OpenSSL except through ``numpy.random``: ``synth``, ``select`` with
+``random``, and a reshuffled ``schedule`` draw from it.
 """
 
 from __future__ import annotations

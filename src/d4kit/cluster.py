@@ -2,9 +2,9 @@
 
 Lloyd iterations with cosine-similarity assignment and renormalized-mean
 centroid updates. Initialization samples k distinct data rows under the
-seed; k defaults to round(sqrt(n)) when not set explicitly. No cluster
-balancing is performed during the fit; balance is reported as a diagnostic
-instead.
+seed (:func:`d4kit.draws.choice`); k defaults to round(sqrt(n)) when not
+set explicitly. No cluster balancing is performed during the fit; balance
+is reported as a diagnostic instead.
 
 Empty clusters are repaired by reseeding the empty centroid with the point
 currently farthest from its assigned centroid (next-farthest points for
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import draws
 from .corpus import open_output
 from .embed import EmbeddingMatrix, _check_unit_norm
 from .errors import FormatError, ValidationError
@@ -255,8 +256,12 @@ def kmeans_spherical(
     """Fit spherical k-means; deterministic for fixed inputs and seed.
 
     Runs exactly ``cfg.iters`` Lloyd iterations unless the assignment stops
-    changing earlier. ``init_centroids`` overrides the default
-    sampled-data-rows initialization (and fixes k to its row count).
+    changing earlier. By default the fit starts from the k data rows that
+    :func:`d4kit.draws.choice` draws under ``cfg.seed`` mod 2**64: the rows
+    ``np.random.default_rng(seed).choice(n, size=k, replace=False)`` picks,
+    that is numpy's PCG64 stream behind ``SeedSequence``, reproduced without
+    importing ``numpy.random``. ``init_centroids`` overrides that
+    initialization (and fixes k to its row count).
     """
     cfg = cfg or KmeansConfig()
     if not emb.normalized:
@@ -279,8 +284,7 @@ def kmeans_spherical(
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:
             raise ValidationError(f"k ({k}) exceeds point count ({n})")
-        rng = np.random.default_rng(cfg.seed & 0xFFFFFFFFFFFFFFFF)
-        C = X[rng.choice(n, size=k, replace=False)]
+        C = X[draws.choice(cfg.seed & draws.M64, n, k)]
 
     assignment, distance = assign(emb, C)
     history = [float(distance.sum())]

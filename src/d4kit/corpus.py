@@ -127,8 +127,13 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
     Each line decodes as by ``json.loads``, with its error message: a
     malformed line raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
     """
+    # Each raw line is dropped before its record is handed on, so the next
+    # read does not also hold the last line; ``enumerate`` would keep it in
+    # the result tuple it reuses.
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for line in fh:
+            lineno += 1
             if not line.strip():
                 continue
             try:
@@ -139,6 +144,7 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON{where}: {exc.msg}", lineno) from exc
+            del line
             yield lineno, rec
 
 

@@ -256,14 +256,18 @@ def test_command_that_never_hashes_never_loads_openssl(valid_inputs, tmp_path, a
         ["select", "--embeddings", "{embeddings}", "--clustering", "{clustering}", "--method", "prototypes",
          "--r", "0.5"],
         ["nn", "{embeddings}", "--embeddings", "{embeddings}"],
+        ["cluster", "--embeddings", "{embeddings}", "--k", "3"],
+        ["select", "--embeddings", "{embeddings}", "--clustering", "{clustering}", "--method", "d4",
+         "--r-dedup", "0.9", "--r-proto", "0.5"],
     ],
-    ids=["minhash", "embed-hash", "select-semdedup", "select-prototypes", "nn"],
+    ids=["minhash", "embed-hash", "select-semdedup", "select-prototypes", "nn", "cluster", "select-d4"],
 )
 def test_command_loads_neither_openssl_nor_a_numpy_submodule(valid_inputs, tmp_path, argv):
     # The hashing commands take blake2b and sha256 from CPython's bundled
-    # modules, and ``nn`` takes its median without ``numpy.ma``. Commands that
-    # draw from ``numpy.random`` (cluster, select random and d4) still load
-    # OpenSSL through it.
+    # modules, ``nn`` takes its median without ``numpy.ma``, and k-means seeds
+    # from ``d4kit.draws``. What still draws from ``numpy.random``, and so
+    # loads OpenSSL through its ``secrets`` import, is ``synth``, ``select
+    # --method random`` and ``schedule --reshuffle``.
     argv = [t.format(**valid_inputs) for t in argv] + ["--out", str(tmp_path / "out")]
     assert _probe_imports(argv) == (0, False, [])
 

@@ -177,3 +177,83 @@ def test_sha256_falls_back_to_hashlib_without_a_bundled_module():
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["True", hashlib.sha256(b"abc").hexdigest()]
+
+
+def _annotation_nodes(tree: ast.AST) -> set[int]:
+    """Every node inside an annotation, which a module with postponed
+    annotations never evaluates."""
+    roots = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            roots.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            roots.append(node.annotation)
+    return {id(n) for root in roots if root is not None for n in ast.walk(root)}
+
+
+def _uses_numpy_random(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return node.module.split(".")[:2] == ["numpy", "random"] or (
+            node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+        )
+    return False
+
+
+def _numpy_random_sites(source: str) -> list[str]:
+    """The function around every use of ``numpy.random`` in ``source`` (an
+    ``np.random`` or ``numpy.random`` attribute, or an import of it),
+    annotations aside; ``<module>`` outside any function."""
+    tree = ast.parse(source)
+    skip = _annotation_nodes(tree)
+    sites: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if id(node) not in skip and _uses_numpy_random(node):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_numpy_random_scan_finds_every_form():
+    source = """
+import numpy.random
+from numpy.random import default_rng
+from numpy import random
+from numpy import linalg
+def f(rng: np.random.Generator) -> np.random.Generator:
+    x: np.random.Generator = rng
+    return numpy.random.default_rng(0)
+class C:
+    def g(self):
+        import numpy.random as npr
+        return np.random
+"""
+    assert _numpy_random_sites(source) == ["<module>", "<module>", "<module>", "f", "g", "g"]
+
+
+def test_numpy_random_only_at_known_sites():
+    """k-means seeds from ``d4kit.draws``, so ``cluster`` and ``select --method d4``
+    never load ``numpy.random`` (or, through its ``secrets`` import, OpenSSL).
+    These three sites still draw from it: each draws O(n) values, where a
+    pure-Python generator is measurably slower, or makes the synthetic inputs."""
+    found = {
+        (path.stem, site)
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        for site in _numpy_random_sites(path.read_text(encoding="utf-8"))
+    }
+    assert found == {
+        ("corpus", "synthesize_corpus"),
+        ("select", "select_random"),
+        ("schedule_cost", "_plan"),
+    }, found

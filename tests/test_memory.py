@@ -40,6 +40,7 @@ from d4kit import (
     write_corpus,
     write_embeddings,
 )
+from d4kit import draws
 from d4kit.cli import run
 from d4kit.select import ssl_prototypes
 
@@ -158,3 +159,11 @@ def test_text_command_peak_independent_of_text_length(command, tmp_path):
 
         peaks[words] = _peak(call)
     assert peaks[1600] <= 1.5 * peaks[100], peaks
+
+
+def test_tail_shuffle_peak_within_twice_numpy():
+    # k > n // 50 at n > 10,000 takes the tail shuffle, which holds an int64
+    # buffer of all n rows, as numpy's does; a list of n ints would be over 3x.
+    ours = _peak(lambda: draws.choice(3, 40_000, 20_000))
+    numpy_peak = _peak(lambda: np.random.default_rng(3).choice(40_000, size=20_000, replace=False))
+    assert ours <= 2 * numpy_peak, (ours, numpy_peak)
