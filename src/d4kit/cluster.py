@@ -261,7 +261,8 @@ def kmeans_spherical(
     ``np.random.default_rng(seed).choice(n, size=k, replace=False)`` picks,
     that is numpy's PCG64 stream behind ``SeedSequence``, reproduced without
     importing ``numpy.random``. ``init_centroids`` overrides that
-    initialization (and fixes k to its row count).
+    initialization (and fixes k to its row count); its rows must be unit-norm
+    within ``embed.NORM_TOL`` and start the fit as given, not renormalized.
     """
     cfg = cfg or KmeansConfig()
     if not emb.normalized:
@@ -272,14 +273,14 @@ def kmeans_spherical(
 
     X = emb.vectors
     if init_centroids is not None:
-        C = np.asarray(init_centroids, dtype=np.float64)
+        # A copy, used as given: the same rows start the same fit as a seeded draw.
+        C = np.array(init_centroids, dtype=np.float64)
         if C.ndim != 2 or C.shape[1] != emb.d or not C.shape[0]:
             raise ValidationError("init_centroids must be (k, d) with k >= 1")
         k = C.shape[0]
         if cfg.k is not None and cfg.k != k:
             raise ValidationError("cfg.k disagrees with init_centroids row count")
         _check_unit_norm(C, "init_centroids must be unit-norm")
-        C = C / np.linalg.norm(C, axis=1)[:, None]
     else:
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:

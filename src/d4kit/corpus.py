@@ -119,6 +119,9 @@ class DocumentSet:
 
 _JSON_SPACE = " \t\n\r"
 _DECODER = json.JSONDecoder()
+# ``json.dumps(rec, ensure_ascii=False, sort_keys=True)`` builds this encoder
+# anew on every call; one instance encodes every record to the same bytes.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
@@ -241,13 +244,18 @@ def load_corpus(path: str, token_counter: str = "whitespace") -> DocumentSet:
 
 
 def write_corpus(docs: DocumentSet, path: str) -> None:
-    """Write documents as JSONL (``id``, ``text``, optional ``meta``)."""
+    """Write documents as JSONL (``id``, ``text``, optional ``meta``).
+
+    Each line is the bytes of ``json.dumps(rec, ensure_ascii=False,
+    sort_keys=True)`` plus ``"\\n"``: keys in the order ``id``, ``meta``,
+    ``text``, and non-ASCII characters as raw UTF-8.
+    """
     with open_output(path) as fh:
         for d in docs:
             rec: dict[str, Any] = {"id": d.id, "text": d.text}
             if d.meta is not None:
                 rec["meta"] = d.meta
-            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+            fh.write(_ENCODER.encode(rec) + "\n")
 
 
 @dataclass(frozen=True)
@@ -318,10 +326,11 @@ def synthesize_corpus(spec: SynthSpec) -> DocumentSet:
     """Generate a corpus with planted topics and template groups.
 
     Deterministic for a fixed spec: the same seed yields a byte-identical
-    corpus on every run.
+    corpus on every run. ``tests/test_corpus.py`` pins the sha256 of
+    :func:`write_corpus`'s output for several specs.
     """
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
-    vocab = np.array([f"w{i:05d}" for i in range(spec.vocab_size)])
+    vocab = [f"w{i:05d}" for i in range(spec.vocab_size)]
     lo, hi = spec.doc_length_range
 
     # Contiguous, non-empty vocabulary slice per topic.
@@ -333,7 +342,9 @@ def synthesize_corpus(spec: SynthSpec) -> DocumentSet:
     docs: list[Document] = []
 
     def add(token_ids: np.ndarray, topic: int, group: str) -> None:
-        text = " ".join(vocab[token_ids])
+        # Python ints into a list of str: joining a numpy string array would
+        # box every token as an ``np.str_``.
+        text = " ".join([vocab[i] for i in token_ids.tolist()])
         docs.append(
             Document(
                 id=f"doc{len(docs):06d}",

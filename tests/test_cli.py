@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -315,6 +316,16 @@ class TestPackageNames:
 
     def test_version(self):
         assert d4kit.__version__ == "0.1.0"
+
+
+def test_synth_corpus_bytes_pinned(tmp_path):
+    # The sha256 of ``synth``'s corpus (default sizes, 20 template groups), so
+    # that neither the stage seed, the generator nor the writer moves a byte.
+    out = tmp_path / "c"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(["synth", "--seed", "17", "--template-groups", "20", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "corpus.jsonl").read_bytes()).hexdigest()
+    assert digest == "bfaa66f00ec1a0d1d96dd41e98c5a238114b145d0c004b6ad77009425006bcbc"
 
 
 def test_external_embedder_ignores_dim(tmp_path):

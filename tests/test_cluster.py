@@ -312,6 +312,17 @@ class TestAssign:
         with pytest.raises(ValidationError, match="k >= 1"):
             kmeans_spherical(emb, init_centroids=np.zeros((0, 3)))
 
+    def test_init_centroids_start_the_fit_as_given(self):
+        emb = _random_emb(30, 4, seed=2)
+        # Float32-rounded rows: unit-norm within NORM_TOL, but not exactly.
+        init = emb.vectors[[0, 5, 9]].astype(np.float32).astype(np.float64)
+        assert (np.linalg.norm(init, axis=1) != 1.0).any()
+        before = init.copy()
+        c = kmeans_spherical(emb, KmeansConfig(k=3, iters=1), init_centroids=init)
+        assert c.objective_history[0] == float(assign(emb, init)[1].sum())
+        np.testing.assert_array_equal(init, before)
+        assert not np.shares_memory(c.centroids, init)
+
     @pytest.mark.parametrize("n, d, k", [(2000, 64, 16), (4000, 128, 63), (3, 8, 8)])
     def test_one_block_while_k_at_most_d(self, n, d, k):
         emb = _random_emb(n, d, seed=n)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from unittest import mock
 
@@ -158,6 +159,46 @@ class TestReadJsonl:
             list(read_jsonl(str(path)))
 
 
+# Strings with every character JSON must escape, the line separators that
+# ``ensure_ascii=False`` writes raw, and non-BMP characters.
+_JSON_TEXT = st.text(
+    st.characters(codec="utf-8") | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\U0001f600", "\U0010ffff"]),
+    max_size=12,
+)
+_META_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+_DOC = st.tuples(
+    _JSON_TEXT | st.integers(),
+    _JSON_TEXT,
+    st.none() | st.dictionaries(_JSON_TEXT, _META_VALUE, max_size=4),
+)
+
+
+class TestWriteCorpus:
+    @given(st.lists(_DOC, max_size=5, unique_by=lambda doc: doc[0]))
+    def test_each_line_is_json_dumps_of_its_record(self, tmp_path_factory, docs):
+        path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+        write_corpus(DocumentSet.from_documents([Document(i, t, 0, m) for i, t, m in docs]), str(path))
+        want = ""
+        for doc_id, text, meta in docs:
+            rec = {"id": doc_id, "text": text} if meta is None else {"id": doc_id, "text": text, "meta": meta}
+            want += json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "bad",
+        [Document("\ud800", "t", 1), Document("b", "\udfff", 1), Document("b", "t", 1, {"k": ["\ud800"]})],
+        ids=["id", "text", "meta"],
+    )
+    def test_lone_surrogate_raises_and_leaves_no_file(self, tmp_path, bad):
+        with pytest.raises(UnicodeEncodeError):
+            write_corpus(DocumentSet.from_documents([Document("a", "ok", 1), bad]), str(tmp_path / "c.jsonl"))
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestDocumentSet:
     def test_total_tokens_conservation(self):
         with pytest.raises(ValidationError):
@@ -180,7 +221,35 @@ class TestDocumentSet:
         assert docs.subset({"c", "a"}).ids == ("a", "c")
 
 
+# sha256 of ``write_corpus(synthesize_corpus(spec))``, so that no change to the
+# generator or the writer moves a byte of a synthetic corpus.
+_PINNED_SYNTH = {
+    "text-dedup": (
+        SynthSpec(n_topics=16, docs_per_topic=100, n_template_groups=80, dupes_per_group=5,
+                  template_mutation_rate=0.01, seed=1),
+        "bc631d056d32eb863f2ce782e308d4e1e0302b4ca1f05a08fab61688a059fd0e",
+    ),
+    "no-mutation": (
+        SynthSpec(n_topics=4, docs_per_topic=25, n_template_groups=6, dupes_per_group=3,
+                  template_mutation_rate=0.0, seed=7),
+        "794a77cc0d0d5493cd7a8a9de324d5580e0bad1a1971da6a290c3291399eca38",
+    ),
+    "vocab-and-lengths": (
+        SynthSpec(n_topics=5, docs_per_topic=20, n_template_groups=4, dupes_per_group=2,
+                  template_mutation_rate=0.25, vocab_size=150_000, doc_length_range=(1, 7), seed=2**64 + 3),
+        "8c1bc862c938a3c56f2b0c58c2d60b883d27c6511f4846eba608ee693e0c3be4",
+    ),
+}
+
+
 class TestSynthesize:
+    @pytest.mark.parametrize("name", sorted(_PINNED_SYNTH))
+    def test_written_bytes_pinned(self, tmp_path, name):
+        spec, digest = _PINNED_SYNTH[name]
+        path = tmp_path / "c.jsonl"
+        write_corpus(synthesize_corpus(spec), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_size_arithmetic_no_groups(self):
         spec = SynthSpec(n_topics=2, docs_per_topic=3, seed=1)
         docs = synthesize_corpus(spec)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d4kit import EmbeddingMatrix, KmeansConfig, draws, kmeans_spherical
+from d4kit import EmbeddingMatrix, KmeansConfig, draws, kmeans_spherical, read_embeddings, write_embeddings
 from d4kit.errors import ValidationError
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
@@ -89,24 +89,36 @@ def test_choice_rejects_out_of_range_arguments(seed, n, k):
         draws.choice(seed, n, k)
 
 
-@pytest.mark.parametrize("k", [40, 300], ids=["floyd", "tail-shuffle"])
-def test_kmeans_seeding_equals_numpy_seeding(k):
-    # 12,000 rows: k = 40 takes Floyd's path, k = 300 (> 12,000 // 50) the tail shuffle.
-    # ``init_centroids`` rows are divided by their norms, so the rows are
-    # float64 rows whose computed norm is exactly 1.0 (about two in three
-    # normalized rows), where that division changes no bit.
-    rng = np.random.default_rng(k)
-    rows = rng.normal(size=(24_000, 16))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    rows = rows[np.linalg.norm(rows, axis=1) == 1.0][:12_000]
-    emb = EmbeddingMatrix(tuple(f"p{i:05d}" for i in range(len(rows))), rows, True)
-    cfg = KmeansConfig(k=k, iters=5, seed=-7)
+def _assert_kmeans_seeding_equals_numpy_seeding(emb: EmbeddingMatrix, cfg: KmeansConfig) -> None:
     got = kmeans_spherical(emb, cfg)
     want = kmeans_spherical(
-        emb, cfg, init_centroids=emb.vectors[_numpy_choice(cfg.seed & draws.M64, emb.n, k)]
+        emb, cfg, init_centroids=emb.vectors[_numpy_choice(cfg.seed & draws.M64, emb.n, cfg.k)]
     )
     np.testing.assert_array_equal(got.centroids, want.centroids)
     np.testing.assert_array_equal(got.assignment, want.assignment)
     np.testing.assert_array_equal(got.distance, want.distance)
     assert got.objective_history == want.objective_history
     assert got.iters_run == want.iters_run
+
+
+@pytest.mark.parametrize("k", [40, 300], ids=["floyd", "tail-shuffle"])
+def test_kmeans_seeding_equals_numpy_seeding(k):
+    # 12,000 rows: k = 40 takes Floyd's path, k = 300 (> 12,000 // 50) the tail shuffle.
+    rng = np.random.default_rng(k)
+    rows = rng.normal(size=(12_000, 16))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    emb = EmbeddingMatrix(tuple(f"p{i:05d}" for i in range(len(rows))), rows, True)
+    _assert_kmeans_seeding_equals_numpy_seeding(emb, KmeansConfig(k=k, iters=5, seed=-7))
+
+
+def test_kmeans_seeding_equals_numpy_seeding_on_float32_rows(tmp_path):
+    # Rows stored as float32 read back with float64 norms off 1.0 by rounding;
+    # ``init_centroids`` starts from them as they are, as the seeded draw does.
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(12_000, 16))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    path = str(tmp_path / "rows.d4em")
+    write_embeddings(EmbeddingMatrix(tuple(f"p{i:05d}" for i in range(len(rows))), rows.astype(np.float32), True), path)
+    emb = read_embeddings(path)
+    assert (np.linalg.norm(emb.vectors, axis=1) != 1.0).all()
+    _assert_kmeans_seeding_equals_numpy_seeding(emb, KmeansConfig(k=40, iters=5, seed=3))

@@ -13,6 +13,7 @@ counted.
 """
 
 import contextlib
+import gc
 import io
 import tracemalloc
 
@@ -85,6 +86,9 @@ def _stage_call(stage: str, n: int, tmp_path):
 
 def _peak(call) -> int:
     call()  # once untraced, so lazy imports on a first call are not counted
+    # Collect the warm-up's cyclic garbage, so the traced call starts at the
+    # same collector phase whatever ran before it.
+    gc.collect()
     tracemalloc.start()
     try:
         call()
