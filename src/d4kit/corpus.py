@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from typing import IO, Any, Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Probability that a topic-document token is drawn from the topic's own
 # vocabulary slice rather than the corpus-wide vocabulary.
@@ -70,12 +72,25 @@ def _count_words(text: str) -> int:
 
 @dataclass(frozen=True)
 class Document:
-    """A single document, the unit of selection."""
+    """A single document, the unit of selection.
+
+    ``token_count`` is a non-negative integer: an ``int`` or any type with
+    ``__index__`` (numpy integers), but not a ``bool``.
+    """
 
     id: str
     text: str
     token_count: int
     meta: dict[str, Any] | None = None
+
+    def __post_init__(self):
+        n = self.token_count
+        if type(n) is not int:
+            if isinstance(n, bool) or not hasattr(n, "__index__"):
+                raise ValidationError(f"token_count must be an integer, got {n!r}")
+            n = operator.index(n)
+        if n < 0:
+            raise ValidationError(f"token_count must be >= 0, got {n}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,7 @@ class DocumentSet:
 _JSON_SPACE = " \t\n\r"
 _DECODER = json.JSONDecoder()
 # ``json.dumps(rec, ensure_ascii=False, sort_keys=True)`` builds this encoder
-# anew on every call; one instance encodes every record to the same bytes.
+# anew on every call; one instance encodes every field to the same bytes.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
@@ -248,14 +263,17 @@ def write_corpus(docs: DocumentSet, path: str) -> None:
 
     Each line is the bytes of ``json.dumps(rec, ensure_ascii=False,
     sort_keys=True)`` plus ``"\\n"``: keys in the order ``id``, ``meta``,
-    ``text``, and non-ASCII characters as raw UTF-8.
+    ``text``, and non-ASCII characters as raw UTF-8. Those three keys always
+    sort the same way and a value encodes the same at top level as inside a
+    record, so each field is encoded on its own and the line joined around them.
     """
+    enc = _ENCODER.encode
     with open_output(path) as fh:
-        for d in docs:
-            rec: dict[str, Any] = {"id": d.id, "text": d.text}
-            if d.meta is not None:
-                rec["meta"] = d.meta
-            fh.write(_ENCODER.encode(rec) + "\n")
+        fh.writelines(
+            f'{{"id": {enc(d.id)}, "text": {enc(d.text)}}}\n' if d.meta is None
+            else f'{{"id": {enc(d.id)}, "meta": {enc(d.meta)}, "text": {enc(d.text)}}}\n'
+            for d in docs
+        )
 
 
 @dataclass(frozen=True)
@@ -301,13 +319,6 @@ class SynthSpec:
         if lo < 1:
             raise ValidationError("doc_length_range min must be >= 1")
 
-    @property
-    def corpus_size(self) -> int:
-        return (
-            self.n_topics * self.docs_per_topic
-            + self.n_template_groups * self.dupes_per_group
-        )
-
 
 def _draw_tokens(
     rng: np.random.Generator,
@@ -316,6 +327,8 @@ def _draw_tokens(
     topic_hi: int,
     vocab_size: int,
 ) -> np.ndarray:
+    import numpy as np
+
     in_topic = rng.random(length) < TOPIC_BIAS
     topical = rng.integers(topic_lo, topic_hi, size=length)
     background = rng.integers(0, vocab_size, size=length)
@@ -329,6 +342,8 @@ def synthesize_corpus(spec: SynthSpec) -> DocumentSet:
     corpus on every run. ``tests/test_corpus.py`` pins the sha256 of
     :func:`write_corpus`'s output for several specs.
     """
+    import numpy as np
+
     rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
     vocab = [f"w{i:05d}" for i in range(spec.vocab_size)]
     lo, hi = spec.doc_length_range

@@ -130,6 +130,8 @@ def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> 
     _check_ratio("selection ratio", r)
     ids = tuple(ids)
     n = len(ids)
+    if len(set(ids)) != n:
+        raise ValidationError("ids must be unique")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     rows = np.sort(rng.choice(n, size=_round_half_up(r * n), replace=False))
     return _result(f"random(seed={seed})", r, ids, rows, np.zeros(rows.size))

@@ -208,6 +208,28 @@ def test_no_command_loads_scipy(tmp_path):
     assert not d4kit_loaded["minhash"] & EMBEDDING_SPACE, d4kit_loaded["minhash"]
 
 
+def test_help_and_usage_errors_load_no_numpy():
+    # ``corpus`` imports numpy only to synthesise, so only a command that
+    # runs numpy code pays its import; ``cost`` still does, via ``schedule_cost``.
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        from d4kit.cli import run
+
+        loaded = {}
+        for argv in (["--help"], ["minhash"], ["cost", "--baseline-gpu-hours", "10", "--fraction-saved", "0.2"]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            loaded[argv[0]] = (code, "numpy" in sys.modules)
+        print(loaded)
+        """
+    )
+    loaded = ast.literal_eval(_run_fresh(script).stdout.splitlines()[-1])
+    assert loaded["--help"] == (0, False)
+    assert loaded["minhash"][1] is False and loaded["minhash"][0] != 0
+    assert loaded["cost"] == (0, True)
+
+
 # One command in a fresh interpreter: its exit code, whether it loaded
 # OpenSSL's hashlib backend, and the numpy submodules it loaded beyond those
 # a bare ``import numpy`` loads (numpy 1.x loads ``numpy.ma`` there).

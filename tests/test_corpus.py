@@ -2,6 +2,7 @@ import hashlib
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -170,10 +171,12 @@ _META_VALUE = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_TEXT, inner, max_size=3),
     max_leaves=8,
 )
+# The writer accepts a non-str id or text and a meta of any JSON type, a list
+# or a scalar as well as an object; each must still write ``json.dumps``' bytes.
 _DOC = st.tuples(
     _JSON_TEXT | st.integers(),
-    _JSON_TEXT,
-    st.none() | st.dictionaries(_JSON_TEXT, _META_VALUE, max_size=4),
+    _JSON_TEXT | st.integers(),
+    st.none() | st.dictionaries(_JSON_TEXT, _META_VALUE, max_size=4) | _META_VALUE,
 )
 
 
@@ -197,6 +200,17 @@ class TestWriteCorpus:
         with pytest.raises(UnicodeEncodeError):
             write_corpus(DocumentSet.from_documents([Document("a", "ok", 1), bad]), str(tmp_path / "c.jsonl"))
         assert list(tmp_path.iterdir()) == []
+
+
+class TestDocument:
+    @pytest.mark.parametrize("count", [-3, True, 2.5], ids=["negative", "bool", "float"])
+    def test_bad_token_count_rejected(self, count):
+        with pytest.raises(ValidationError, match="token_count"):
+            Document("a", "x", count)
+
+    def test_numpy_integer_token_count_accepted(self):
+        assert Document("a", "x", np.int64(3)).token_count == 3
+        assert Document("a", "x", 0).token_count == 0
 
 
 class TestDocumentSet:

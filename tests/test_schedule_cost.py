@@ -31,6 +31,11 @@ class TestPlanEpochs:
         plan = plan_epochs(docs, t_total=80)
         assert plan.epochs == 2.0
 
+    def test_negative_token_count_never_reaches_a_plan(self):
+        # Counted, the -3 would leave 2 tokens in the set, and t_total=10 would plan 5 epochs.
+        with pytest.raises(ValidationError, match="token_count"):
+            plan_epochs(DocumentSet.from_documents([Document("a", "x", -3), Document("b", "y", 5)]), 10, seed=1)
+
     def test_single_epoch_is_one_permutation(self):
         docs = _docs([5, 7, 3])
         plan = plan_epochs(docs, t_total=15)

@@ -87,6 +87,11 @@ class TestRandom:
         with pytest.raises(ValidationError):
             select_random(("a",), 1.5)
 
+    @pytest.mark.parametrize("ids", [("a", "a"), ("a", "a", "b")])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(ValidationError, match="ids must be unique"):
+            select_random(ids, 0.5, seed=1)
+
 
 class TestSemdedup:
     def test_no_duplicates_r1_keeps_all_at_no_edges_end(self):
