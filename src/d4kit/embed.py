@@ -38,6 +38,7 @@ averaging can cancel exactly, and that also gives e_0.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import stat
 import struct
@@ -62,12 +63,23 @@ NORM_TOL = 1e-5
 _BLOCK_SIZE = 1 << 13
 
 
+def _index(name: str, value, least: int) -> int:
+    """``value`` as an int; ``ValidationError`` unless an integer, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if operator.index(value) < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class EmbedderSpec:
     """Which embedder to use and how to parameterize it.
 
     ``kind`` is ``"hash"`` for the built-in feature-hashing embedder or
-    ``"external"`` for precomputed vectors loaded from ``path``.
+    ``"external"`` for precomputed vectors loaded from ``path``. ``dim`` (for
+    ``"hash"``) and ``chunk_size`` (if set) are stored as ``int``: they may
+    be any type with ``__index__`` (numpy integers), but not a ``bool``.
     """
 
     kind: str
@@ -80,10 +92,10 @@ class EmbedderSpec:
         if self.kind not in ("hash", "external"):
             raise ValidationError(f"unknown embedder kind: {self.kind!r}")
         # External vectors take their width from the file, so only the hash embedder checks dim.
-        if self.kind == "hash" and self.dim < 2:
-            raise ValidationError("embedding dimension must be >= 2")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValidationError("chunk_size must be >= 1")
+        if self.kind == "hash":
+            object.__setattr__(self, "dim", _index("embedding dimension", self.dim, 2))
+        if self.chunk_size is not None:
+            object.__setattr__(self, "chunk_size", _index("chunk_size", self.chunk_size, 1))
         if self.kind == "external" and not self.path:
             raise ValidationError("external embedder requires a path")
 
@@ -135,28 +147,13 @@ def _check_unit_norm(rows: np.ndarray, message: str) -> None:
     """Raise ``ValidationError(message)`` unless every row's L2 norm is within
     NORM_TOL of 1; ``{worst}`` in ``message`` names the largest deviation.
 
-    Written so that a NaN norm fails too, and row-wise, so the check makes
-    no n x d temporary.
+    Written so that a NaN norm fails too, and row-wise (:func:`_row_norms`),
+    so the check makes no n x d temporary.
     """
     if rows.shape[0]:
-        worst = float(np.abs(np.sqrt(np.einsum("ij,ij->i", rows, rows)) - 1.0).max())
+        worst = float(np.abs(_row_norms(rows) - 1.0).max())
         if not worst <= NORM_TOL:
             raise ValidationError(message.format(worst=worst))
-
-
-def _e0(d: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.float64)
-    v[0] = 1.0
-    return v
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    """L2-normalize in float64; zero vectors fall back to the e_0 sentinel."""
-    v = v.astype(np.float64, copy=False)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return _e0(v.shape[0])
-    return v / norm
 
 
 def _block_step(n: int) -> int:
@@ -164,20 +161,25 @@ def _block_step(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
-def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None = None) -> None:
-    """Write :func:`_normalize` of each row of ``src`` (of ``src[order]`` if
-    given) into ``out``, cast to its dtype, bit for bit, a block at a time.
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, by a stacked ``matmul`` of the row with itself: the
+    BLAS dot ``np.linalg.norm`` takes of one row, with no n x d temporary."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
-    Each norm is a stacked ``matmul`` of a row with itself, which numpy
-    computes with the same BLAS dot as ``np.linalg.norm`` of one row.
+
+def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None = None) -> None:
+    """Write each row of ``src`` (of ``src[order]`` if given) divided by its
+    float64 L2 norm into ``out``, cast to its dtype, a block at a time; a
+    zero row (of +0.0 or -0.0) becomes the e_0 sentinel. This is the one
+    place rows are normalized.
     """
     step = _block_step(out.shape[0])
     for start in range(0, out.shape[0], step):
         rows = slice(start, start + step)
         block = src[rows if order is None else order[rows]].astype(np.float64)
-        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+        norms = _row_norms(block)
         zero = norms == 0.0
-        block[zero], norms[zero] = _e0(block.shape[1]), 1.0
+        block[zero], norms[zero] = np.eye(1, block.shape[1]), 1.0
         out[rows] = block / norms[:, None]
 
 
@@ -193,12 +195,6 @@ def _chunk_lengths(n_tokens: int, chunk_size: int | None) -> list[int]:
     if chunk_size is None or n_tokens <= chunk_size:
         return [n_tokens]
     return [min(chunk_size, n_tokens - i) for i in range(0, n_tokens, chunk_size)]
-
-
-def _chunk_mean(rows: np.ndarray) -> np.ndarray:
-    """The renormalized float64 mean of a text's chunk vectors, as float32."""
-    mean = np.mean(rows.astype(np.float64), axis=0)
-    return _normalize(mean).astype(np.float32)
 
 
 def _token_blocks(
@@ -231,8 +227,8 @@ def _hash_embed(texts: Iterable[str], d: int, seed: int, chunk_size: int | None 
 
     A text gives one row of features, or with ``chunk_size`` one row per
     chunk of at most that many tokens (a text of at most one chunk stays
-    whole), and a chunked text's row is :func:`_chunk_mean` of its chunk
-    rows. Bigrams never cross a chunk boundary.
+    whole), and a chunked text's row is the float64 mean of its float32
+    chunk rows, normalized again. Bigrams never cross a chunk boundary.
 
     Token ids come from one vocabulary kept across the corpus, and each
     token's unigram is hashed once. ``texts`` is read once, in blocks
@@ -273,16 +269,16 @@ def _hash_embed(texts: Iterable[str], d: int, seed: int, chunk_size: int | None 
         acc = np.bincount(cell, weights=weight, minlength=len(lengths) * d).reshape(-1, d)
         # Drop the per-token arrays, so they do not outlive their block.
         del ids, row, first, distinct, which, pair_bucket, pair_sign, cell, weight
-        # Integer sums of squares are exact, so these norms equal _normalize's.
-        norms = np.sqrt(np.einsum("ij,ij->i", acc, acc))
-        empty = norms == 0.0  # an empty text; its row becomes e_0
-        acc[empty, 0] = norms[empty] = 1.0
-        vectors = (acc / norms[:, None]).astype(np.float32)
+        vectors = np.empty(acc.shape, dtype=np.float32)
+        _normalize_rows(acc, vectors)  # an empty text's row becomes e_0
         heads = np.cumsum(counts) - counts  # each text's first row
         block = vectors[heads]
-        for i, count in enumerate(counts):
-            if count > 1:
-                block[i] = _chunk_mean(vectors[heads[i] : heads[i] + count])
+        chunked = [i for i, count in enumerate(counts) if count > 1]
+        means = np.empty((len(chunked), d))
+        for j, i in enumerate(chunked):
+            means[j] = np.mean(vectors[heads[i] : heads[i] + counts[i]].astype(np.float64), axis=0)
+        _normalize_rows(means, means)
+        block[chunked] = means
         out.append(block)
     return np.concatenate(out)
 
@@ -294,10 +290,12 @@ def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
     each feature's seed-keyed blake2b hash picks bucket ``(h >> 1) % d`` and
     sign ``+1`` if ``h & 1`` else ``-1``. Empty text returns e_0.
     Deterministic for fixed (text, d, seed).
+
+    This is :func:`embed_corpus`'s hashing pass on one text, without its
+    second normalization: a corpus row is the float32 of this row's float64
+    renormalization, which can differ from it in the last float32 bit.
     """
-    if d < 2:
-        raise ValidationError("embedding dimension must be >= 2")
-    return _hash_embed([text], d, seed)[0]
+    return _hash_embed([text], EmbedderSpec(kind="hash", dim=d, seed=seed).dim, seed)[0]
 
 
 def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> EmbeddingMatrix:

@@ -257,3 +257,72 @@ def test_numpy_random_only_at_known_sites():
         ("select", "select_random"),
         ("schedule_cost", "_plan"),
     }, found
+
+
+ROW_NORM_PATHS = {("sqrt",), ("einsum",), ("linalg", "norm")}
+
+
+def _numpy_path(node: ast.AST) -> tuple[str, ...] | None:
+    """The attribute path of ``node`` below numpy: ``("linalg", "norm")`` for
+    ``np.linalg.norm`` or ``linalg.norm``; None if it is not below numpy."""
+    path: list[str] = []
+    while isinstance(node, ast.Attribute):
+        path.insert(0, node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+        return tuple(path)
+    if isinstance(node, ast.Name) and node.id == "linalg":
+        return ("linalg", *path)
+    return None
+
+
+def _row_norm_sites(source: str) -> list[str]:
+    """The function around every use of ``np.sqrt``, ``np.einsum`` or
+    ``np.linalg.norm`` in ``source`` (as ``np``, ``numpy`` or ``linalg``
+    attributes, or imported by name from numpy); ``<module>`` outside any
+    function."""
+    sites: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and _numpy_path(node) in ROW_NORM_PATHS:
+            sites.append(where)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
+            below = tuple(node.module.split(".")[1:])
+            sites.extend(where for alias in node.names if (*below, alias.name) in ROW_NORM_PATHS)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_row_norm_scan_finds_every_form():
+    source = """
+import math
+from numpy import sqrt
+from numpy.linalg import norm, inv
+from numpy import linalg
+def f(x):
+    return np.sqrt(x) + math.sqrt(2) + numpy.einsum("ij,ij->i", x, x) + np.dot(x, x)
+class C:
+    def g(self, x):
+        return np.linalg.norm(x, axis=1), np.linalg.inv(x), linalg.norm(x)
+    def h(self, x):
+        return np.apply_along_axis(numpy.linalg.norm, 1, x)
+"""
+    assert _row_norm_sites(source) == ["<module>", "<module>", "f", "f", "g", "g", "h"]
+
+
+def test_rows_are_normalized_in_one_place():
+    """Every row norm in the package is ``embed._row_norms``, which
+    ``embed._normalize_rows`` and the unit-norm check call, except
+    ``cluster._update_centroids``', where a zero sum keeps the old centroid
+    instead of becoming e_0."""
+    found = sorted(
+        (path.stem, site)
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        for site in _row_norm_sites(path.read_text(encoding="utf-8"))
+    )
+    assert found == [("cluster", "_update_centroids"), ("embed", "_row_norms")], found

@@ -26,7 +26,7 @@ from d4kit import (
 )
 from d4kit import embed as embed_mod
 from d4kit.corpus import Record
-from d4kit.embed import _check_unit_norm, _chunk_lengths, _normalize, _normalize_rows
+from d4kit.embed import _check_unit_norm, _chunk_lengths, _normalize_rows
 
 from oracles import feature_hash_oracle, scalar_cosine
 
@@ -86,6 +86,36 @@ class TestFeatureHash:
         with pytest.raises(ValidationError):
             feature_hash_embed("x", 1)
 
+    @pytest.mark.parametrize("d", [True, 8.0, 8.5, "8", None])
+    def test_non_integer_dimension_rejected(self, d):
+        with pytest.raises(ValidationError):
+            feature_hash_embed("x y", d)
+
+
+class TestEmbedderSpec:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("dim", True), ("dim", 64.0), ("dim", 64.5), ("dim", "64"),
+         ("chunk_size", True), ("chunk_size", 2.0), ("chunk_size", 2.5), ("chunk_size", "2")],
+    )
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            EmbedderSpec(kind="hash", **{field: value})
+
+    def test_external_kind_ignores_dim(self):
+        assert EmbedderSpec(kind="external", dim=64.5, path="vectors.d4em").dim == 64.5
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32, np.uint64, np.uint8])
+    def test_numpy_integers_embed_like_int(self, np_int):
+        spec = EmbedderSpec(kind="hash", dim=np_int(16), seed=7, chunk_size=np_int(3))
+        assert (type(spec.dim), type(spec.chunk_size)) == (int, int)
+        assert spec == EmbedderSpec(kind="hash", dim=16, seed=7, chunk_size=3)
+        docs = synthesize_corpus(SynthSpec(n_topics=2, docs_per_topic=10, seed=3))
+        assert embed_corpus(docs, spec).vectors.tobytes() == embed_corpus(
+            docs, EmbedderSpec(kind="hash", dim=16, seed=7, chunk_size=3)
+        ).vectors.tobytes()
+        assert feature_hash_embed("a b c", np_int(8), 7).tobytes() == feature_hash_embed("a b c", 8, 7).tobytes()
+
 
 class TestEmbedCorpus:
     def test_identical_texts_identical_rows(self):
@@ -135,6 +165,15 @@ class TestEmbedCorpus:
         base = embed_corpus(_docs(texts), spec)
         permuted = embed_corpus(_docs([texts[i] for i in perm]), spec)
         assert np.array_equal(permuted.vectors, base.vectors[list(perm)])
+
+
+def _normalize(v: np.ndarray) -> np.ndarray:
+    """L2-normalize in float64; zero vectors fall back to the e_0 sentinel."""
+    v = v.astype(np.float64, copy=False)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.eye(1, v.shape[0])[0]
+    return v / norm
 
 
 def _oracle_row(text, d, seed, chunk_size=None):
