@@ -9,6 +9,10 @@ counts.
 Exit codes: 0 success, 1 validation or usage error or an allocation that
 failed (``MemoryError``), 2 I/O or file-format error.
 
+``select`` with ``random``, or ``prototypes`` and ``--clustering``, checks
+the ``.d4em`` file a block at a time and keeps only its ids and the
+clustering: O(n + k * d) memory.
+
 Each subcommand imports the library modules it runs, so a command loads
 only those (``minhash`` never loads the embedding-space stages). Hashes
 come from :mod:`d4kit.hashing`, which takes them from CPython's bundled
@@ -259,7 +263,9 @@ def cmd_select(args: argparse.Namespace) -> None:
     elif args.r is None:
         raise ValidationError(f"--r is required for {method}")
     out = _prepare_out(args)
-    emb = embed_mod.read_embeddings(args.embeddings)
+    # These two use only the ids and, for the distance check, row blocks.
+    streamed = method == "random" or (method == "prototypes" and args.clustering)
+    emb = (embed_mod._scan_embeddings if streamed else embed_mod.read_embeddings)(args.embeddings)
     if method == "random":
         result = select_mod.select_random(
             emb.ids, args.r, seed=stage_seed(args.seed, "select.random")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import EmbeddingMatrix, _check_unit_norm
+from .embed import EmbeddingMatrix, _check_unit_norm, _row_dots
 from .errors import FormatError, ValidationError
 
 MAGIC = b"D4KM"
@@ -98,18 +98,22 @@ class Clustering:
         return self.centroids.shape[1]
 
     def validate_for(self, emb: EmbeddingMatrix) -> None:
-        """Check that this clustering describes ``emb``."""
+        """Check that this clustering describes ``emb``.
+
+        ``emb`` is an :class:`EmbeddingMatrix` or anything with its ``n``,
+        ``d`` and ``_blocks()``, such as a checked ``.d4em`` file read again
+        a block at a time (``embed._scan_embeddings``). Each stored distance
+        is checked against its row's dot with its centroid, one row block at
+        a time, so no n x d gather of rows or centroids is built.
+        """
         if emb.n != self.n:
             raise ValidationError(f"clustering covers {self.n} points, matrix has {emb.n}")
         if emb.d != self.d:
             raise ValidationError(f"clustering dimension {self.d} != matrix {emb.d}")
-        if self.n == 0:
-            return
-        # One cluster at a time, so no n x d gather of centroids is built.
-        dots = np.empty(self.n)
-        for j, idx in enumerate(self.members()):
-            dots[idx] = emb.vectors[idx] @ self.centroids[j]
-        worst = float(np.abs(self.distance - np.clip(1.0 - dots, 0.0, 2.0)).max())
+        worst = 0.0
+        for rows, block in emb._blocks():
+            dots = _row_dots(block, self.centroids[self.assignment[rows]])
+            worst = max(worst, float(np.abs(self.distance[rows] - np.clip(1.0 - dots, 0.0, 2.0)).max()))
         if worst > DIST_TOL:
             raise ValidationError(
                 f"stored distances inconsistent with matrix (max error {worst:.2e})"

@@ -111,6 +111,11 @@ def find_duplicate_driven_clusters(
     like these are characteristic of templated near-duplicate text.
     """
     clustering.validate_for(emb)
+    return _duplicate_driven(clustering, std_threshold)
+
+
+def _duplicate_driven(clustering: Clustering, std_threshold: float) -> list[FlaggedCluster]:
+    """:func:`find_duplicate_driven_clusters` on a clustering already checked against its matrix."""
     flagged: list[FlaggedCluster] = []
     for j, idx in enumerate(clustering.members()):
         if idx.size < 2:
@@ -139,6 +144,11 @@ def ecdf_mean_distance(
     k nonempty clusters, ending at exactly 1.0.
     """
     clustering.validate_for(emb)
+    return _ecdf(clustering)
+
+
+def _ecdf(clustering: Clustering) -> tuple[tuple[float, float], ...]:
+    """:func:`ecdf_mean_distance` on a clustering already checked against its matrix."""
     means = [
         float(clustering.distance[idx].mean())
         for idx in clustering.members()
@@ -288,15 +298,19 @@ def analyze_clustering(
     clustering: Clustering,
     std_threshold: float = STD_THRESHOLD,
 ) -> DiagnosticsReport:
-    """Bundle balance, duplicate-driven detection, and the ECDF."""
+    """Bundle balance, duplicate-driven detection, and the ECDF.
+
+    The clustering is checked against ``emb`` once, before anything else.
+    """
+    clustering.validate_for(emb)
     notes: list[str] = []
     balance: float | None = None
     try:
         balance = cluster_balance(clustering)
     except ValidationError as exc:
         notes.append(f"cluster balance unavailable: {exc}")
-    flagged = find_duplicate_driven_clusters(emb, clustering, std_threshold)
-    ecdf = ecdf_mean_distance(emb, clustering)
+    flagged = _duplicate_driven(clustering, std_threshold)
+    ecdf = _ecdf(clustering)
     notes.append(
         f"{len(flagged)} of {clustering.k} clusters flagged duplicate-driven "
         f"(std < {std_threshold:g})"

@@ -22,11 +22,19 @@ same routine on a one-text corpus, so there is one hashing path.
 file holds the ids, the n x d output and one block, however long the texts.
 
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
-is written and read a block at a time, and rows are normalized a block at a
-time. So ingesting external vectors takes at most 1.5 * n * d * 8 bytes plus
-the ids (the float64 matrix read, then the float32 rows beside the float64
+is written and read a block at a time, rows are normalized a block at a
+time, and every row check (finite, and unit norm when flagged normalized)
+runs a block at a time, so none builds an n x d temporary. So ingesting
+external vectors takes at most 1.5 * n * d * 8 bytes plus the ids (the
+float64 matrix read, then the float32 rows beside the float64
 ``EmbeddingMatrix``), and writing takes one block beyond the matrix. The
 corpus is read for its ids alone, one record at a time.
+
+A caller that needs only the ids and row blocks of a ``.d4em`` file (``select
+--method random``, and ``prototypes`` on a given clustering) uses
+:func:`_scan_embeddings`: it checks the file as :func:`read_embeddings` does,
+holding the ids and one block, and reads the rows again a block at a time
+when asked, so it takes O(n + sqrt(n) * d) memory, not O(n * d).
 
 Empty documents map to the basis vector e_0. This is a deliberate sentinel
 so corpora with blank documents flow through instead of erroring; callers
@@ -63,11 +71,11 @@ NORM_TOL = 1e-5
 _BLOCK_SIZE = 1 << 13
 
 
-def _index(name: str, value, least: int) -> int:
-    """``value`` as an int; ``ValidationError`` unless an integer, not a bool, of at least ``least``."""
+def _index(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int; ``ValidationError`` unless an integer, not a bool, of at least ``least`` if given."""
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if operator.index(value) < least:
+    if least is not None and operator.index(value) < least:
         raise ValidationError(f"{name} must be >= {least}")
     return operator.index(value)
 
@@ -77,9 +85,10 @@ class EmbedderSpec:
     """Which embedder to use and how to parameterize it.
 
     ``kind`` is ``"hash"`` for the built-in feature-hashing embedder or
-    ``"external"`` for precomputed vectors loaded from ``path``. ``dim`` (for
-    ``"hash"``) and ``chunk_size`` (if set) are stored as ``int``: they may
-    be any type with ``__index__`` (numpy integers), but not a ``bool``.
+    ``"external"`` for precomputed vectors loaded from ``path``. ``seed``,
+    ``dim`` (for ``"hash"``) and ``chunk_size`` (if set) are stored as
+    ``int``: they may be any type with ``__index__`` (numpy integers), but
+    not a ``bool``. The seed may be any integer; it is used mod 2**64.
     """
 
     kind: str
@@ -91,6 +100,7 @@ class EmbedderSpec:
     def __post_init__(self):
         if self.kind not in ("hash", "external"):
             raise ValidationError(f"unknown embedder kind: {self.kind!r}")
+        object.__setattr__(self, "seed", _index("seed", self.seed))
         # External vectors take their width from the file, so only the hash embedder checks dim.
         if self.kind == "hash":
             object.__setattr__(self, "dim", _index("embedding dimension", self.dim, 2))
@@ -119,12 +129,10 @@ class EmbeddingMatrix:
             raise ValidationError(
                 f"{len(self.ids)} ids but {self.vectors.shape[0]} rows"
             )
-        if len(set(self.ids)) != len(self.ids):
-            raise ValidationError("embedding ids must be unique")
-        if not np.isfinite(self.vectors).all():
-            raise ValidationError("vectors must be finite (no NaN or infinity)")
-        if self.normalized:
-            _check_unit_norm(self.vectors, "normalized flag set but a row norm deviates by {worst:.2e}")
+        _check_unique(self.ids)
+        fault = _row_fault(self._blocks(), self.normalized)
+        if fault:
+            raise ValidationError(fault)
 
     @property
     def n(self) -> int:
@@ -142,6 +150,45 @@ class EmbeddingMatrix:
             normalized=self.normalized,
         )
 
+    def _blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(rows, vectors[rows])`` over the rows, in blocks of :func:`_row_blocks`."""
+        return ((rows, self.vectors[rows]) for rows in _row_blocks(self.n))
+
+
+def _check_unique(ids: tuple[str, ...]) -> None:
+    if len(set(ids)) != len(ids):
+        raise ValidationError("embedding ids must be unique")
+
+
+def _row_fault(blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> str | None:
+    """What is wrong with the rows of ``blocks``, checked in float64, or None.
+
+    Every row must be finite and, when ``normalized``, have an L2 norm
+    within NORM_TOL of 1; a non-finite row is named first, and the norm
+    message gives the largest deviation over all rows. Every block is
+    consumed, so a file's payload is read to its end before a fault is
+    raised, and each block is checked on its own, so no n x d temporary is
+    made.
+    """
+    finite, worst = True, 0.0
+    for _, block in blocks:
+        if not finite:
+            continue
+        if not np.isfinite(block).all():
+            finite = False
+        elif normalized:
+            worst = max(worst, _norm_deviation(block.astype(np.float64, copy=False)))
+    if not finite:
+        return "vectors must be finite (no NaN or infinity)"
+    if not worst <= NORM_TOL:
+        return f"normalized flag set but a row norm deviates by {worst:.2e}"
+    return None
+
+
+def _norm_deviation(rows: np.ndarray) -> float:
+    """The largest distance of a row's L2 norm from 1 (NaN if a norm is), 0.0 for no rows."""
+    return float(np.abs(_row_norms(rows) - 1.0).max()) if rows.shape[0] else 0.0
+
 
 def _check_unit_norm(rows: np.ndarray, message: str) -> None:
     """Raise ``ValidationError(message)`` unless every row's L2 norm is within
@@ -150,10 +197,9 @@ def _check_unit_norm(rows: np.ndarray, message: str) -> None:
     Written so that a NaN norm fails too, and row-wise (:func:`_row_norms`),
     so the check makes no n x d temporary.
     """
-    if rows.shape[0]:
-        worst = float(np.abs(_row_norms(rows) - 1.0).max())
-        if not worst <= NORM_TOL:
-            raise ValidationError(message.format(worst=worst))
+    worst = _norm_deviation(rows)
+    if not worst <= NORM_TOL:
+        raise ValidationError(message.format(worst=worst))
 
 
 def _block_step(n: int) -> int:
@@ -161,10 +207,23 @@ def _block_step(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of :func:`_block_step` rows, the last possibly shorter, that cover n rows in order."""
+    step = _block_step(n)
+    for start in range(0, n, step):
+        yield slice(start, start + step)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` dotted with the same row of ``b``, by a stacked ``matmul``:
+    the BLAS dot of one row pair each, with no temporary of the inputs' size."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Each row's L2 norm, by a stacked ``matmul`` of the row with itself: the
+    """Each row's L2 norm, :func:`_row_dots` of the rows with themselves: the
     BLAS dot ``np.linalg.norm`` takes of one row, with no n x d temporary."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    return np.sqrt(_row_dots(rows, rows))
 
 
 def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None = None) -> None:
@@ -173,9 +232,7 @@ def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None =
     zero row (of +0.0 or -0.0) becomes the e_0 sentinel. This is the one
     place rows are normalized.
     """
-    step = _block_step(out.shape[0])
-    for start in range(0, out.shape[0], step):
-        rows = slice(start, start + step)
+    for rows in _row_blocks(out.shape[0]):
         block = src[rows if order is None else order[rows]].astype(np.float64)
         norms = _row_norms(block)
         zero = norms == 0.0
@@ -295,7 +352,8 @@ def feature_hash_embed(text: str, d: int, seed: int = 0) -> np.ndarray:
     second normalization: a corpus row is the float32 of this row's float64
     renormalization, which can differ from it in the last float32 bit.
     """
-    return _hash_embed([text], EmbedderSpec(kind="hash", dim=d, seed=seed).dim, seed)[0]
+    spec = EmbedderSpec(kind="hash", dim=d, seed=seed)
+    return _hash_embed([text], spec.dim, spec.seed)[0]
 
 
 def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> EmbeddingMatrix:
@@ -347,10 +405,72 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
         flags = 1 if m.normalized else 0
         fh.write(MAGIC)
         fh.write(struct.pack("<IQII", VERSION, m.n, m.d, flags))
-        step = _block_step(m.n)
-        for start in range(0, m.n, step):
-            fh.write(m.vectors[start : start + step].astype("<f4"))
+        for rows in _row_blocks(m.n):
+            fh.write(m.vectors[rows].astype("<f4"))
         fh.write(b"".join(struct.pack("<H", len(raw)) + raw for raw in raw_ids))
+
+
+# read_embeddings and _scan_embeddings share the parts of a .d4em reader:
+# the header with its size checks, the payload a block at a time, and the
+# id table. read_embeddings fills a matrix from the payload; the scan only
+# checks it, as EmbeddingMatrix would.
+
+
+def _read_header(fh) -> tuple[int, int, bool]:
+    """The row count, width and normalized flag, after checking the 24-byte header."""
+    header = fh.read(24)
+    if len(header) < 4 or header[:4] != MAGIC:
+        raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
+    if len(header) < 24:
+        raise FormatError("truncated header", len(header))
+    version, count, dim, flags = struct.unpack_from("<IQII", header, 4)
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version}", 4)
+    if dim == 0:
+        raise FormatError("dimension must be >= 1", 16)
+    st = os.fstat(fh.fileno())
+    # A regular file's size is known, so a header that claims more rows
+    # than the file holds fails before anything is allocated.
+    if stat.S_ISREG(st.st_mode) and st.st_size < 24 + count * dim * 4:
+        raise _truncated(count, dim, st.st_size)
+    return count, dim, bool(flags & 1)
+
+
+def _truncated(count: int, dim: int, offset: int) -> FormatError:
+    return FormatError(f"truncated payload: expected {count * dim * 4} bytes of vectors", offset)
+
+
+def _payload_blocks(fh, count: int, dim: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, float32 rows)`` over the payload, which ``fh`` is at, in blocks of :func:`_row_blocks`."""
+    for rows in _row_blocks(count):
+        size = (min(rows.stop, count) - rows.start) * dim * 4
+        raw = fh.read(size)
+        if len(raw) < size:  # a stream that ends early
+            raise _truncated(count, dim, 24 + rows.start * dim * 4 + len(raw))
+        yield rows, np.frombuffer(raw, dtype="<f4").reshape(-1, dim)
+
+
+def _read_ids(fh, count: int, dim: int) -> tuple[str, ...]:
+    """The id table, which ``fh`` is at; reads to the end of the file."""
+    start = 24 + count * dim * 4  # the table's offset in the file
+    data = fh.read()
+    offset = 0
+    ids: list[str] = []
+    for _ in range(count):
+        if len(data) < offset + 2:
+            raise FormatError("truncated id table", start + len(data))
+        (id_len,) = struct.unpack_from("<H", data, offset)
+        offset += 2
+        if len(data) < offset + id_len:
+            raise FormatError("truncated id entry", start + len(data))
+        try:
+            ids.append(data[offset : offset + id_len].decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError("id is not valid UTF-8", start + offset) from exc
+        offset += id_len
+    if offset != len(data):
+        raise FormatError("trailing bytes after id table", start + offset)
+    return tuple(ids)
 
 
 def read_embeddings(path: str) -> EmbeddingMatrix:
@@ -360,50 +480,60 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
     float64 matrix, so reading takes about 8 bytes per value.
     """
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) < 4 or header[:4] != MAGIC:
-            raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
-        if len(header) < 24:
-            raise FormatError("truncated header", len(header))
-        version, count, dim, flags = struct.unpack_from("<IQII", header, 4)
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version}", 4)
-        if dim == 0:
-            raise FormatError("dimension must be >= 1", 16)
-        payload_bytes = count * dim * 4
-        truncated = f"truncated payload: expected {payload_bytes} bytes of vectors"
-        st = os.fstat(fh.fileno())
-        # A regular file's size is known, so a header that claims more rows
-        # than the file holds fails before the matrix is allocated.
-        if stat.S_ISREG(st.st_mode) and st.st_size < 24 + payload_bytes:
-            raise FormatError(truncated, st.st_size)
+        count, dim, normalized = _read_header(fh)
         try:
             vectors = np.empty((count, dim), dtype=np.float64)
         except (MemoryError, ValueError) as exc:  # a stream that claims too much
             raise FormatError(f"claimed shape ({count}, {dim}) cannot be allocated", 8) from exc
-        step = _block_step(count)
-        for start in range(0, count, step):
-            block = vectors[start : start + step]
-            raw = fh.read(block.size * 4)
-            if len(raw) < block.size * 4:  # a stream that ends early
-                raise FormatError(truncated, 24 + start * dim * 4 + len(raw))
-            block[:] = np.frombuffer(raw, dtype="<f4").reshape(block.shape)
-        data = fh.read()
-    size = 24 + payload_bytes + len(data)
-    offset = 0  # into the id table, which starts at byte 24 + payload_bytes
-    ids: list[str] = []
-    for _ in range(count):
-        if len(data) < offset + 2:
-            raise FormatError("truncated id table", size)
-        (id_len,) = struct.unpack_from("<H", data, offset)
-        offset += 2
-        if len(data) < offset + id_len:
-            raise FormatError("truncated id entry", size)
-        try:
-            ids.append(data[offset : offset + id_len].decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError("id is not valid UTF-8", 24 + payload_bytes + offset) from exc
-        offset += id_len
-    if offset != len(data):
-        raise FormatError("trailing bytes after id table", 24 + payload_bytes + offset)
-    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors, normalized=bool(flags & 1))
+        for rows, block in _payload_blocks(fh, count, dim):
+            vectors[rows] = block
+        ids = _read_ids(fh, count, dim)
+    return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=normalized)
+
+
+class _EmbeddingFile:
+    """A ``.d4em`` file checked by :func:`_scan_embeddings`, whose rows are not held.
+
+    It has the ``ids``, ``n``, ``d``, ``normalized`` and ``_blocks()`` of an
+    :class:`EmbeddingMatrix`, so ``select_random`` and ``ssl_prototypes``
+    (through ``Clustering.validate_for``) take it in place of one.
+    ``_blocks()`` reads the payload again from the file checked, and raises
+    ``FormatError`` if the file has changed since.
+    """
+
+    def __init__(self, path: str, ids: tuple[str, ...], d: int, normalized: bool, stamp: tuple[int, ...]):
+        self.path, self.ids, self.n, self.d, self.normalized = path, ids, len(ids), d, normalized
+        self._stamp = stamp  # the file's device, inode, size and mtime when checked
+
+    def _blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        with open(self.path, "rb") as fh:
+            if _stamp(fh.fileno()) != self._stamp:
+                raise FormatError(f"{self.path} changed after it was checked", 0)
+            fh.seek(24)
+            for rows, block in _payload_blocks(fh, self.n, self.d):
+                yield rows, block.astype(np.float64)
+
+
+def _stamp(fd: int) -> tuple[int, ...]:
+    st = os.fstat(fd)
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _scan_embeddings(path: str) -> EmbeddingMatrix | _EmbeddingFile:
+    """A ``.d4em`` file with every check of :func:`read_embeddings`, in its
+    order, holding its ids and one block of rows at a time.
+
+    A file that is not regular (a pipe) cannot be read twice, so it is read
+    whole by :func:`read_embeddings`.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return read_embeddings(path)
+    with open(path, "rb") as fh:
+        count, dim, normalized = _read_header(fh)
+        fault = _row_fault(_payload_blocks(fh, count, dim), normalized)
+        ids = _read_ids(fh, count, dim)
+        stamp = _stamp(fh.fileno())
+    _check_unique(ids)
+    if fault:
+        raise ValidationError(fault)
+    return _EmbeddingFile(path, ids, dim, normalized, stamp)

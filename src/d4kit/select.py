@@ -32,6 +32,8 @@ from .hashing import sha256
 
 SEMDEDUP_RATIO_TOL = 0.005
 D4_RATIO_TOL = 0.01
+# Fewest joined rows the spanning-tree loop drops from its block at a time.
+_COMPACT_ROWS = 64
 
 
 def _round_half_up(x: float) -> int:
@@ -156,7 +158,9 @@ def _spanning_forest(
     threshold t, the components of a cluster's "sim > t" graph are exactly
     those its tree edges of weight > t leave (the single-linkage/MST
     equivalence). Each step computes one row of similarities, so no m x m
-    matrix is built.
+    matrix is built, and rows that joined the tree are dropped from it as
+    the tree grows, so the steps' gemvs cover about (4/7) m^2 rows in all,
+    not m^2. Ties go to the lowest member.
     """
     X = emb.vectors
     empty = np.zeros(0, dtype=np.intp)
@@ -165,25 +169,38 @@ def _spanning_forest(
         m = idx.size
         if m < 2:
             continue
+        # ``rows`` holds every member still outside the tree, in member
+        # order, and those that joined since it was last compacted; ``at``
+        # names the member of each row.
         rows = X[idx]
+        at = np.arange(m)
         best = np.full(m, -np.inf)  # similarity to the nearest tree member
         parent = np.zeros(m, dtype=np.intp)
         outside = np.ones(m, dtype=bool)
-        joined = np.empty(m - 1, dtype=np.intp)
+        head = np.empty(m - 1, dtype=np.intp)
+        tail = np.empty(m - 1, dtype=np.intp)
         weight = np.empty(m - 1)
-        v = 0
+        v = member = 0
         for step in range(m - 1):
             outside[v] = False
             best[v] = -np.inf
-            sims = rows @ rows[v]
+            x = rows[v]
+            left = m - 1 - step
+            # Once a quarter of ``rows``, and at least _COMPACT_ROWS, have
+            # joined, drop them: a gemv then covers at most about 4/3 of the
+            # rows still outside. Dropping fewer saves less than the copy costs.
+            if at.size - left >= max(_COMPACT_ROWS, at.size // 4):
+                rows, at, best, parent = rows[outside], at[outside], best[outside], parent[outside]
+                outside = np.ones(left, dtype=bool)
+            sims = rows @ x
             closer = outside & (sims > best)
             best[closer] = sims[closer]
-            parent[closer] = v
-            v = int(best.argmax())
-            joined[step] = v
-            weight[step] = best[v]
-        heads.append(idx[parent[joined]])
-        tails.append(idx[joined])
+            parent[closer] = member
+            v = int(best.argmax())  # ties to the lowest member, as rows keep member order
+            member = int(at[v])
+            head[step], tail[step], weight[step] = parent[v], member, best[v]
+        heads.append(idx[head])
+        tails.append(idx[tail])
         weights.append(weight)
     # Clipping is monotone, so the trees stay maximal under it.
     weights = np.clip(np.concatenate(weights), -1.0, 1.0)

@@ -13,6 +13,7 @@ import tempfile
 import textwrap
 import threading
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import d4kit
+import d4kit.embed as embed_mod
 from d4kit.cli import _write_selection, build_parser, run, stage_seed
-from d4kit.select import SelectionResult
+from d4kit.select import SelectionResult, select_random, ssl_prototypes
 
 
 def _read_json(path: Path):
@@ -1078,3 +1080,168 @@ class TestRobustness:
             out = Path(tmp) / "out"
             argv = [t.format(f=f, f_dir=f.parent, **valid_inputs) for t in command]
             _run_checked(argv + ["--out", str(out)], out)
+
+
+# The selects that check the .d4em file a block at a time and keep only its
+# ids (random) or its ids and the clustering (prototypes on a given one).
+_STREAMED_SELECTS = {
+    "random": ["select", "--embeddings", "{f}", "--method", "random", "--r", "{r}"],
+    "prototypes": ["select", "--embeddings", "{f}", "--clustering", "{km}", "--method", "prototypes", "--r", "{r}"],
+}
+
+
+def _outcome(argv: list[str], out: Path) -> tuple[int, list[str], list]:
+    """Exit code, ``error:`` lines and output files but ``config.json`` of one in-process run."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = run([*argv, "--out", str(out)])
+    errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+    files = sorted((p.name, p.read_bytes()) for p in out.iterdir() if p.name != "config.json") if out.exists() else []
+    return code, errors, files
+
+
+def _streamed_and_in_memory(argv: list[str], base: Path):
+    """The outcome of ``argv``, and of it with the whole matrix read by ``read_embeddings``, as semdedup reads it."""
+    streamed = _outcome(argv, base / "streamed")
+    with mock.patch.object(embed_mod, "_scan_embeddings", embed_mod.read_embeddings):
+        in_memory = _outcome(argv, base / "in_memory")
+    return streamed, in_memory
+
+
+def _d4em(rows: np.ndarray, ids: list[bytes], flags: int = 1) -> bytes:
+    rows = np.asarray(rows, dtype="<f4")
+    return (
+        b"D4EM" + struct.pack("<IQII", 1, *rows.shape, flags) + rows.tobytes()
+        + b"".join(struct.pack("<H", len(i)) + i for i in ids)
+    )
+
+
+def _unit_rows(n: int, d: int = 4) -> np.ndarray:
+    rows = np.random.default_rng(n).normal(size=(n, d))
+    return (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32)
+
+
+def _fault(name: str) -> tuple[bytes, Path | None]:
+    """A 9-row .d4em (blocks of 3 rows) with ``name``'s fault, and the clustering bytes to pair with it."""
+    rows, ids, flags = _unit_rows(9), [f"d{i}".encode() for i in range(9)], 1
+    clustering = d4kit.kmeans_spherical(
+        d4kit.EmbeddingMatrix(tuple(i.decode() for i in ids), rows, True), d4kit.KmeansConfig(k=2, seed=0)
+    )
+    tail = 0
+    if name == "nan_after_norm":  # a bad norm in the first block, NaN in the last
+        rows[0] *= 1.5
+        rows[8, 0] = np.nan
+    elif name == "worst_norm":
+        rows[1] *= 1.001
+        rows[7] *= 1.02
+    elif name == "duplicate_id_and_nan":
+        ids[3] = ids[2]
+        rows[0, 0] = np.inf
+    elif name == "id_table_and_nan":
+        rows[0, 0] = np.nan
+        tail = 1
+    elif name == "unnormalized":
+        flags = 0
+    elif name == "clustering_of_other_n":
+        clustering = d4kit.Clustering(
+            centroids=clustering.centroids, assignment=clustering.assignment[:8],
+            distance=clustering.distance[:8], k=clustering.k,
+        )
+    elif name == "inconsistent_distance":
+        distance = clustering.distance.copy()
+        distance[5] += 0.01
+        clustering = d4kit.Clustering(
+            centroids=clustering.centroids, assignment=clustering.assignment, distance=distance, k=clustering.k
+        )
+    data = _d4em(rows, ids, flags)
+    return data[: len(data) - tail], clustering
+
+
+class TestStreamedSelect:
+    """``select --method random`` and ``--method prototypes --clustering``
+    never read the whole matrix, yet exit, fail and write as reading it did."""
+
+    @pytest.mark.parametrize(
+        "fault, r, random, prototypes",
+        [
+            ("none", "0.5", (0, ""), (0, "")),
+            ("nan_after_norm", "0.5", (1, "finite"), (1, "finite")),
+            ("worst_norm", "0.5", (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02")),
+            ("duplicate_id_and_nan", "0.5", (1, "ids must be unique"), (1, "ids must be unique")),
+            ("id_table_and_nan", "0.5", (2, "truncated id entry"), (2, "truncated id entry")),
+            ("unnormalized", "0.5", (0, ""), (1, "requires a normalized")),
+            ("unnormalized", "1.5", (1, "selection ratio"), (1, "r_proto must be")),
+            ("clustering_of_other_n", "0.5", (0, ""), (1, "clustering covers 8 points")),
+            ("inconsistent_distance", "0.5", (0, ""), (1, "stored distances inconsistent")),
+            ("truncated_clustering", "1.5", (1, "selection ratio"), (2, "truncated payload")),
+        ],
+    )
+    def test_faults_reported_in_order(self, tmp_path, fault, r, random, prototypes):
+        data, clustering = _fault(fault)
+        f, km = tmp_path / "e.d4em", tmp_path / "c.d4km"
+        f.write_bytes(data)
+        d4kit.write_clustering(clustering, str(km))
+        if fault == "truncated_clustering":
+            km.write_bytes(km.read_bytes()[:-1])
+        for method, (code, text) in (("random", random), ("prototypes", prototypes)):
+            argv = [t.format(f=f, km=km, r=r) for t in _STREAMED_SELECTS[method]]
+            streamed, in_memory = _streamed_and_in_memory(argv, tmp_path / method)
+            assert streamed == in_memory, method
+            assert streamed[0] == code, (method, streamed)
+            assert len(streamed[1]) == (code != 0) and text in "".join(streamed[1]), (method, streamed)
+
+    @settings(max_examples=100)
+    @given(data=st.data(), method=st.sampled_from(sorted(_STREAMED_SELECTS)))
+    def test_corrupted_embeddings_fail_as_in_memory(self, valid_inputs, data, method):
+        corrupted = data.draw(_corruption(Path(valid_inputs["embeddings"]).read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "embeddings.d4em"
+            f.write_bytes(corrupted)
+            argv = [t.format(f=f, km=valid_inputs["clustering"], r="0.5") for t in _STREAMED_SELECTS[method]]
+            streamed, in_memory = _streamed_and_in_memory(argv, Path(tmp))
+        assert streamed == in_memory
+
+    def test_never_read_the_matrix(self, valid_inputs, tmp_path, monkeypatch):
+        def whole_matrix(path):
+            raise AssertionError(f"read the whole matrix of {path}")
+
+        monkeypatch.setattr(embed_mod, "read_embeddings", whole_matrix)
+        for method, command in _STREAMED_SELECTS.items():
+            argv = [t.format(f=valid_inputs["embeddings"], km=valid_inputs["clustering"], r="0.5") for t in command]
+            assert run([*argv, "--out", str(tmp_path / method)]) == 0
+
+    def test_outputs_equal_library_calls(self, valid_inputs, tmp_path):
+        emb = d4kit.read_embeddings(valid_inputs["embeddings"])
+        clustering = d4kit.read_clustering(valid_inputs["clustering"])
+        expected = {
+            "random": select_random(emb.ids, 0.4, seed=stage_seed(3, "select.random")),
+            "prototypes": ssl_prototypes(emb, clustering, 0.4),
+        }
+        for method, command in _STREAMED_SELECTS.items():
+            argv = [t.format(f=valid_inputs["embeddings"], km=valid_inputs["clustering"], r="0.4") for t in command]
+            cli_out, lib_out = tmp_path / method / "cli", tmp_path / method / "lib"
+            assert run([*argv, "--seed", "3", "--out", str(cli_out)]) == 0
+            lib_out.mkdir()
+            _write_selection(lib_out, expected[method])
+            for p in lib_out.iterdir():
+                assert (cli_out / p.name).read_bytes() == p.read_bytes(), (method, p.name)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("method", sorted(_STREAMED_SELECTS))
+    def test_embeddings_from_pipe(self, valid_inputs, tmp_path, method):
+        # A pipe cannot be read twice, so it is read whole, and the outputs are the file's.
+        embeddings = Path(valid_inputs["embeddings"])
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        outputs = {}
+        for name, source in (("from_file", embeddings), ("from_pipe", fifo)):
+            argv = [t.format(f=source, km=valid_inputs["clustering"], r="0.5") for t in _STREAMED_SELECTS[method]]
+            writer = threading.Thread(target=fifo.write_bytes, args=(embeddings.read_bytes(),), daemon=True)
+            if source == fifo:
+                writer.start()
+            outputs[name] = _outcome(argv, tmp_path / name)
+            if source == fifo:
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+        assert outputs["from_pipe"] == outputs["from_file"]
+        assert outputs["from_file"][0] == 0

@@ -9,6 +9,7 @@ import d4kit.cluster as cluster_mod
 from d4kit import (
     Clustering,
     D4Config,
+    analyze_clustering,
     EmbeddingMatrix,
     KmeansConfig,
     SynthSpec,
@@ -230,6 +231,23 @@ class TestEcdf:
             )
         }
         assert after <= before
+
+
+class TestAnalyzeClustering:
+    def test_validates_once(self, planted_emb, planted_clustering):
+        # The clustering is checked against the matrix once, not once per
+        # part of the report; each check is an O(n * d) pass.
+        with mock.patch.object(
+            Clustering, "validate_for", autospec=True, side_effect=Clustering.validate_for
+        ) as validate:
+            report = analyze_clustering(planted_emb, planted_clustering)
+        assert validate.call_count == 1
+        assert report.duplicate_driven == tuple(find_duplicate_driven_clusters(planted_emb, planted_clustering))
+        assert report.ecdf == ecdf_mean_distance(planted_emb, planted_clustering)
+
+    def test_mismatch_still_rejected(self, planted_emb, planted_clustering):
+        with pytest.raises(ValidationError, match="clustering covers"):
+            analyze_clustering(planted_emb.subset(np.arange(10)), planted_clustering)
 
 
 class TestSelectionOverlap:

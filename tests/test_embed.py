@@ -3,6 +3,7 @@ import os
 import struct
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from d4kit import (
 )
 from d4kit import embed as embed_mod
 from d4kit.corpus import Record
-from d4kit.embed import _check_unit_norm, _chunk_lengths, _normalize_rows
+from d4kit.embed import MAGIC, _check_unit_norm, _chunk_lengths, _EmbeddingFile, _normalize_rows, _scan_embeddings
 
 from oracles import feature_hash_oracle, scalar_cosine
 
@@ -115,6 +116,24 @@ class TestEmbedderSpec:
             docs, EmbedderSpec(kind="hash", dim=16, seed=7, chunk_size=3)
         ).vectors.tobytes()
         assert feature_hash_embed("a b c", np_int(8), 7).tobytes() == feature_hash_embed("a b c", 8, 7).tobytes()
+
+
+    @pytest.mark.parametrize("seed", [True, 7.0, "7", None])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            EmbedderSpec(kind="hash", seed=seed)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            feature_hash_embed("a b c d", 16, seed)
+
+    @pytest.mark.parametrize("np_int", [np.int64, np.uint64, np.int8])
+    def test_numpy_integer_seed_embeds_like_int(self, np_int):
+        spec = EmbedderSpec(kind="hash", dim=16, seed=np_int(7))
+        assert type(spec.seed) is int and spec == EmbedderSpec(kind="hash", dim=16, seed=7)
+        docs = synthesize_corpus(SynthSpec(n_topics=2, docs_per_topic=10, seed=3))
+        assert embed_corpus(docs, spec).vectors.tobytes() == embed_corpus(
+            docs, EmbedderSpec(kind="hash", dim=16, seed=7)
+        ).vectors.tobytes()
+        assert feature_hash_embed("a b c d", 16, np_int(7)).tobytes() == feature_hash_embed("a b c d", 16, 7).tobytes()
 
 
 class TestEmbedCorpus:
@@ -450,6 +469,20 @@ def _unblocked_file(m: EmbeddingMatrix) -> bytes:
     return header + m.vectors.astype("<f4").tobytes() + ids
 
 
+_FORMAT_FAULTS = [
+    (lambda b: b"NOPE" + b[4:], "bad magic, expected b'D4EM'", 0),
+    (lambda b: b[:10], "truncated header", 10),
+    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version 2", 4),
+    (lambda b: b[: 24 + 40], "truncated payload: expected 48 bytes of vectors", 64),
+    (lambda b: b[:73], "truncated id table", 73),
+    (lambda b: b[: 24 + 48 + 2 + 1 + 2 + 1], "truncated id entry", 78),
+    (lambda b: b + b"junk", "trailing bytes after id table", 24 + 48 + 12),
+    # The id "bb" starts after "a" and two length prefixes.
+    (lambda b: b[:77] + b"\xff" + b[78:], "id is not valid UTF-8", 77),
+    (lambda b: b[:16] + struct.pack("<I", 0) + b[20:], "dimension must be >= 1", 16),
+]
+
+
 class TestBlockedSerialization:
     @pytest.mark.parametrize("n", _BLOCK_NS)
     @pytest.mark.parametrize("d", [2, 3, 64])
@@ -472,21 +505,7 @@ class TestBlockedSerialization:
         write_embeddings(m, str(path))
         return str(path), path.read_bytes()
 
-    @pytest.mark.parametrize(
-        "corrupt, message, offset",
-        [
-            (lambda b: b"NOPE" + b[4:], "bad magic, expected b'D4EM'", 0),
-            (lambda b: b[:10], "truncated header", 10),
-            (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version 2", 4),
-            (lambda b: b[: 24 + 40], "truncated payload: expected 48 bytes of vectors", 64),
-            (lambda b: b[:73], "truncated id table", 73),
-            (lambda b: b[: 24 + 48 + 2 + 1 + 2 + 1], "truncated id entry", 78),
-            (lambda b: b + b"junk", "trailing bytes after id table", 24 + 48 + 12),
-            # The id "bb" starts after "a" and two length prefixes.
-            (lambda b: b[:77] + b"\xff" + b[78:], "id is not valid UTF-8", 77),
-            (lambda b: b[:16] + struct.pack("<I", 0) + b[20:], "dimension must be >= 1", 16),
-        ],
-    )
+    @pytest.mark.parametrize("corrupt, message, offset", _FORMAT_FAULTS)
     def test_format_errors_keep_message_and_offset(self, tmp_path, corrupt, message, offset):
         path, data = self._file(tmp_path)
         with open(path, "wb") as fh:
@@ -537,6 +556,109 @@ class TestBlockedSerialization:
         finally:
             writer.join()
         assert str(info.value) == f"claimed shape ({count}, {dim}) cannot be allocated (at byte offset 8)"
+
+
+def _raw_d4em(rows: np.ndarray, ids: list[str], normalized: bool) -> bytes:
+    """A ``.d4em`` file of any rows, finite or not."""
+    rows = np.asarray(rows, dtype="<f4")
+    raw = [i.encode("utf-8") for i in ids]
+    return (
+        MAGIC + struct.pack("<IQII", 1, *rows.shape, int(normalized)) + rows.tobytes()
+        + b"".join(struct.pack("<H", len(i)) + i for i in raw)
+    )
+
+
+class TestScan:
+    """``_scan_embeddings`` checks a file as ``read_embeddings`` does but
+    keeps only its ids, and reads its rows again a block at a time."""
+
+    @pytest.mark.parametrize("corrupt, message, offset", _FORMAT_FAULTS)
+    def test_format_errors_as_read_embeddings(self, tmp_path, corrupt, message, offset):
+        path, data = TestBlockedSerialization._file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(corrupt(data))
+        with pytest.raises(FormatError) as info:
+            _scan_embeddings(path)
+        assert str(info.value) == f"{message} (at byte offset {offset})"
+
+    @pytest.mark.parametrize("n", _BLOCK_NS)
+    @pytest.mark.parametrize("d", [2, 64])
+    def test_ids_and_blocks_equal_the_matrix(self, tmp_path, n, d):
+        rows = np.random.default_rng(n + d).standard_normal((n, d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        path = str(tmp_path / "m.d4em")
+        write_embeddings(EmbeddingMatrix(tuple(f"i{k}" for k in range(n)), rows.astype(np.float32), True), path)
+        scanned, m = _scan_embeddings(path), read_embeddings(path)
+        assert isinstance(scanned, _EmbeddingFile)
+        assert (scanned.ids, scanned.n, scanned.d, scanned.normalized) == (m.ids, m.n, m.d, m.normalized)
+        blocks = list(scanned._blocks())
+        assert [rows for rows, _ in blocks] == [rows for rows, _ in m._blocks()]
+        for rows, block in blocks:
+            assert block.dtype == np.float64 and block.tobytes() == m.vectors[rows].tobytes()
+
+    @given(
+        n=st.integers(1, 40),
+        faults=st.lists(
+            st.tuples(st.integers(0, 39), st.sampled_from([1.02, 0.95, 1.0 + 1e-6, np.nan, np.inf])), max_size=3
+        ),
+        normalized=st.booleans(),
+    )
+    def test_row_faults_named_over_all_rows(self, tmp_path_factory, n, faults, normalized):
+        # Blocks of ceil(sqrt(n)) rows: a NaN in a late block is named before
+        # a bad norm in an early one, and the norm message gives the largest
+        # deviation of any block.
+        rows = np.random.default_rng(n).standard_normal((n, 3))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        faults = {i % n: f for i, f in faults}  # one fault per row
+        for i, f in faults.items():
+            if np.isfinite(f):
+                rows[i] *= f
+            else:
+                rows[i, 0] = f
+        scales = [f for f in faults.values() if np.isfinite(f)]
+        if any(not np.isfinite(f) for f in faults.values()):
+            expected = "vectors must be finite (no NaN or infinity)"
+        elif normalized and max((abs(f - 1.0) for f in scales), default=0.0) > 1e-5:
+            expected = f"normalized flag set but a row norm deviates by {max(abs(f - 1.0) for f in scales):.2e}"
+        else:
+            expected = None
+        path = str(tmp_path_factory.mktemp("faults") / "m.d4em")
+        with open(path, "wb") as fh:
+            fh.write(_raw_d4em(rows, [f"i{k}" for k in range(n)], normalized))
+        for read in (
+            lambda: EmbeddingMatrix(tuple(f"i{k}" for k in range(n)), rows.astype(np.float32), normalized),
+            lambda: read_embeddings(path),
+            lambda: _scan_embeddings(path),
+        ):
+            if expected is None:
+                read()
+            else:
+                with pytest.raises(ValidationError) as info:
+                    read()
+                assert str(info.value) == expected
+
+    def test_changed_file_refused(self, tmp_path):
+        path = str(tmp_path / "m.d4em")
+        write_embeddings(EmbeddingMatrix(("a", "b"), np.eye(2, 3), True), path)
+        scanned = _scan_embeddings(path)
+        # Same size, new rows: write_embeddings replaces the file.
+        write_embeddings(EmbeddingMatrix(("a", "b"), np.eye(2, 3)[::-1], True), path)
+        with pytest.raises(FormatError, match="changed after it was checked"):
+            list(scanned._blocks())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_read_whole(self, tmp_path):
+        # A pipe cannot be read twice, so its rows are held as read_embeddings holds them.
+        path, data = TestBlockedSerialization._file(tmp_path)
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=Path(fifo).write_bytes, args=(data,), daemon=True)
+        writer.start()
+        scanned = _scan_embeddings(fifo)
+        writer.join(timeout=60)
+        m = read_embeddings(path)
+        assert isinstance(scanned, EmbeddingMatrix)
+        assert scanned.ids == m.ids and scanned.vectors.tobytes() == m.vectors.tobytes()
 
 
 class TestExternalEmbeddings:

@@ -38,6 +38,7 @@ from d4kit import (
     read_embeddings,
     semdedup,
     synthesize_corpus,
+    write_clustering,
     write_corpus,
     write_embeddings,
 )
@@ -163,6 +164,39 @@ def test_text_command_peak_independent_of_text_length(command, tmp_path):
 
         peaks[words] = _peak(call)
     assert peaks[1600] <= 1.5 * peaks[100], peaks
+
+
+@pytest.mark.parametrize("method", ["random", "prototypes"])
+def test_streamed_select_peak_independent_of_dimension(method, tmp_path):
+    # The same 4,000 ids at d = 8 and d = 128. ``select --method random``
+    # keeps only the ids, and prototypes on a given clustering the ids and the
+    # clustering (k = 4), each checking the file a block at a time. Holding
+    # the float64 matrix would add n * d * 8 bytes, 4 MB at d = 128, which
+    # is over 3x the peak at d = 8.
+    n = 4000
+    peaks = {}
+    for d in (8, 128):
+        rows = np.random.default_rng(d).normal(size=(n, d))
+        emb = EmbeddingMatrix(
+            tuple(f"d{i:05d}" for i in range(n)),
+            (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32),
+            True,
+        )
+        path = tmp_path / f"e{d}.d4em"
+        write_embeddings(emb, str(path))
+        argv = ["select", "--embeddings", str(path), "--method", method, "--r", "0.5", "--out", str(tmp_path / f"o{d}")]
+        if method == "prototypes":
+            km = tmp_path / f"c{d}.d4km"
+            write_clustering(kmeans_spherical(emb, KmeansConfig(k=4, iters=2, seed=0)), str(km))
+            argv += ["--clustering", str(km)]
+        del emb, rows
+
+        def call():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+
+        peaks[d] = _peak(call)
+    assert peaks[128] <= 1.5 * peaks[8], peaks
 
 
 def test_tail_shuffle_peak_within_twice_numpy():

@@ -1,4 +1,5 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from d4kit import (
     semdedup,
     ssl_prototypes,
 )
+import d4kit.select as select_mod
 from d4kit.diagnostics import find_duplicate_driven_clusters
 from d4kit.select import SEMDEDUP_RATIO_TOL, _choose_cut, _spanning_forest, source_fingerprint
 
@@ -347,6 +349,34 @@ class TestSpanningForest:
         else:
             assert set(got.kept_ids) == semdedup_oracle(*_oracle_args(emb, c), got.epsilon_used)
         assert bool(got.warnings) == (abs(expected / n - r) > SEMDEDUP_RATIO_TOL)
+
+
+    @given(st.lists(st.integers(0, 15), min_size=2, max_size=40), st.integers(1, 3), st.sampled_from([1, 2, 64]))
+    def test_ties_go_to_the_lowest_member(self, signs, k, compact_rows):
+        # Rows of +-1/2 have exact dots, so copies tie exactly and the tree
+        # is the one Prim's algorithm grows in member order: each step takes
+        # the lowest outside member of highest similarity, whose parent is
+        # the first tree member to reach that similarity. Small
+        # ``_COMPACT_ROWS`` drop joined rows from these small clusters too.
+        rows = np.array([[0.5 if s >> b & 1 else -0.5 for b in range(4)] for s in signs])
+        emb = EmbeddingMatrix(ids=tuple(f"r{i:02d}" for i in range(len(signs))), vectors=rows, normalized=True)
+        c = kmeans_spherical(emb, KmeansConfig(k=min(k, len(set(signs))), iters=3, seed=len(signs)))
+        expected = []
+        for idx in c.members():
+            member = rows[idx].tolist()
+            m = len(member)
+            inside, best, parent, v = [False] * m, [-np.inf] * m, [0] * m, 0
+            for _ in range(m - 1):
+                inside[v] = True
+                for u in range(m):
+                    if not inside[u] and scalar_dot(member[u], member[v]) > best[u]:
+                        best[u], parent[u] = scalar_dot(member[u], member[v]), v
+                v = max((u for u in range(m) if not inside[u]), key=lambda u: (best[u], -u))
+                expected.append((int(idx[parent[v]]), int(idx[v]), best[v]))
+        expected.sort(key=lambda edge: -edge[2])  # stable, as the library's sort
+        with mock.patch.object(select_mod, "_COMPACT_ROWS", compact_rows):
+            heads, tails, weights = _spanning_forest(emb, c)
+        assert list(zip(heads.tolist(), tails.tolist(), weights.tolist())) == expected
 
 
 @st.composite
