@@ -23,7 +23,7 @@ import numpy as np
 from . import draws
 from .corpus import open_output
 from .embed import EmbeddingMatrix, _check_unit_norm, _row_dots
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _index
 
 MAGIC = b"D4KM"
 VERSION = 1
@@ -44,7 +44,7 @@ class KmeansConfig:
     There are no balancing knobs on purpose: the minimum points per
     centroid is effectively 1 and the maximum unbounded, so cluster sizes
     fall where the data puts them (balance is a diagnostic, not a
-    constraint).
+    constraint). Integer fields are stored as ``int`` (:func:`d4kit.errors._index`).
     """
 
     k: int | None = None
@@ -52,10 +52,10 @@ class KmeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ValidationError("k must be >= 1")
-        if self.iters < 1:
-            raise ValidationError("iters must be >= 1")
+        if self.k is not None:
+            object.__setattr__(self, "k", _index("k", self.k, 1))
+        object.__setattr__(self, "iters", _index("iters", self.iters, 1))
+        object.__setattr__(self, "seed", _index("seed", self.seed))
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,8 @@ class Clustering:
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
+        if any(map(np.iscomplexobj, (self.centroids, self.assignment, self.distance))):
+            raise ValidationError("centroids, assignment and distances must be real, not complex")
         object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=np.float64))
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
             raise ValidationError("centroids must be a (k, d) matrix")

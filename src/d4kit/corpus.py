@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _index
 
 if TYPE_CHECKING:
     import numpy as np
@@ -74,8 +73,8 @@ def _count_words(text: str) -> int:
 class Document:
     """A single document, the unit of selection.
 
-    ``token_count`` is a non-negative integer: an ``int`` or any type with
-    ``__index__`` (numpy integers), but not a ``bool``.
+    ``token_count`` is a non-negative integer, stored as ``int``. ``id`` and
+    ``text`` are checked to be strings where a stage reads them (:func:`iter_texts`).
     """
 
     id: str
@@ -84,13 +83,9 @@ class Document:
     meta: dict[str, Any] | None = None
 
     def __post_init__(self):
-        n = self.token_count
-        if type(n) is not int:
-            if isinstance(n, bool) or not hasattr(n, "__index__"):
-                raise ValidationError(f"token_count must be an integer, got {n!r}")
-            n = operator.index(n)
-        if n < 0:
-            raise ValidationError(f"token_count must be >= 0, got {n}")
+        n = _index("token_count", self.token_count, 0)
+        if n is not self.token_count:  # a numpy integer: store the int it equals
+            object.__setattr__(self, "token_count", n)
 
 
 @dataclass(frozen=True)
@@ -241,8 +236,11 @@ def iter_texts(docs: Iterable[Document | Record], ids: list[str]) -> Iterator[st
     """Each document's text, in order, appending its id to ``ids`` as it is reached.
 
     So a stage reads its documents in one pass and keeps only their ids.
+    A non-str id or text raises :class:`ValidationError` when it is reached.
     """
     for d in docs:
+        if not (isinstance(d.id, str) and isinstance(d.text, str)):
+            raise ValidationError(f"id and text must be str, got {type(d.id).__name__}, {type(d.text).__name__}")
         ids.append(d.id)
         yield d.text
 
@@ -287,6 +285,7 @@ class SynthSpec:
     ``template_mutation_rate``. Ground-truth labels land in each document's
     ``meta``: ``topic`` (``"none"`` for template members, whose vocabulary
     is corpus-wide) and ``group`` (``"none"`` outside template groups).
+    Integer fields and ``doc_length_range``'s ends are stored as ``int`` (:func:`d4kit.errors._index`).
     """
 
     n_topics: int
@@ -299,25 +298,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_topics < 1:
-            raise ValidationError("n_topics must be >= 1")
-        if self.docs_per_topic < 1:
-            raise ValidationError("docs_per_topic must be >= 1")
-        if self.n_template_groups < 0:
-            raise ValidationError("n_template_groups must be >= 0")
-        if self.dupes_per_group < 2:
-            raise ValidationError("dupes_per_group must be >= 2")
+        for name, least in (("n_topics", 1), ("docs_per_topic", 1), ("n_template_groups", 0),
+                            ("dupes_per_group", 2), ("vocab_size", None), ("seed", None)):
+            object.__setattr__(self, name, _index(name, getattr(self, name), least))
         if not 0.0 <= self.template_mutation_rate <= 1.0:
             raise ValidationError("template_mutation_rate must be in [0, 1]")
         if self.vocab_size < self.n_topics:
             raise ValidationError("vocab_size must be >= n_topics")
         lo, hi = self.doc_length_range
+        lo, hi = _index("doc_length_range min", lo, 1), _index("doc_length_range max", hi)
         if lo > hi:
-            raise ValidationError(
-                f"doc_length_range min {lo} exceeds max {hi}"
-            )
-        if lo < 1:
-            raise ValidationError("doc_length_range min must be >= 1")
+            raise ValidationError(f"doc_length_range min {lo} exceeds max {hi}")
+        object.__setattr__(self, "doc_length_range", (lo, hi))
 
 
 def _draw_tokens(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import Clustering, _nearest
 from .embed import EmbeddingMatrix
-from .errors import ValidationError
+from .errors import ValidationError, _index
 
 if TYPE_CHECKING:
     from .select import SelectionResult
@@ -253,8 +253,7 @@ def binned_score_analysis(
     Per bin: count, mean distance, mean before-score, and mean delta
     (after minus before). Empty bins report count 0 and None means.
     """
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    n_bins = _index("n_bins", n_bins, 1)
     for e in nn.entries:
         if e.valid_id not in score_before:
             raise ValidationError(f"score_before missing id: {e.valid_id!r}")

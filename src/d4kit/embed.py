@@ -46,7 +46,6 @@ averaging can cancel exactly, and that also gives e_0.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import stat
 import struct
@@ -57,7 +56,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts, open_output
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, _index
 
 MAGIC = b"D4EM"
 VERSION = 1
@@ -71,24 +70,15 @@ NORM_TOL = 1e-5
 _BLOCK_SIZE = 1 << 13
 
 
-def _index(name: str, value, least: int | None = None) -> int:
-    """``value`` as an int; ``ValidationError`` unless an integer, not a bool, of at least ``least`` if given."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if least is not None and operator.index(value) < least:
-        raise ValidationError(f"{name} must be >= {least}")
-    return operator.index(value)
-
-
 @dataclass(frozen=True)
 class EmbedderSpec:
     """Which embedder to use and how to parameterize it.
 
     ``kind`` is ``"hash"`` for the built-in feature-hashing embedder or
     ``"external"`` for precomputed vectors loaded from ``path``. ``seed``,
-    ``dim`` (for ``"hash"``) and ``chunk_size`` (if set) are stored as
-    ``int``: they may be any type with ``__index__`` (numpy integers), but
-    not a ``bool``. The seed may be any integer; it is used mod 2**64.
+    ``dim`` (for ``"hash"``) and ``chunk_size`` (if set) are checked by
+    :func:`d4kit.errors._index` and stored as ``int``. The seed may be any
+    integer; it is used mod 2**64.
     """
 
     kind: str
@@ -122,7 +112,10 @@ class EmbeddingMatrix:
     normalized: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", np.asarray(self.vectors, dtype=np.float64))
+        vectors = np.asarray(self.vectors)
+        if np.iscomplexobj(vectors):
+            raise ValidationError("vectors must be real, got a complex array")
+        object.__setattr__(self, "vectors", vectors.astype(np.float64, copy=False))
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts
-from .errors import ValidationError
+from .errors import ValidationError, _index
 from .graph import components
 
 
@@ -36,17 +36,14 @@ class LshConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_hashes < 1:
-            raise ValidationError("num_hashes must be >= 1")
-        if self.bands < 1 or self.rows_per_band < 1:
-            raise ValidationError("bands and rows_per_band must be >= 1")
+        for name, least in (("num_hashes", 1), ("bands", 1), ("rows_per_band", 1),
+                            ("shingle_width", 1), ("seed", None)):
+            object.__setattr__(self, name, _index(name, getattr(self, name), least))
         if self.bands * self.rows_per_band != self.num_hashes:
             raise ValidationError(
                 f"bands ({self.bands}) x rows_per_band ({self.rows_per_band}) "
                 f"must equal num_hashes ({self.num_hashes})"
             )
-        if self.shingle_width < 1:
-            raise ValidationError("shingle_width must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,8 +70,7 @@ def shingles(text: str, w: int) -> frozenset[str]:
     Texts with fewer than w words yield a singleton set containing the
     whole text, so every document has a non-empty shingle set.
     """
-    if w < 1:
-        raise ValidationError("shingle width must be >= 1")
+    w = _index("shingle width", w, 1)
     words = text.split()
     if len(words) < w:
         return frozenset({text})

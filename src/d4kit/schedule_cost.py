@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DocumentSet
-from .errors import ValidationError
+from .errors import ValidationError, _index
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def _plan(
     t_selected = sum(tokens)
     if len(ids) == 0 or t_selected <= 0:
         raise ValidationError("cannot schedule an empty selection")
-    if t_total <= 0:
-        raise ValidationError("token budget must be > 0")
+    t_total, seed = _index("token budget", t_total, 1), _index("seed", seed)
 
     n = len(ids)
     order: list[str] = []

@@ -20,13 +20,14 @@ that for sensitivity checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import Clustering, KmeansConfig, _rounding_band, kmeans_spherical
 from .embed import EmbeddingMatrix
-from .errors import ValidationError
+from .errors import ValidationError, _index
 from .graph import components
 from .hashing import sha256
 
@@ -102,8 +103,8 @@ class D4Config:
 
 
 def _check_ratio(name: str, r: float) -> None:
-    if not 0.0 < r <= 1.0:
-        raise ValidationError(f"{name} must be in (0, 1]")
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r <= 1.0:
+        raise ValidationError(f"{name} must be a number in (0, 1], got {r!r}")
 
 
 def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str) -> None:
@@ -130,6 +131,7 @@ def _result(
 def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> SelectionResult:
     """Uniform sample without replacement of round(r * n) ids."""
     _check_ratio("selection ratio", r)
+    seed = _index("seed", seed)
     ids = tuple(ids)
     n = len(ids)
     if len(set(ids)) != n:
@@ -248,12 +250,12 @@ def _choose_cut(
 
 
 def _semdedup(
-    emb: EmbeddingMatrix, clustering: Clustering, r_dedup: float, keep_rule: str, tol: float
+    emb: EmbeddingMatrix, clustering: Clustering, r_dedup: float, keep_rule: str
 ) -> tuple[np.ndarray, SelectionResult]:
     """SemDeDup's kept rows, ascending, and its result, on checked inputs."""
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
-    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, tol)
+    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, SEMDEDUP_RATIO_TOL)
     # The m heaviest forest edges join each epsilon-component; its label is
     # its lowest index, used only to group members in the lexsort below.
     labels = components(n, heads[:m], tails[:m])
@@ -268,7 +270,7 @@ def _semdedup(
     rows = np.sort(order[first])
 
     warnings = ()
-    if n and abs(rows.size / n - r_dedup) > tol:
+    if n and abs(rows.size / n - r_dedup) > SEMDEDUP_RATIO_TOL:
         # Achievable counts run high to low: the nearest on either side.
         below = achievable[achievable < r_dedup * n][:1]
         above = achievable[achievable > r_dedup * n][-1:]
@@ -287,24 +289,23 @@ def semdedup(
     clustering: Clustering,
     r_dedup: float,
     keep_rule: str = "farthest",
-    tol: float = SEMDEDUP_RATIO_TOL,
 ) -> SelectionResult:
     """Semantic dedup: one representative per within-cluster epsilon-component.
 
     Each cluster's maximum spanning tree fixes the kept count at every
     epsilon, so epsilon is chosen exactly: the achievable kept fraction
     closest to ``r_dedup`` (ties toward the smaller kept set), or
-    epsilon 0 when keeping everything is already within ``tol``. When no
-    achievable fraction is within ``tol`` (the kept-fraction step function
-    jumps over the target, or the floor of one-per-cluster is above it),
-    a warning naming the nearest achievable fractions on either side is
-    recorded on the result.
+    epsilon 0 when keeping everything is already within
+    ``SEMDEDUP_RATIO_TOL``. When no achievable fraction is within it (the
+    kept-fraction step function jumps over the target, or the floor of
+    one-per-cluster is above it), a warning naming the nearest achievable
+    fractions on either side is recorded on the result.
     """
     _check_ratio("r_dedup", r_dedup)
     if keep_rule not in ("farthest", "nearest"):
         raise ValidationError(f"unknown keep_rule: {keep_rule!r}")
     _check_inputs(emb, clustering, "semdedup")
-    return _semdedup(emb, clustering, r_dedup, keep_rule, tol)[1]
+    return _semdedup(emb, clustering, r_dedup, keep_rule)[1]
 
 
 def _prototypes(
@@ -354,7 +355,7 @@ def d4(
         clustering = kmeans_spherical(emb, cfg.kmeans)
     _check_inputs(emb, clustering, "semdedup")
 
-    rows1, stage1 = _semdedup(emb, clustering, cfg.r_dedup, "farthest", SEMDEDUP_RATIO_TOL)
+    rows1, stage1 = _semdedup(emb, clustering, cfg.r_dedup, "farthest")
     sub = emb.subset(rows1)
     # Either clustering describes ``sub`` by construction, so stage 3 needs no check.
     if cfg.recluster:
