@@ -32,8 +32,7 @@ DIST_TOL = 1e-5
 
 def default_k(n: int) -> int:
     """Cluster-count heuristic: round(sqrt(n)), at least 1."""
-    if n < 1:
-        raise ValidationError("point count must be >= 1")
+    n = _index("point count", n, 1)
     return max(1, int(math.floor(math.sqrt(n) + 0.5)))
 
 

@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError, _index
+from .errors import ParseError, ValidationError, _index, _real, _unique
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,6 +38,8 @@ def count_tokens(text: str, counter: str = "whitespace") -> int:
     Supported specs: ``"whitespace"`` (split on runs of whitespace) and
     ``"chars:<c>"`` (ceiling of length / c). Empty text counts 0 either way.
     """
+    if not (isinstance(text, str) and isinstance(counter, str)):
+        raise ValidationError(f"text and counter must be str, got {type(text).__name__}, {type(counter).__name__}")
     if counter == "whitespace":
         return _count_words(text)
     if counter.startswith("chars:"):
@@ -45,9 +47,7 @@ def count_tokens(text: str, counter: str = "whitespace") -> int:
             c = int(counter.split(":", 1)[1])
         except ValueError:
             raise ValidationError(f"bad chars-per-token counter spec: {counter!r}")
-        if c < 1:
-            raise ValidationError(f"chars-per-token must be >= 1, got {c}")
-        return math.ceil(len(text) / c)
+        return math.ceil(len(text) / _index("chars-per-token", c, 1))
     raise ValidationError(f"unknown token counter spec: {counter!r}")
 
 
@@ -96,11 +96,7 @@ class DocumentSet:
     total_tokens: int
 
     def __post_init__(self):
-        seen: set[str] = set()
-        for d in self.docs:
-            if d.id in seen:
-                raise ValidationError(f"duplicate document id: {d.id!r}")
-            seen.add(d.id)
+        _unique("document", [d.id for d in self.docs])
         s = sum(d.token_count for d in self.docs)
         if s != self.total_tokens:
             raise ValidationError(
@@ -285,7 +281,7 @@ class SynthSpec:
     ``template_mutation_rate``. Ground-truth labels land in each document's
     ``meta``: ``topic`` (``"none"`` for template members, whose vocabulary
     is corpus-wide) and ``group`` (``"none"`` outside template groups).
-    Integer fields and ``doc_length_range``'s ends are stored as ``int`` (:func:`d4kit.errors._index`).
+    Numbers are stored as the ``int`` or ``float`` that :mod:`d4kit.errors`' checks return.
     """
 
     n_topics: int
@@ -301,11 +297,14 @@ class SynthSpec:
         for name, least in (("n_topics", 1), ("docs_per_topic", 1), ("n_template_groups", 0),
                             ("dupes_per_group", 2), ("vocab_size", None), ("seed", None)):
             object.__setattr__(self, name, _index(name, getattr(self, name), least))
-        if not 0.0 <= self.template_mutation_rate <= 1.0:
-            raise ValidationError("template_mutation_rate must be in [0, 1]")
+        rate = _real("template_mutation_rate", self.template_mutation_rate, "[0, 1]")
+        object.__setattr__(self, "template_mutation_rate", rate)
         if self.vocab_size < self.n_topics:
             raise ValidationError("vocab_size must be >= n_topics")
-        lo, hi = self.doc_length_range
+        try:
+            lo, hi = self.doc_length_range
+        except (TypeError, ValueError):
+            raise ValidationError(f"doc_length_range must be a (min, max) pair, got {self.doc_length_range!r}") from None
         lo, hi = _index("doc_length_range min", lo, 1), _index("doc_length_range max", hi)
         if lo > hi:
             raise ValidationError(f"doc_length_range min {lo} exceeds max {hi}")

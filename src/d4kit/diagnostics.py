@@ -16,7 +16,7 @@ import numpy as np
 
 from .cluster import Clustering, _nearest
 from .embed import EmbeddingMatrix
-from .errors import ValidationError, _index
+from .errors import ValidationError, _index, _real
 
 if TYPE_CHECKING:
     from .select import SelectionResult
@@ -116,6 +116,7 @@ def find_duplicate_driven_clusters(
 
 def _duplicate_driven(clustering: Clustering, std_threshold: float) -> list[FlaggedCluster]:
     """:func:`find_duplicate_driven_clusters` on a clustering already checked against its matrix."""
+    std_threshold = _real("std_threshold", std_threshold, "[0, inf)")
     flagged: list[FlaggedCluster] = []
     for j, idx in enumerate(clustering.members()):
         if idx.size < 2:

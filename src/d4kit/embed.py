@@ -56,7 +56,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts, open_output
-from .errors import FormatError, ValidationError, _index
+from .errors import FormatError, ValidationError, _index, _unique
 
 MAGIC = b"D4EM"
 VERSION = 1
@@ -115,14 +115,17 @@ class EmbeddingMatrix:
         vectors = np.asarray(self.vectors)
         if np.iscomplexobj(vectors):
             raise ValidationError("vectors must be real, got a complex array")
-        object.__setattr__(self, "vectors", vectors.astype(np.float64, copy=False))
+        try:
+            object.__setattr__(self, "vectors", vectors.astype(np.float64, copy=False))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"vectors must be numbers: {exc}") from None
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
                 f"{len(self.ids)} ids but {self.vectors.shape[0]} rows"
             )
-        _check_unique(self.ids)
+        _unique("embedding", self.ids)
         fault = _row_fault(self._blocks(), self.normalized)
         if fault:
             raise ValidationError(fault)
@@ -146,11 +149,6 @@ class EmbeddingMatrix:
     def _blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """``(rows, vectors[rows])`` over the rows, in blocks of :func:`_row_blocks`."""
         return ((rows, self.vectors[rows]) for rows in _row_blocks(self.n))
-
-
-def _check_unique(ids: tuple[str, ...]) -> None:
-    if len(set(ids)) != len(ids):
-        raise ValidationError("embedding ids must be unique")
 
 
 def _row_fault(blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> str | None:
@@ -526,7 +524,7 @@ def _scan_embeddings(path: str) -> EmbeddingMatrix | _EmbeddingFile:
         fault = _row_fault(_payload_blocks(fh, count, dim), normalized)
         ids = _read_ids(fh, count, dim)
         stamp = _stamp(fh.fileno())
-    _check_unique(ids)
+    _unique("embedding", ids)
     if fault:
         raise ValidationError(fault)
     return _EmbeddingFile(path, ids, dim, normalized, stamp)

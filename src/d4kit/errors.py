@@ -1,15 +1,19 @@
-"""Exception types shared across the toolkit, and its one integer check.
+"""Exception types shared across the toolkit, and its three input checks.
 
 Validation problems (bad parameters, broken invariants) and file-format
 problems (bad magic, truncation, unparseable records) are kept distinct so
 the CLI can map them to different exit codes.
 
-:func:`_index` is the one check of every integer count, size and seed: a
-numpy integer passes as the ``int`` it equals, and a ``bool``, float, string
-or value below the minimum raises :class:`ValidationError`.
+Each kind of input has one check, raising :class:`ValidationError`: :func:`_index`
+for integer counts, sizes and seeds, :func:`_real` for real ratios, rates, costs
+and thresholds, and :func:`_unique` for ids. A numpy number passes as the ``int``
+or ``float`` it equals, and a ``bool`` is never a number.
 """
 
+import numbers
 import operator
+from collections import Counter
+from contextlib import suppress
 
 
 class ValidationError(ValueError):
@@ -25,6 +29,24 @@ def _index(name: str, value, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValidationError(f"{name} must be >= {least}, got {value}")
     return value
+
+
+def _real(name: str, value, interval: str) -> float:
+    """``value`` as a ``float``; ``ValidationError`` unless a real number, not a bool, inside ``interval``:
+    text such as ``"(0, 1]"`` or ``"[0, inf)"``, where a round bracket excludes its end. NaN is inside none."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        if (lo <= value if interval[0] == "[" else lo < value) and (value <= hi if interval[-1] == "]" else value < hi):
+            with suppress(OverflowError):  # an int too large for a float
+                return float(value)
+    raise ValidationError(f"{name} must be a number in {interval}, got {value!r}")
+
+
+def _unique(what: str, ids) -> None:
+    """``ValidationError`` naming a repeated id if the sequence ``ids`` holds one twice."""
+    if len(set(ids)) != len(ids):
+        repeat = next(i for i, count in Counter(ids).items() if count > 1)
+        raise ValidationError(f"{what} ids must be unique, {repeat!r} repeats")
 
 
 class ParseError(ValueError):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts
-from .errors import ValidationError, _index
+from .errors import ValidationError, _index, _unique
 from .graph import components
 
 
@@ -176,8 +176,7 @@ def lsh_dedup(docs: Iterable[Document | Record], cfg: LshConfig | None = None) -
     cfg = cfg or LshConfig()
     ids: list[str] = []
     matrix = _signatures((shingles(text, cfg.shingle_width) for text in iter_texts(docs, ids)), cfg)
-    if len(set(ids)) != len(ids):
-        raise ValidationError("document ids must be unique")
+    _unique("document", ids)
     n = len(matrix)
 
     # Each band links every document to the first document in its bucket.

@@ -12,14 +12,13 @@ computing the selection, i.e. embedding plus any CPU-stage equivalent).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import DocumentSet
-from .errors import ValidationError, _index
+from .errors import ValidationError, _index, _real
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,9 @@ class CostModel:
     cpu_stage_gpu_hour_equivalent: float = 0.0
 
     def __post_init__(self):
-        # Chained comparisons are false for NaN, so each check rejects it.
-        if not 0.0 <= self.baseline_train_gpu_hours < math.inf:
-            raise ValidationError("baseline_train_gpu_hours must be finite and >= 0")
-        if not 0.0 <= self.fraction_updates_saved < 1.0:
-            raise ValidationError("fraction_updates_saved must be in [0, 1)")
-        if not 0.0 <= self.embed_gpu_hours < math.inf:
-            raise ValidationError("embed_gpu_hours must be finite and >= 0")
-        if not 0.0 <= self.cpu_stage_gpu_hour_equivalent < math.inf:
-            raise ValidationError("cpu_stage_gpu_hour_equivalent must be finite and >= 0")
+        for name, interval in (("baseline_train_gpu_hours", "[0, inf)"), ("fraction_updates_saved", "[0, 1)"),
+                               ("embed_gpu_hours", "[0, inf)"), ("cpu_stage_gpu_hour_equivalent", "[0, inf)")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), interval))
 
 
 def plan_epochs(
@@ -127,8 +120,5 @@ def overall_gain(model: CostModel) -> float:
 
 def embed_cost(tokens_to_embed: float, tokens_per_gpu_hour: float) -> float:
     """GPU hours to embed a corpus at a given throughput."""
-    if not 0.0 < tokens_per_gpu_hour < math.inf:
-        raise ValidationError("tokens_per_gpu_hour must be finite and > 0")
-    if not 0.0 <= tokens_to_embed < math.inf:
-        raise ValidationError("tokens_to_embed must be finite and >= 0")
-    return tokens_to_embed / tokens_per_gpu_hour
+    tokens_per_gpu_hour = _real("tokens_per_gpu_hour", tokens_per_gpu_hour, "(0, inf)")
+    return _real("tokens_to_embed", tokens_to_embed, "[0, inf)") / tokens_per_gpu_hour

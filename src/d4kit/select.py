@@ -20,14 +20,13 @@ that for sensitivity checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cluster import Clustering, KmeansConfig, _rounding_band, kmeans_spherical
 from .embed import EmbeddingMatrix
-from .errors import ValidationError, _index
+from .errors import ValidationError, _index, _real, _unique
 from .graph import components
 from .hashing import sha256
 
@@ -74,8 +73,7 @@ class SelectionResult:
     def __post_init__(self):
         if len(self.kept_ids) != len(self.scores):
             raise ValidationError("scores must align with kept ids")
-        if len(set(self.kept_ids)) != len(self.kept_ids):
-            raise ValidationError("kept ids must be unique")
+        _unique("kept", self.kept_ids)
 
     @property
     def n_kept(self) -> int:
@@ -94,17 +92,12 @@ class D4Config:
     kmeans: KmeansConfig = field(default_factory=KmeansConfig)
 
     def __post_init__(self):
-        _check_ratio("r_dedup", self.r_dedup)
-        _check_ratio("r_proto", self.r_proto)
+        object.__setattr__(self, "r_dedup", _real("r_dedup", self.r_dedup, "(0, 1]"))
+        object.__setattr__(self, "r_proto", _real("r_proto", self.r_proto, "(0, 1]"))
 
     @property
     def r_overall(self) -> float:
         return self.r_dedup * self.r_proto
-
-
-def _check_ratio(name: str, r: float) -> None:
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not 0.0 < r <= 1.0:
-        raise ValidationError(f"{name} must be a number in (0, 1], got {r!r}")
 
 
 def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str) -> None:
@@ -130,12 +123,10 @@ def _result(
 
 def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> SelectionResult:
     """Uniform sample without replacement of round(r * n) ids."""
-    _check_ratio("selection ratio", r)
-    seed = _index("seed", seed)
+    r, seed = _real("selection ratio", r, "(0, 1]"), _index("seed", seed)
     ids = tuple(ids)
     n = len(ids)
-    if len(set(ids)) != n:
-        raise ValidationError("ids must be unique")
+    _unique("source", ids)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     rows = np.sort(rng.choice(n, size=_round_half_up(r * n), replace=False))
     return _result(f"random(seed={seed})", r, ids, rows, np.zeros(rows.size))
@@ -301,7 +292,7 @@ def semdedup(
     one-per-cluster is above it), a warning naming the nearest achievable
     fractions on either side is recorded on the result.
     """
-    _check_ratio("r_dedup", r_dedup)
+    r_dedup = _real("r_dedup", r_dedup, "(0, 1]")
     if keep_rule not in ("farthest", "nearest"):
         raise ValidationError(f"unknown keep_rule: {keep_rule!r}")
     _check_inputs(emb, clustering, "semdedup")
@@ -327,7 +318,7 @@ def ssl_prototypes(
     Ranking is global across clusters; ties break by discarding the lowest
     id first. Scores are distances to the assigned (nearest) centroid.
     """
-    _check_ratio("r_proto", r_proto)
+    r_proto = _real("r_proto", r_proto, "(0, 1]")
     _check_inputs(emb, clustering, "prototype pruning")
     return _prototypes(emb.ids, clustering.distance, r_proto)[1]
 

@@ -164,6 +164,16 @@ def test_only_hashing_imports_a_hash():
     assert {file for file, _ in found} == {"hashing.py"}, found
 
 
+def test_only_errors_imports_numbers():
+    """Every real-number parameter is checked by ``errors._real``, the one user of ``numbers.Real``."""
+    found = {
+        path.name
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        if "numbers" in _imported_names(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"errors.py"}, found
+
+
 def test_sha256_falls_back_to_hashlib_without_a_bundled_module():
     # A fresh interpreter, with both bundled sha256 modules made unimportable.
     script = (

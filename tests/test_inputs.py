@@ -1,10 +1,15 @@
-"""The library's input contract for integer counts, sizes and seeds, ratios and arrays.
+"""The library's input contract for integer counts, sizes and seeds, real numbers, ids and arrays.
 
 Every integer parameter goes through ``errors._index``: a numpy integer acts
 exactly as the ``int`` it equals, and a ``bool``, float, string, ``None`` or
-a value below the minimum raises ``ValidationError``. A ratio must be a real
-number in (0, 1], and an embedding matrix or clustering must be real.
+a value below the minimum raises ``ValidationError``. Every real parameter
+goes through ``errors._real``: a number inside its interval is held as a
+``float``, and anything else raises. Every id sequence goes through
+``errors._unique``, whose error names the repeated id. An embedding matrix
+or clustering must be real.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from d4kit import (
+    CostModel,
     D4Config,
     Document,
     DocumentSet,
@@ -19,20 +25,29 @@ from d4kit import (
     EmbeddingMatrix,
     KmeansConfig,
     LshConfig,
+    SelectionResult,
     SynthSpec,
     ValidationError,
+    analyze_clustering,
     binned_score_analysis,
+    count_tokens,
+    default_k,
     embed_corpus,
+    embed_cost,
+    find_duplicate_driven_clusters,
     kmeans_spherical,
     lsh_dedup,
     plan_epochs,
+    read_embeddings,
     select_random,
     semdedup,
     shingles,
     ssl_prototypes,
     synthesize_corpus,
+    write_embeddings,
 )
 from d4kit.diagnostics import NnEntry, NnReport
+from d4kit.embed import _scan_embeddings
 
 
 def _integer_arg(least):
@@ -102,6 +117,7 @@ _TARGETS = {
         lambda r: [r.t_total, r.reshuffle_seed],
     ),
     "shingles": (lambda a: shingles("a b c d e f", **a), {"w": 1}, (), lambda r: []),
+    "default_k": (lambda a: default_k(**a), {"n": 1}, (), lambda r: [r]),
     "binned_score_analysis": (
         lambda a: binned_score_analysis(_NN, _SCORES, _SCORES, **a), {"n_bins": 1}, (),
         lambda r: [b.count for b in r.bins],
@@ -121,6 +137,162 @@ def test_integer_arguments_give_ints_or_validation_error(target, data):
         return
     assert not invalid, f"accepted invalid {invalid}"
     assert all(type(v) is int for v in held(result)), held(result)
+
+
+def _real_arg():
+    """Any value a caller might pass as a real number: in and out of every interval used, or not a number."""
+    near = st.floats(-2, 3)
+    return st.one_of(
+        near,
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-3, 4),
+        near.map(np.float64),
+        st.floats(-2, 3, width=32).map(np.float32),
+        st.booleans(),
+        st.sampled_from([10**400, -(10**400), float("nan"), np.float64("nan"), float("inf"), -float("inf"),
+                         np.True_, 0.5j]),
+        st.text(max_size=3),
+        st.none(),
+    )
+
+
+def _valid_real(value, interval) -> bool:
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float, np.floating))
+        and (abs(value) < 10**308 if isinstance(value, int) else math.isfinite(value))
+        and (lo <= value if interval[0] == "[" else lo < value)
+        and (value <= hi if interval[-1] == "]" else value < hi)
+    )
+
+
+_EMB = embed_corpus(synthesize_corpus(SynthSpec(n_topics=3, docs_per_topic=6, seed=1)),
+                    EmbedderSpec(kind="hash", dim=16, seed=1))
+_CLUSTERING = kmeans_spherical(_EMB, KmeansConfig(k=3))
+
+# name -> (call on the drawn real arguments, {argument: interval}, the reals the result holds,
+# each of which must be a float).
+_REAL_TARGETS = {
+    "CostModel": (
+        lambda a: CostModel(**a),
+        {"baseline_train_gpu_hours": "[0, inf)", "fraction_updates_saved": "[0, 1)",
+         "embed_gpu_hours": "[0, inf)", "cpu_stage_gpu_hour_equivalent": "[0, inf)"},
+        lambda r: [r.baseline_train_gpu_hours, r.fraction_updates_saved, r.embed_gpu_hours,
+                   r.cpu_stage_gpu_hour_equivalent],
+    ),
+    "embed_cost": (
+        lambda a: embed_cost(**a), {"tokens_to_embed": "[0, inf)", "tokens_per_gpu_hour": "(0, inf)"},
+        lambda r: [r],
+    ),
+    "SynthSpec": (
+        lambda a: SynthSpec(n_topics=2, docs_per_topic=2, **a), {"template_mutation_rate": "[0, 1]"},
+        lambda r: [r.template_mutation_rate],
+    ),
+    "find_duplicate_driven_clusters": (
+        lambda a: find_duplicate_driven_clusters(_EMB, _CLUSTERING, **a), {"std_threshold": "[0, inf)"},
+        lambda r: [],
+    ),
+    "analyze_clustering": (
+        lambda a: analyze_clustering(_EMB, _CLUSTERING, **a), {"std_threshold": "[0, inf)"},
+        lambda r: [],
+    ),
+}
+
+
+@pytest.mark.parametrize("target", list(_REAL_TARGETS))
+@given(data=st.data())
+def test_real_arguments_give_floats_or_validation_error(target, data):
+    call, intervals, held = _REAL_TARGETS[target]
+    args = {name: data.draw(_real_arg(), label=name) for name in intervals}
+    invalid = [n for n, v in args.items() if not _valid_real(v, intervals[n])]
+    try:
+        result = call(args)
+    except ValidationError:
+        return
+    assert not invalid, f"accepted invalid {invalid}"
+    assert all(type(v) is float for v in held(result)), held(result)
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SynthSpec(n_topics=2, docs_per_topic=3, template_mutation_rate="0.1"),
+            lambda: SynthSpec(n_topics=2, docs_per_topic=3, template_mutation_rate=True),
+            lambda: CostModel("1", 0.1),
+            lambda: CostModel(True, 0.1),
+            lambda: CostModel(10**400, 0.1),
+            lambda: CostModel(1.0, 0.1, embed_gpu_hours=10**400),
+            lambda: embed_cost("1", 2.0),
+            lambda: embed_cost(True, True),
+            lambda: D4Config(r_dedup=10**400),
+            lambda: find_duplicate_driven_clusters(_EMB, _CLUSTERING, float("nan")),
+            lambda: find_duplicate_driven_clusters(_EMB, _CLUSTERING, "0.03"),
+            lambda: analyze_clustering(_EMB, _CLUSTERING, float("nan")),
+            lambda: analyze_clustering(_EMB, _CLUSTERING, "0.03"),
+        ],
+        ids=["rate-str", "rate-bool", "cost-str", "cost-bool", "cost-10**400", "embed-hours-10**400",
+             "embed_cost-str", "embed_cost-bool", "ratio-10**400", "find-std-nan", "find-std-str",
+             "analyze-std-nan", "analyze-std-str"],
+    )
+    def test_rejected_with_the_interval(self, build):
+        with pytest.raises(ValidationError, match=r"must be a number in [\[(]"):
+            build()
+
+    def test_numpy_and_int_reals_stored_as_float(self):
+        model = CostModel(np.float32(1.5), np.float64(0.25), embed_gpu_hours=2)
+        assert model == CostModel(1.5, 0.25, embed_gpu_hours=2.0)
+        assert {type(v) for v in vars(model).values()} == {float}
+        assert type(embed_cost(np.float32(3.0), 2)) is float
+        assert type(SynthSpec(n_topics=2, docs_per_topic=3, template_mutation_rate=np.float32(0.5))
+                    .template_mutation_rate) is float
+        assert type(D4Config(r_dedup=np.float64(0.5), r_proto=1).r_proto) is float
+
+
+def _repeated_in_embedding_file(tmp_path, read):
+    path = tmp_path / "e.d4em"
+    write_embeddings(EmbeddingMatrix(("a", "b"), np.eye(2), True), str(path))
+    path.write_bytes(path.read_bytes()[:-1] + b"a")  # the last id, "b", becomes a second "a"
+    return read(str(path))
+
+
+_ID_ENTRY_POINTS = {
+    "EmbeddingMatrix": lambda tmp: EmbeddingMatrix(("a", "b", "a"), np.eye(3), True),
+    "read_embeddings": lambda tmp: _repeated_in_embedding_file(tmp, read_embeddings),
+    "_scan_embeddings": lambda tmp: _repeated_in_embedding_file(tmp, _scan_embeddings),
+    "DocumentSet": lambda tmp: DocumentSet.from_documents([Document(i, "x", 1) for i in ("a", "b", "a")]),
+    "lsh_dedup": lambda tmp: lsh_dedup([Document(i, "x y", 2) for i in ("a", "b", "a")]),
+    "select_random": lambda tmp: select_random(("a", "b", "a"), 0.5),
+    "SelectionResult": lambda tmp: SelectionResult("m", 1.0, ("a", "b", "a"), (0.0,) * 3, 3, "f"),
+}
+
+
+@pytest.mark.parametrize("entry", list(_ID_ENTRY_POINTS))
+def test_repeated_id_rejected_and_named(tmp_path, entry):
+    with pytest.raises(ValidationError, match="ids must be unique, 'a' repeats"):
+        _ID_ENTRY_POINTS[entry](tmp_path)
+
+
+class TestNonNumberInputs:
+    @pytest.mark.parametrize("args", [(5,), (None,), ("a b", 5), (b"a b",)])
+    def test_count_tokens_needs_str(self, args):
+        with pytest.raises(ValidationError, match="must be str"):
+            count_tokens(*args)
+
+    @pytest.mark.parametrize("pair", [5, None, (4,), (4, 9, 12)])
+    def test_doc_length_range_must_be_a_pair(self, pair):
+        with pytest.raises(ValidationError, match=r"a \(min, max\) pair"):
+            SynthSpec(n_topics=2, docs_per_topic=3, doc_length_range=pair)
+
+    @pytest.mark.parametrize("vectors", [np.array([["x"]]), np.array([[{}, 1.0]], dtype=object)])
+    def test_vectors_numpy_cannot_cast_rejected(self, vectors):
+        with pytest.raises(ValidationError, match="vectors must be numbers"):
+            EmbeddingMatrix(ids=("a",), vectors=vectors, normalized=False)
+
+    def test_numeric_object_vectors_accepted(self):
+        emb = EmbeddingMatrix(ids=("a",), vectors=np.array([[1, 0.0]], dtype=object), normalized=True)
+        assert emb.vectors.dtype == np.float64 and emb.vectors.tolist() == [[1.0, 0.0]]
 
 
 class TestIntegerFields:
