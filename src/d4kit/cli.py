@@ -9,9 +9,11 @@ counts.
 Exit codes: 0 success, 1 validation or usage error or an allocation that
 failed (``MemoryError``), 2 I/O or file-format error.
 
-``select`` with ``random``, or ``prototypes`` and ``--clustering``, checks
-the ``.d4em`` file a block at a time and keeps only its ids and the
-clustering: O(n + k * d) memory.
+``diagnose``, and ``select`` with ``random`` or with ``prototypes`` and
+``--clustering``, check the ``.d4em`` file a block at a time and keep only
+its ids and the clustering: O(n + k * d) memory. ``nn`` reads its train file
+so, beside the whole validation matrix, and ``embed --embedder external``
+holds only the float32 rows it writes.
 
 Each subcommand imports the library modules it runs, so a command loads
 only those (``minhash`` never loads the embedding-space stages). Hashes
@@ -207,14 +209,16 @@ def cmd_embed(args: argparse.Namespace) -> None:
         chunk_size=args.chunk_size,
         path=args.embeddings,
     )
-    m = embed_mod.embed_corpus(corpus_mod.iter_records(args.corpus), spec)
-    if m.d != args.dim:
+    # The float32 rows are written as they are, with no float64 copy.
+    ids, vectors = embed_mod._embedded_rows(corpus_mod.iter_records(args.corpus), spec)
+    n, dim = vectors.shape
+    if dim != args.dim:
         # The external embedder keeps its file's width, whatever --dim says.
-        args.dim = m.d
+        args.dim = dim
         _prepare_out(args)
-    embed_mod.write_embeddings(m, str(out / "embeddings.d4em"))
-    _write_json(out / "summary.json", {"n": m.n, "dim": m.d})
-    print(f"embed: {m.n} rows, dim {m.d}")
+    embed_mod._write_embeddings(ids, vectors, True, str(out / "embeddings.d4em"))
+    _write_json(out / "summary.json", {"n": n, "dim": dim})
+    print(f"embed: {n} rows, dim {dim}")
 
 
 def cmd_cluster(args: argparse.Namespace) -> None:
@@ -309,7 +313,7 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
     if args.std_threshold is None:
         args.std_threshold = diag_mod.STD_THRESHOLD
     out = _prepare_out(args)
-    emb = embed_mod.read_embeddings(args.embeddings)
+    emb = embed_mod._scan_embeddings(args.embeddings)
     clustering = cluster_mod.read_clustering(args.clustering)
     report = diag_mod.analyze_clustering(emb, clustering, args.std_threshold)
     _write_json(
@@ -393,7 +397,7 @@ def cmd_nn(args: argparse.Namespace) -> None:
         raise ValidationError("--scores-before and --scores-after go together")
     out = _prepare_out(args)
     valid = embed_mod.read_embeddings(args.valid_embeddings)
-    train = embed_mod.read_embeddings(args.embeddings)
+    train = embed_mod._scan_embeddings(args.embeddings)
     report = diag_mod.nn_to_train(valid, train)
     _write_lines(out / "nn.jsonl", (json.dumps(vars(e)) for e in report.entries))
     _write_json(

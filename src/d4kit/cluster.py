@@ -22,8 +22,8 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import EmbeddingMatrix, _check_unit_norm, _row_dots
-from .errors import FormatError, ValidationError, _index
+from .embed import EmbeddingMatrix, _check_unit_norm, _float_array, _row_dots
+from .errors import FormatError, ValidationError, _index, _path
 
 MAGIC = b"D4KM"
 VERSION = 1
@@ -75,9 +75,12 @@ class Clustering:
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        if any(map(np.iscomplexobj, (self.centroids, self.assignment, self.distance))):
-            raise ValidationError("centroids, assignment and distances must be real, not complex")
-        object.__setattr__(self, "centroids", np.asarray(self.centroids, dtype=np.float64))
+        object.__setattr__(self, "centroids", _float_array("centroids", self.centroids))
+        if not (isinstance(self.assignment, np.ndarray) and np.issubdtype(self.assignment.dtype, np.integer)):
+            raise ValidationError(f"assignment must be an integer array, got {type(self.assignment).__name__}")
+        if not isinstance(self.distance, np.ndarray):
+            raise ValidationError(f"distances must be an array, got {type(self.distance).__name__}")
+        object.__setattr__(self, "distance", _float_array("distances", self.distance))
         if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
             raise ValidationError("centroids must be a (k, d) matrix")
         if self.assignment.shape != self.distance.shape:
@@ -169,28 +172,45 @@ def _rounding_band(d: int) -> float:
     return 2 * d * np.finfo(np.float64).eps
 
 
-def _nearest(a: np.ndarray, b: np.ndarray, ties) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of ``a``'s nearest row of ``b`` by dot product, and its cosine distance.
+def _nearest(a: np.ndarray, blocks, ties, chosen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``a``'s nearest row of b by dot product, and its largest gemm dot.
 
-    Dots come in row blocks (:func:`_product_blocks`). A row whose runner-up
-    is within :func:`_rounding_band` of its best ranks those candidates again
-    by ``math.fsum`` dots, which round alike wherever the row falls, and the
-    lowest ``ties[c]`` wins among the exact best. So the choice depends on
-    neither BLAS tiles nor the block split. The distance is ``1 - s`` for
-    the row's largest gemm dot ``s``, clipped into [0, 2].
+    b comes as ``(rows, b[rows])`` blocks in order: all centroids as one
+    block, or ``EmbeddingMatrix._blocks()``. Each block's dots come in row
+    blocks of ``a`` (:func:`_product_blocks`). Across blocks, each row of
+    ``a`` carries its incumbent: the largest gemm dot so far, the chosen
+    index and, in ``chosen`` (shaped like ``a``, and needed when b has more
+    than one block), the chosen row. Candidates within :func:`_rounding_band` of the
+    largest dot, the incumbent among them, are ranked again by ``math.fsum``
+    dots, which round alike wherever a row falls, and the lowest ``ties[c]``
+    wins among the exact best. So the choice depends on neither BLAS tiles
+    nor either block split.
     """
     band = _rounding_band(a.shape[1])
-    nearest = np.empty(a.shape[0], dtype=np.intp)
-    best = np.empty(a.shape[0])
-    for start, stop, sims in _product_blocks(a, b):
-        top = sims.argmax(axis=1)
-        s = sims[np.arange(stop - start), top]
-        nearest[start:stop], best[start:stop] = top, s
-        close = sims >= (s - band)[:, None]
-        for i in (start + np.flatnonzero(np.count_nonzero(close, axis=1) > 1)).tolist():
-            candidates = np.flatnonzero(close[i - start]).tolist()
-            nearest[i] = min(candidates, key=lambda c: (-math.fsum(a[i] * b[c]), ties[c]))
-    return nearest, np.clip(1.0 - best, 0.0, 2.0)
+    nearest = np.zeros(a.shape[0], dtype=np.intp)
+    best = np.full(a.shape[0], -np.inf)
+    for rows, b in blocks:
+        for start, stop, sims in _product_blocks(a, b):
+            top = sims.argmax(axis=1)
+            s = sims[np.arange(stop - start), top]
+            held = best[start:stop] >= s - band  # the incumbent is a candidate
+            np.maximum(best[start:stop], s, out=best[start:stop])
+            close = sims >= (best[start:stop] - band)[:, None]
+            count = np.count_nonzero(close, axis=1)
+            count += held
+            won = (count == 1) & ~held  # the block's best, alone
+            if chosen is not None:
+                chosen[start:stop][won] = b[top[won]]
+            top += rows.start
+            np.copyto(nearest[start:stop], top, where=won)
+            for i in (start + np.flatnonzero(count > 1)).tolist():
+                candidates = [(rows.start + c, b[c]) for c in np.flatnonzero(close[i - start]).tolist()]
+                if held[i - start]:
+                    candidates.append((nearest[i], chosen[i]))
+                nearest[i], row = min(candidates, key=lambda c: (-math.fsum(a[i] * c[1]), ties[c[0]]))
+                if chosen is not None:
+                    chosen[i] = row
+    return nearest, best
 
 
 def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +219,8 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     Returns (assignment, cosine distance) by :func:`_nearest`: near-ties
     are ranked by exact dots and go to the lowest centroid index, whatever
     the block split, so a duplicated centroid never takes a point from its
-    first copy. Distances come from the gemm dots, clipped into [0, 2].
+    first copy. All centroids are one block, and a distance is ``1 - s``
+    for the row's largest gemm dot ``s``, clipped into [0, 2].
     """
     centroids = np.asarray(centroids, dtype=np.float64)
     if centroids.ndim != 2:
@@ -209,8 +230,9 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
             f"dimension mismatch: matrix is {emb.d}, centroids are {centroids.shape[1]}"
         )
     _check_unit_norm(centroids, "centroids must be unit-norm")
-    nearest, distance = _nearest(emb.vectors, centroids, range(centroids.shape[0]))
-    return nearest.astype(np.uint32), distance
+    k = centroids.shape[0]
+    nearest, best = _nearest(emb.vectors, [(slice(0, k), centroids)], range(k))
+    return nearest.astype(np.uint32), np.clip(1.0 - best, 0.0, 2.0)
 
 
 def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -339,7 +361,7 @@ def write_clustering(c: Clustering, path: str) -> None:
 
 
 def read_clustering(path: str) -> Clustering:
-    with open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         data = fh.read()
     if len(data) < 4 or data[:4] != MAGIC:
         raise FormatError(f"bad magic, expected {MAGIC!r}", 0)

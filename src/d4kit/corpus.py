@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError, _index, _real, _unique
+from .errors import ParseError, ValidationError, _index, _path, _real, _unique
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,7 +140,7 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
     # read does not also hold the last line; ``enumerate`` would keep it in
     # the result tuple it reuses.
     lineno = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_path(path), "r", encoding="utf-8") as fh:
         for line in fh:
             lineno += 1
             if not line.strip():
@@ -169,7 +169,7 @@ def open_output(path, mode: str = "w") -> Iterator[IO]:
     over it would replace the node. No fsync: a power loss is not covered.
     """
     encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(path) and not os.path.isfile(path):
+    if os.path.exists(_path(path)) and not os.path.isfile(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
         return

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cluster import Clustering, _nearest
-from .embed import EmbeddingMatrix
+from .embed import EmbeddingMatrix, _row_dots
 from .errors import ValidationError, _index, _real
 
 if TYPE_CHECKING:
@@ -202,9 +202,15 @@ def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
 def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnReport:
     """Exact brute-force nearest neighbor in train for each validation row.
 
-    Neighbors and distances follow :func:`cluster._nearest`, as in
-    ``assign``: O(n * d) memory, near-ties ranked by exact dots, and ties
-    to the lowest train id whatever the block split.
+    ``train_emb`` is an :class:`EmbeddingMatrix` or anything with its
+    ``ids``, ``n``, ``d``, ``normalized`` and ``_blocks()``, such as a
+    checked ``.d4em`` file read a block at a time
+    (``embed._scan_embeddings``). Neighbors follow :func:`cluster._nearest`
+    over the train blocks: near-ties ranked by exact dots, and ties to the
+    lowest train id whatever either block split. Memory is the validation
+    rows twice (they and their chosen train rows) plus one train block. A
+    distance is ``1 - _row_dots`` of the validation row and its chosen row,
+    clipped into [0, 2], so it depends on that pair alone.
     """
     if valid_emb.d != train_emb.d:
         raise ValidationError(
@@ -217,7 +223,9 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     if valid_emb.n == 0:
         raise ValidationError("validation matrix is empty")
 
-    nearest, dists = _nearest(valid_emb.vectors, train_emb.vectors, train_emb.ids)
+    chosen = np.empty_like(valid_emb.vectors)
+    nearest, _ = _nearest(valid_emb.vectors, train_emb._blocks(), train_emb.ids, chosen)
+    dists = np.clip(1.0 - _row_dots(valid_emb.vectors, chosen), 0.0, 2.0)
     entries = tuple(
         NnEntry(valid_id=v, train_id=train_emb.ids[t], distance=float(dist))
         for v, t, dist in zip(valid_emb.ids, nearest.tolist(), dists)

@@ -24,17 +24,15 @@ file holds the ids, the n x d output and one block, however long the texts.
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
 is written and read a block at a time, rows are normalized a block at a
 time, and every row check (finite, and unit norm when flagged normalized)
-runs a block at a time, so none builds an n x d temporary. So ingesting
-external vectors takes at most 1.5 * n * d * 8 bytes plus the ids (the
-float64 matrix read, then the float32 rows beside the float64
-``EmbeddingMatrix``), and writing takes one block beyond the matrix. The
-corpus is read for its ids alone, one record at a time.
+runs a block at a time, so none builds an n x d temporary. Writing takes
+one block beyond the matrix.
 
-A caller that needs only the ids and row blocks of a ``.d4em`` file (``select
---method random``, and ``prototypes`` on a given clustering) uses
+A caller that needs only the ids and row blocks of a ``.d4em`` file uses
 :func:`_scan_embeddings`: it checks the file as :func:`read_embeddings` does,
 holding the ids and one block, and reads the rows again a block at a time
-when asked, so it takes O(n + sqrt(n) * d) memory, not O(n * d).
+when asked, so it takes O(n + sqrt(n) * d) memory, not O(n * d). Ingesting
+external vectors reads the file so, and holds the float32 rows in corpus
+order, n * d * 4 bytes, plus the ids and one block.
 
 Empty documents map to the basis vector e_0. This is a deliberate sentinel
 so corpora with blank documents flow through instead of erroring; callers
@@ -56,7 +54,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts, open_output
-from .errors import FormatError, ValidationError, _index, _unique
+from .errors import FormatError, ValidationError, _index, _path, _unique
 
 MAGIC = b"D4EM"
 VERSION = 1
@@ -68,6 +66,9 @@ NORM_TOL = 1e-5
 # memory of d / 8 tokens' strings, ids and features, so neither long
 # documents nor runs of short ones can grow the block's working arrays.
 _BLOCK_SIZE = 1 << 13
+# Fewest rows per block of _normalize_rows: a hashing block has at most
+# _BLOCK_SIZE / (d / 8) rows, 512 at d = 128, which are 512 KB of float64.
+_NORMALIZE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,7 @@ class EmbeddingMatrix:
     normalized: bool
 
     def __post_init__(self):
-        vectors = np.asarray(self.vectors)
-        if np.iscomplexobj(vectors):
-            raise ValidationError("vectors must be real, got a complex array")
-        try:
-            object.__setattr__(self, "vectors", vectors.astype(np.float64, copy=False))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"vectors must be numbers: {exc}") from None
+        object.__setattr__(self, "vectors", _float_array("vectors", self.vectors))
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:
@@ -149,6 +144,17 @@ class EmbeddingMatrix:
     def _blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """``(rows, vectors[rows])`` over the rows, in blocks of :func:`_row_blocks`."""
         return ((rows, self.vectors[rows]) for rows in _row_blocks(self.n))
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a float64 array, not copied if one; ``ValidationError`` unless an array of real numbers."""
+    try:
+        array = np.asarray(value)
+        if not np.iscomplexobj(array):
+            return array.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be numbers: {exc}") from None
+    raise ValidationError(f"{name} must be real, got a complex array")
 
 
 def _row_fault(blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> str | None:
@@ -198,9 +204,10 @@ def _block_step(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 1 else 1
 
 
-def _row_blocks(n: int) -> Iterator[slice]:
-    """Slices of :func:`_block_step` rows, the last possibly shorter, that cover n rows in order."""
-    step = _block_step(n)
+def _row_blocks(n: int, least: int = 1) -> Iterator[slice]:
+    """Slices of :func:`_block_step` rows, or of ``least`` if more, the last
+    possibly shorter, that cover n rows in order."""
+    step = max(least, _block_step(n))
     for start in range(0, n, step):
         yield slice(start, start + step)
 
@@ -222,13 +229,18 @@ def _normalize_rows(src: np.ndarray, out: np.ndarray, order: np.ndarray | None =
     float64 L2 norm into ``out``, cast to its dtype, a block at a time; a
     zero row (of +0.0 or -0.0) becomes the e_0 sentinel. This is the one
     place rows are normalized.
+
+    A block has at least ``_NORMALIZE_ROWS`` rows, so a hashing block or a
+    payload block takes one pass, not ~sqrt(n) passes of fixed numpy cost
+    each. Each row is normalized on its own, so the block split moves no bit.
     """
-    for rows in _row_blocks(out.shape[0]):
+    for rows in _row_blocks(out.shape[0], _NORMALIZE_ROWS):
         block = src[rows if order is None else order[rows]].astype(np.float64)
         norms = _row_norms(block)
         zero = norms == 0.0
         block[zero], norms[zero] = np.eye(1, block.shape[1]), 1.0
-        out[rows] = block / norms[:, None]
+        block /= norms[:, None]  # in place: a second block-sized temporary costs more than the division
+        out[rows] = block
 
 
 def _signed_buckets(features: list[bytes], d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,28 +370,56 @@ def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> Embed
     document longer than one chunk gets the renormalized mean of its
     chunks' hash embeddings.
     """
-    if spec.kind == "external":
-        ids = tuple(d.id for d in docs)
-        m = read_embeddings(spec.path)
-        index = {doc_id: i for i, doc_id in enumerate(m.ids)}
-        missing = [i for i in ids if i not in index]
-        if missing:
-            raise ValidationError(
-                "external embeddings missing ids: " + ", ".join(sorted(missing))
-            )
-        order = np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
-        vectors = np.empty((len(ids), m.d), dtype=np.float32)
-        _normalize_rows(m.vectors, vectors, order)
-        # Drop the float64 matrix read before EmbeddingMatrix makes its own.
-        del m, index
-        return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=True)
+    return EmbeddingMatrix(*_embedded_rows(docs, spec), normalized=True)
 
-    ids: list[str] = []
-    vectors = _hash_embed(iter_texts(docs, ids), spec.dim, spec.seed, spec.chunk_size)
-    # Rows are normalized a second time, in float64 from the float32 values;
-    # the output bytes depend on this pass.
-    _normalize_rows(vectors, vectors)
-    return EmbeddingMatrix(ids=tuple(ids), vectors=vectors, normalized=True)
+
+def _embedded_rows(docs: Iterable[Document | Record], spec: EmbedderSpec) -> tuple[tuple[str, ...], np.ndarray]:
+    """:func:`embed_corpus`'s ids and rows, the rows as float32, checked as
+    :class:`EmbeddingMatrix` checks them but without its float64 copy."""
+    if spec.kind == "external":
+        ids, vectors = _external_rows(docs, spec.path)
+    else:
+        id_list: list[str] = []
+        vectors = _hash_embed(iter_texts(docs, id_list), spec.dim, spec.seed, spec.chunk_size)
+        ids = tuple(id_list)
+        # Rows are normalized a second time, in float64 from the float32 values;
+        # the output bytes depend on this pass.
+        _normalize_rows(vectors, vectors)
+    _unique("embedding", ids)
+    fault = _row_fault(((rows, vectors[rows]) for rows in _row_blocks(len(ids))), True)
+    if fault:
+        raise ValidationError(fault)
+    return ids, vectors
+
+
+def _external_rows(docs: Iterable[Document | Record], path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    """The ids of ``docs`` and their normalized float32 rows of the ``.d4em`` file at ``path``.
+
+    The file is checked by :func:`_scan_embeddings`, then read again a block
+    at a time, each block's rows normalized into their documents' places:
+    no float64 matrix, only the float32 rows and one block.
+    """
+    ids = tuple(d.id for d in docs)
+    m = _scan_embeddings(path)
+    index = {doc_id: i for i, doc_id in enumerate(m.ids)}
+    missing = [i for i in ids if i not in index]
+    if missing:
+        raise ValidationError(
+            "external embeddings missing ids: " + ", ".join(sorted(missing))
+        )
+    # Each file row's document, or -1; of a repeated id, which is refused
+    # later, only the last copy's row is filled.
+    slot = np.full(m.n, -1)
+    slot[np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))] = np.arange(len(ids))
+    del index
+    vectors = np.empty((len(ids), m.d), dtype=np.float32)
+    for rows, block in m._blocks():
+        here = slot[rows]
+        used = np.flatnonzero(here >= 0)
+        part = np.empty((used.size, m.d), dtype=np.float32)
+        _normalize_rows(block, part, used)
+        vectors[here[used]] = part
+    return ids, vectors
 
 
 def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
@@ -388,16 +428,21 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
     The float32 payload is written in blocks of ceil(sqrt(n)) rows, so no
     float32 copy of the whole matrix is made.
     """
-    raw_ids = [doc_id.encode("utf-8") for doc_id in m.ids]
-    for doc_id, raw in zip(m.ids, raw_ids):
+    _write_embeddings(m.ids, m.vectors, m.normalized, path)
+
+
+def _write_embeddings(ids: tuple[str, ...], vectors: np.ndarray, normalized: bool, path: str) -> None:
+    """:func:`write_embeddings` of rows not held in an :class:`EmbeddingMatrix`, such as float32 ones."""
+    raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
+    for doc_id, raw in zip(ids, raw_ids):
         if len(raw) > 0xFFFF:
             raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
+    n, d = vectors.shape
     with open_output(path, "wb") as fh:
-        flags = 1 if m.normalized else 0
         fh.write(MAGIC)
-        fh.write(struct.pack("<IQII", VERSION, m.n, m.d, flags))
-        for rows in _row_blocks(m.n):
-            fh.write(m.vectors[rows].astype("<f4"))
+        fh.write(struct.pack("<IQII", VERSION, n, d, 1 if normalized else 0))
+        for rows in _row_blocks(n):
+            fh.write(vectors[rows].astype("<f4"))
         fh.write(b"".join(struct.pack("<H", len(raw)) + raw for raw in raw_ids))
 
 
@@ -470,7 +515,7 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
     The payload is read in blocks of ceil(sqrt(n)) rows straight into the
     float64 matrix, so reading takes about 8 bytes per value.
     """
-    with open(path, "rb") as fh:
+    with open(_path(path), "rb") as fh:
         count, dim, normalized = _read_header(fh)
         try:
             vectors = np.empty((count, dim), dtype=np.float64)
@@ -486,8 +531,9 @@ class _EmbeddingFile:
     """A ``.d4em`` file checked by :func:`_scan_embeddings`, whose rows are not held.
 
     It has the ``ids``, ``n``, ``d``, ``normalized`` and ``_blocks()`` of an
-    :class:`EmbeddingMatrix`, so ``select_random`` and ``ssl_prototypes``
-    (through ``Clustering.validate_for``) take it in place of one.
+    :class:`EmbeddingMatrix`, so ``select_random``, ``nn_to_train``, and
+    ``Clustering.validate_for`` (``ssl_prototypes``, ``analyze_clustering``)
+    take it in place of one.
     ``_blocks()`` reads the payload again from the file checked, and raises
     ``FormatError`` if the file has changed since.
     """
@@ -517,7 +563,7 @@ def _scan_embeddings(path: str) -> EmbeddingMatrix | _EmbeddingFile:
     A file that is not regular (a pipe) cannot be read twice, so it is read
     whole by :func:`read_embeddings`.
     """
-    if not stat.S_ISREG(os.stat(path).st_mode):
+    if not stat.S_ISREG(os.stat(_path(path)).st_mode):
         return read_embeddings(path)
     with open(path, "rb") as fh:
         count, dim, normalized = _read_header(fh)

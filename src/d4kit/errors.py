@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and its three input checks.
+"""Exception types shared across the toolkit, and its input checks.
 
 Validation problems (bad parameters, broken invariants) and file-format
 problems (bad magic, truncation, unparseable records) are kept distinct so
@@ -6,12 +6,13 @@ the CLI can map them to different exit codes.
 
 Each kind of input has one check, raising :class:`ValidationError`: :func:`_index`
 for integer counts, sizes and seeds, :func:`_real` for real ratios, rates, costs
-and thresholds, and :func:`_unique` for ids. A numpy number passes as the ``int``
-or ``float`` it equals, and a ``bool`` is never a number.
+and thresholds, :func:`_unique` for ids, and :func:`_path` for file paths. A numpy
+number passes as the ``int`` or ``float`` it equals, and a ``bool`` is never a number.
 """
 
 import numbers
 import operator
+import os
 from collections import Counter
 from contextlib import suppress
 
@@ -47,6 +48,14 @@ def _unique(what: str, ids) -> None:
     if len(set(ids)) != len(ids):
         repeat = next(i for i, count in Counter(ids).items() if count > 1)
         raise ValidationError(f"{what} ids must be unique, {repeat!r} repeats")
+
+
+def _path(path):
+    """``path`` as given; ``ValidationError`` unless a ``str`` or ``os.PathLike``, so that an
+    int is never taken for a file descriptor, which ``open`` would read and then close."""
+    if isinstance(path, (str, os.PathLike)):
+        return path
+    raise ValidationError(f"path must be a str or os.PathLike, got {path!r}")
 
 
 class ParseError(ValueError):

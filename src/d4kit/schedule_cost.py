@@ -119,6 +119,7 @@ def overall_gain(model: CostModel) -> float:
 
 
 def embed_cost(tokens_to_embed: float, tokens_per_gpu_hour: float) -> float:
-    """GPU hours to embed a corpus at a given throughput."""
+    """GPU hours to embed a corpus at a given throughput; ``ValidationError`` if the quotient overflows."""
     tokens_per_gpu_hour = _real("tokens_per_gpu_hour", tokens_per_gpu_hour, "(0, inf)")
-    return _real("tokens_to_embed", tokens_to_embed, "[0, inf)") / tokens_per_gpu_hour
+    hours = _real("tokens_to_embed", tokens_to_embed, "[0, inf)") / tokens_per_gpu_hour
+    return _real("GPU hours to embed", hours, "[0, inf)")

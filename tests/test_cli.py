@@ -1245,3 +1245,121 @@ class TestStreamedSelect:
                 assert not writer.is_alive()
         assert outputs["from_pipe"] == outputs["from_file"]
         assert outputs["from_file"][0] == 0
+
+
+# The commands that read one .d4em file a block at a time: ``nn`` its train
+# file, ``diagnose`` and the external embedder their ``--embeddings``.
+_STREAMED_READS = {
+    "nn": ["nn", "{valid}", "--embeddings", "{f}"],
+    "diagnose": ["diagnose", "--embeddings", "{f}", "--clustering", "{km}"],
+    "embed": ["embed", "--corpus", "{corpus}", "--embedder", "external", "--embeddings", "{f}"],
+}
+
+
+def _streamed_read_inputs(base: Path, n: int = 9) -> dict[str, Path]:
+    """A 3-row validation file and an n-document corpus for the ``.d4em`` of ``_fault``."""
+    base.mkdir(parents=True, exist_ok=True)
+    valid, corpus = base / "valid.d4em", base / "corpus.jsonl"
+    valid.write_bytes(_d4em(_unit_rows(3), [b"v0", b"v1", b"v2"]))
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": "x"}) + "\n" for i in range(n)))
+    return {"valid": valid, "corpus": corpus}
+
+
+class TestStreamedReads:
+    """``nn``, ``diagnose`` and ``embed --embedder external`` never read the
+    whole matrix of the file they stream, yet exit, fail and write as reading it did."""
+
+    @pytest.mark.parametrize(
+        "fault, nn, diagnose, embed",
+        [
+            ("none", (0, ""), (0, ""), (0, "")),
+            ("nan_after_norm", (1, "finite"), (1, "finite"), (1, "finite")),
+            ("worst_norm", (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02")),
+            ("duplicate_id_and_nan", (1, "ids must be unique"), (1, "ids must be unique"), (1, "ids must be unique")),
+            ("id_table_and_nan", (2, "truncated id entry"), (2, "truncated id entry"), (2, "truncated id entry")),
+            ("unnormalized", (1, "both matrices must be normalized"), (0, ""), (0, "")),
+            ("clustering_of_other_n", (0, ""), (1, "clustering covers 8 points"), (0, "")),
+            ("inconsistent_distance", (0, ""), (1, "stored distances inconsistent"), (0, "")),
+            ("truncated_clustering", (0, ""), (2, "truncated payload"), (0, "")),
+        ],
+    )
+    def test_faults_reported_in_order(self, tmp_path, fault, nn, diagnose, embed):
+        data, clustering = _fault(fault)
+        f, km = tmp_path / "e.d4em", tmp_path / "c.d4km"
+        f.write_bytes(data)
+        d4kit.write_clustering(clustering, str(km))
+        if fault == "truncated_clustering":
+            km.write_bytes(km.read_bytes()[:-1])
+        inputs = _streamed_read_inputs(tmp_path / "inputs")
+        for command, (code, text) in (("nn", nn), ("diagnose", diagnose), ("embed", embed)):
+            argv = [t.format(f=f, km=km, **inputs) for t in _STREAMED_READS[command]]
+            streamed, in_memory = _streamed_and_in_memory(argv, tmp_path / command)
+            assert streamed == in_memory, command
+            assert streamed[0] == code, (command, streamed)
+            assert len(streamed[1]) == (code != 0) and text in "".join(streamed[1]), (command, streamed)
+
+    def test_missing_ids_reported_as_in_memory(self, tmp_path):
+        data, _ = _fault("none")
+        f = tmp_path / "e.d4em"
+        f.write_bytes(data)
+        inputs = _streamed_read_inputs(tmp_path / "inputs", n=11)
+        argv = [t.format(f=f, **inputs) for t in _STREAMED_READS["embed"]]
+        streamed, in_memory = _streamed_and_in_memory(argv, tmp_path)
+        assert streamed == in_memory
+        assert streamed[0] == 1 and "missing ids: d10, d9" in streamed[1][0], streamed
+
+    @settings(max_examples=60)
+    @given(data=st.data(), command=st.sampled_from(sorted(_STREAMED_READS)))
+    def test_corrupted_embeddings_fail_as_in_memory(self, valid_inputs, data, command):
+        corrupted = data.draw(_corruption(Path(valid_inputs["embeddings"]).read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "embeddings.d4em"
+            f.write_bytes(corrupted)
+            argv = [
+                t.format(f=f, km=valid_inputs["clustering"], valid=valid_inputs["embeddings"], corpus=valid_inputs["corpus"])
+                for t in _STREAMED_READS[command]
+            ]
+            streamed, in_memory = _streamed_and_in_memory(argv, Path(tmp))
+        assert streamed == in_memory
+
+    def test_never_read_the_matrix(self, valid_inputs, tmp_path, monkeypatch):
+        # Only nn's validation file, a copy of the train file, is read whole.
+        streamed = tmp_path / "streamed.d4em"
+        shutil.copy(valid_inputs["embeddings"], streamed)
+        read = embed_mod.read_embeddings
+
+        def whole_matrix(path):
+            if Path(path) == streamed:
+                raise AssertionError(f"read the whole matrix of {path}")
+            return read(path)
+
+        monkeypatch.setattr(embed_mod, "read_embeddings", whole_matrix)
+        for command, template in _STREAMED_READS.items():
+            argv = [
+                t.format(f=streamed, km=valid_inputs["clustering"], valid=valid_inputs["embeddings"], corpus=valid_inputs["corpus"])
+                for t in template
+            ]
+            assert run([*argv, "--out", str(tmp_path / command)]) == 0, command
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("command", sorted(_STREAMED_READS))
+    def test_embeddings_from_pipe(self, valid_inputs, tmp_path, command):
+        # A pipe cannot be read twice, so it is read whole, and the outputs are the file's.
+        embeddings = Path(valid_inputs["embeddings"])
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        outputs = {}
+        for name, source in (("from_file", embeddings), ("from_pipe", fifo)):
+            argv = [
+                t.format(f=source, km=valid_inputs["clustering"], valid=embeddings, corpus=valid_inputs["corpus"])
+                for t in _STREAMED_READS[command]
+            ]
+            writer = threading.Thread(target=fifo.write_bytes, args=(embeddings.read_bytes(),), daemon=True)
+            if source == fifo:
+                writer.start()
+            outputs[name] = _outcome(argv, tmp_path / name)
+            if source == fifo:
+                writer.join(timeout=60)
+                assert not writer.is_alive()
+        assert outputs["from_pipe"] == outputs["from_file"]
+        assert outputs["from_file"][0] == 0

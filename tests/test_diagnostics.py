@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -6,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import d4kit.cluster as cluster_mod
+import d4kit.embed as embed_mod
 from d4kit import (
     Clustering,
     D4Config,
@@ -25,9 +29,11 @@ from d4kit import (
     selection_overlap,
     semdedup,
     synthesize_corpus,
+    write_embeddings,
 )
 from d4kit import EmbedderSpec
 from d4kit.diagnostics import _median, ecdf_value
+from d4kit.embed import _row_dots, _scan_embeddings
 from d4kit.select import ssl_prototypes
 
 from oracles import brute_force_nn
@@ -427,19 +433,42 @@ class TestBlockedNn:
         assert [(e.valid_id, e.train_id) for e in got.entries] == [(v, t) for v, t, _ in expected]
 
     @given(_nn_inputs())
+    def test_train_blocks_match_oracle(self, inputs):
+        # Train rows come a block at a time, from memory or read again from a
+        # file, and a near-tie can straddle two blocks: each validation row's
+        # incumbent joins the next block's re-rank.
+        valid, train, rows = inputs
+        expected = brute_force_nn(valid.vectors.tolist(), valid.ids, train.vectors.tolist(), train.ids)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(embed_mod, "_block_step", lambda n: rows):
+            write_embeddings(train, f"{tmp}/train.d4em")
+            for source in (train, _scan_embeddings(f"{tmp}/train.d4em")):
+                got = nn_to_train(valid, source)
+                assert [(e.valid_id, e.train_id) for e in got.entries] == [(v, t) for v, t, _ in expected]
+
+    @given(_nn_inputs())
     def test_distances_match_full_product(self, inputs):
         # A block's gemm may round a dot differently from the full product's
         # (BLAS picks kernels by shape and tile position), so blocked
         # distances agree within the rounding of a d-term dot of unit
-        # vectors, and bit for bit when there is one block.
+        # vectors. Each distance is its chosen pair's own row dot, so it is
+        # bit for bit the same at every validation-side and train-side split.
         valid, train, rows = inputs
         full = np.clip(1.0 - (valid.vectors @ train.vectors.T).max(axis=1), 0.0, 2.0)
         with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
             blocked = np.array([e.distance for e in nn_to_train(valid, train).entries])
         assert np.abs(blocked - full).max() <= 2 * valid.d * np.finfo(np.float64).eps
-        whole = np.array([e.distance for e in nn_to_train(valid, train).entries])
-        if valid.n <= cluster_mod._block_rows(valid.vectors, train.vectors):
-            assert whole.tobytes() == full.tobytes()
+        position = {t: i for i, t in enumerate(train.ids)}
+        chosen = train.vectors[[position[t] for _, t, _ in brute_force_nn(
+            valid.vectors.tolist(), valid.ids, train.vectors.tolist(), train.ids)]]
+        pair = np.clip(1.0 - _row_dots(valid.vectors, chosen), 0.0, 2.0)
+        for valid_rows, train_rows in itertools.product((rows, None), (1, 2, 3, 6, None)):
+            with contextlib.ExitStack() as patches:
+                if valid_rows:
+                    patches.enter_context(mock.patch.object(cluster_mod, "_block_rows", lambda a, b: valid_rows))
+                if train_rows:
+                    patches.enter_context(mock.patch.object(embed_mod, "_block_step", lambda n: train_rows))
+                split = np.array([e.distance for e in nn_to_train(valid, train).entries])
+            assert split.tobytes() == pair.tobytes(), (valid_rows, train_rows)
 
 
 class TestBinnedScores:

@@ -327,6 +327,16 @@ class TestBlockNormalizer:
             expected = np.array([_normalize(r) for r in rows], dtype=np.float64).reshape(n, d)
             assert out.tobytes() == expected.astype(out_dtype).tobytes()
 
+    @pytest.mark.parametrize("n, passes", [(1, 1), (350, 1), (512, 1), (513, 2), (600 * 600, 600)])
+    def test_blocks_have_a_floor(self, n, passes):
+        # A hashing or payload block of a few hundred rows is normalized in
+        # one pass, not in ceil(sqrt(n))-row steps of fixed cost each.
+        rows = np.ones((n, 2))
+        with mock.patch.object(embed_mod, "_row_norms", wraps=embed_mod._row_norms) as norms:
+            _normalize_rows(rows, rows)
+        assert norms.call_count == passes
+        assert rows.tobytes() == np.full((n, 2), _normalize(np.ones(2))[0]).tobytes()
+
     def test_in_place_on_float32_rows(self):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((50, 7)).astype(np.float32)

@@ -6,10 +6,13 @@ a value below the minimum raises ``ValidationError``. Every real parameter
 goes through ``errors._real``: a number inside its interval is held as a
 ``float``, and anything else raises. Every id sequence goes through
 ``errors._unique``, whose error names the repeated id. An embedding matrix
-or clustering must be real.
+or clustering must be an array of real numbers, and a path a ``str`` or
+``os.PathLike``.
 """
 
+import contextlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from d4kit import (
+    Clustering,
     CostModel,
     D4Config,
     Document,
@@ -38,14 +42,19 @@ from d4kit import (
     kmeans_spherical,
     lsh_dedup,
     plan_epochs,
+    load_corpus,
+    read_clustering,
     read_embeddings,
     select_random,
     semdedup,
     shingles,
     ssl_prototypes,
     synthesize_corpus,
+    write_clustering,
+    write_corpus,
     write_embeddings,
 )
+from d4kit.corpus import iter_records
 from d4kit.diagnostics import NnEntry, NnReport
 from d4kit.embed import _scan_embeddings
 
@@ -390,6 +399,60 @@ class TestRealArrays:
         parts[field] = parts[field].astype(np.complex128)
         with pytest.raises(ValidationError, match="complex"):
             type(c)(k=c.k, **parts)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: EmbeddingMatrix(ids=("a", "b"), vectors=[[1.0, 0.0], [1.0]], normalized=True),
+            lambda: Clustering(centroids=np.array([["x"]]), assignment=np.zeros(1, np.uint32), distance=np.zeros(1), k=1),
+            lambda: Clustering(centroids=np.eye(2), assignment=[0, 1], distance=np.zeros(2), k=2),
+            lambda: Clustering(centroids=np.eye(2), assignment=np.array([0.0, 1.0]), distance=np.zeros(2), k=2),
+            lambda: Clustering(centroids=np.eye(2), assignment=np.zeros(2, np.uint32), distance=[0.0, 0.0], k=2),
+        ],
+        ids=["ragged-vectors", "str-centroids", "list-assignment", "float-assignment", "list-distance"],
+    )
+    def test_arrays_numpy_cannot_use_rejected(self, build):
+        with pytest.raises(ValidationError, match="must be"):
+            build()
+
+
+# Each library reader and writer that takes a path, as a call given ``fd`` instead.
+_PATH_CALLS = {
+    "load_corpus": lambda fd: load_corpus(fd),
+    "iter_records": lambda fd: list(iter_records(fd)),
+    "read_embeddings": lambda fd: read_embeddings(fd),
+    "_scan_embeddings": lambda fd: _scan_embeddings(fd),
+    "read_clustering": lambda fd: read_clustering(fd),
+    "embed_corpus": lambda fd: embed_corpus(_corpus(0), EmbedderSpec(kind="external", path=fd)),
+    "write_corpus": lambda fd: write_corpus(_corpus(0), fd),
+    "write_embeddings": lambda fd: write_embeddings(_emb(), fd),
+    "write_clustering": lambda fd: write_clustering(kmeans_spherical(_emb(), KmeansConfig(k=2)), fd),
+}
+
+
+class TestPaths:
+    @pytest.mark.parametrize("name", sorted(_PATH_CALLS))
+    def test_descriptor_refused_and_left_open(self, name):
+        # An int is not taken for a file descriptor: open() would read or
+        # write the caller's descriptor and then close it. A reader gets a
+        # pipe at its end, so that a read would not wait for a writer.
+        read, write = os.pipe()
+        writer = name.startswith("write")
+        if not writer:
+            os.close(write)
+        try:
+            with pytest.raises(ValidationError, match="path must be a str or os.PathLike"):
+                _PATH_CALLS[name](write if writer else read)
+            os.fstat(write if writer else read)  # still open
+        finally:
+            for fd in (read, write) if writer else (read,):
+                with contextlib.suppress(OSError):
+                    os.close(fd)
+
+    @pytest.mark.parametrize("path", [b"corpus.jsonl", None, 3.0])
+    def test_other_types_refused(self, path):
+        with pytest.raises(ValidationError, match="path must be"):
+            load_corpus(path)
 
 
 class TestDocumentText:

@@ -199,6 +199,68 @@ def test_streamed_select_peak_independent_of_dimension(method, tmp_path):
     assert peaks[128] <= 1.5 * peaks[8], peaks
 
 
+def _unit_file(path, n: int, d: int, prefix: str = "d") -> EmbeddingMatrix:
+    rows = np.random.default_rng(n * d).normal(size=(n, d))
+    emb = EmbeddingMatrix(
+        tuple(f"{prefix}{i:05d}" for i in range(n)),
+        (rows / np.linalg.norm(rows, axis=1, keepdims=True)).astype(np.float32),
+        True,
+    )
+    write_embeddings(emb, str(path))
+    return emb
+
+
+def _cli_peak(argv) -> int:
+    def call():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(argv) == 0
+
+    return _peak(call)
+
+
+def test_streamed_nn_peak_independent_of_train_rows(tmp_path):
+    # 1,000 validation rows against 4,000 and 16,000 train rows at d = 128.
+    # The train file is read a block at a time, so only its ids grow; the
+    # float64 train matrix alone would be 4 MB and 16 MB.
+    valid = tmp_path / "valid.d4em"
+    _unit_file(valid, 1000, 128, "v")
+    peaks = {}
+    for n in (4000, 16000):
+        train = tmp_path / f"t{n}.d4em"
+        _unit_file(train, n, 128)
+        peaks[n] = _cli_peak(["nn", str(valid), "--embeddings", str(train), "--out", str(tmp_path / f"o{n}")])
+    assert peaks[16000] <= 1.5 * peaks[4000], peaks
+
+
+def test_streamed_diagnose_peak_independent_of_dimension(tmp_path):
+    # As the streamed selects: 4,000 ids at d = 8 and d = 128, k = 4.
+    n = 4000
+    peaks = {}
+    for d in (8, 128):
+        path, km = tmp_path / f"e{d}.d4em", tmp_path / f"c{d}.d4km"
+        write_clustering(kmeans_spherical(_unit_file(path, n, d), KmeansConfig(k=4, iters=2, seed=0)), str(km))
+        argv = ["diagnose", "--embeddings", str(path), "--clustering", str(km), "--out", str(tmp_path / f"o{d}")]
+        peaks[d] = _cli_peak(argv)
+    assert peaks[128] <= 1.5 * peaks[8], peaks
+
+
+def test_external_embed_holds_one_float32_copy(tmp_path):
+    # 4,000 documents at d = 8 and d = 128. The ids cost the same at either
+    # width, so the rise in peak is what the rows take: one float32 copy is
+    # n * 120 * 4 bytes, and a float64 matrix beside it would triple that.
+    n = 4000
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(DocumentSet.from_documents([Document(f"d{i:05d}", "x", 1) for i in range(n)]), str(corpus))
+    peaks = {}
+    for d in (8, 128):
+        path = tmp_path / f"e{d}.d4em"
+        _unit_file(path, n, d)
+        argv = ["embed", "--corpus", str(corpus), "--embedder", "external", "--embeddings", str(path),
+                "--out", str(tmp_path / f"o{d}")]
+        peaks[d] = _cli_peak(argv)
+    assert peaks[128] - peaks[8] <= 1.25 * n * 120 * 4, peaks
+
+
 def test_tail_shuffle_peak_within_twice_numpy():
     # k > n // 50 at n > 10,000 takes the tail shuffle, which holds an int64
     # buffer of all n rows, as numpy's does; a list of n ints would be over 3x.

@@ -141,3 +141,9 @@ class TestEmbedCost:
     def test_non_finite_rejected(self, tokens, rate):
         with pytest.raises(ValidationError):
             embed_cost(tokens, rate)
+
+    @pytest.mark.parametrize("tokens, rate", [(1e308, 1e-10), (1e308, 0.5)])
+    def test_overflow_rejected(self, tokens, rate):
+        # Finite, valid inputs whose quotient is not a float.
+        with pytest.raises(ValidationError, match="GPU hours to embed"):
+            embed_cost(tokens, rate)
