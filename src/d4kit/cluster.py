@@ -22,7 +22,7 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import EmbeddingMatrix, _check_unit_norm, _float_array, _row_dots
+from .embed import EmbeddingMatrix, _float_array, _row_dots, _unit_rows
 from .errors import FormatError, ValidationError, _index, _path
 
 MAGIC = b"D4KM"
@@ -75,23 +75,22 @@ class Clustering:
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "centroids", _float_array("centroids", self.centroids))
+        object.__setattr__(self, "centroids", _unit_rows("centroids", self.centroids))
         if not (isinstance(self.assignment, np.ndarray) and np.issubdtype(self.assignment.dtype, np.integer)):
             raise ValidationError(f"assignment must be an integer array, got {type(self.assignment).__name__}")
         if not isinstance(self.distance, np.ndarray):
             raise ValidationError(f"distances must be an array, got {type(self.distance).__name__}")
         object.__setattr__(self, "distance", _float_array("distances", self.distance))
-        if self.centroids.ndim != 2 or self.centroids.shape[0] != self.k:
+        if self.centroids.shape[0] != self.k:
             raise ValidationError("centroids must be a (k, d) matrix")
         if self.assignment.shape != self.distance.shape:
             raise ValidationError("assignment and distance lengths differ")
-        if not (np.isfinite(self.centroids).all() and np.isfinite(self.distance).all()):
-            raise ValidationError("centroids and distances must be finite (no NaN or infinity)")
+        if not np.isfinite(self.distance).all():
+            raise ValidationError("distances must be finite (no NaN or infinity)")
         if self.n and (self.assignment.min() < 0 or self.assignment.max() >= self.k):
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):
             raise ValidationError("cosine distances must lie in [0, 2]")
-        _check_unit_norm(self.centroids, "centroid rows must be unit-norm")
 
     @property
     def n(self) -> int:
@@ -125,10 +124,14 @@ class Clustering:
 
     def members(self) -> list[np.ndarray]:
         """Point indices per cluster, ascending within each cluster."""
-        order = np.argsort(self.assignment, kind="stable")
-        sorted_assign = self.assignment[order]
-        boundaries = np.searchsorted(sorted_assign, np.arange(self.k + 1))
-        return [order[boundaries[j] : boundaries[j + 1]] for j in range(self.k)]
+        return _members(self.assignment, self.k)
+
+
+def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
+    """Point indices of each of the k clusters of ``assignment``, ascending within each."""
+    order = np.argsort(assignment, kind="stable")
+    boundaries = np.searchsorted(assignment[order], np.arange(k + 1))
+    return [order[boundaries[j] : boundaries[j + 1]] for j in range(k)]
 
 
 def _block_rows(a: np.ndarray, b: np.ndarray) -> int:
@@ -222,14 +225,7 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     first copy. All centroids are one block, and a distance is ``1 - s``
     for the row's largest gemm dot ``s``, clipped into [0, 2].
     """
-    centroids = np.asarray(centroids, dtype=np.float64)
-    if centroids.ndim != 2:
-        raise ValidationError("centroids must be a 2-d array")
-    if emb.d != centroids.shape[1]:
-        raise ValidationError(
-            f"dimension mismatch: matrix is {emb.d}, centroids are {centroids.shape[1]}"
-        )
-    _check_unit_norm(centroids, "centroids must be unit-norm")
+    centroids = _unit_rows("centroids", centroids, emb.d)
     k = centroids.shape[0]
     nearest, best = _nearest(emb.vectors, [(slice(0, k), centroids)], range(k))
     return nearest.astype(np.uint32), np.clip(1.0 - best, 0.0, 2.0)
@@ -238,18 +234,17 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
 def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cluster sums of the rows of X, bit-equal to ``np.add.at``.
 
-    Each cluster's rows are added in index order, as ``np.add.at`` adds them.
-    numpy sums a lone column pairwise, so d = 1 goes through ``bincount``,
-    which also adds in index order.
+    Each cluster's rows (:func:`_members`) are added in index order, as
+    ``np.add.at`` adds them. numpy sums a lone column pairwise, so d = 1 goes
+    through ``bincount``, which also adds in index order.
     """
     k = counts.shape[0]
     if X.shape[1] == 1:
         return np.bincount(assignment, weights=X[:, 0], minlength=k)[:, None]
     sums = np.zeros((k, X.shape[1]), dtype=np.float64)
-    order = np.argsort(assignment, kind="stable")
-    ends = np.cumsum(counts)
+    members = _members(assignment, k)
     for j in np.flatnonzero(counts):
-        sums[j] = X[order[ends[j] - counts[j] : ends[j]]].sum(axis=0)
+        sums[j] = X[members[j]].sum(axis=0)
     return sums
 
 
@@ -300,14 +295,13 @@ def kmeans_spherical(
 
     X = emb.vectors
     if init_centroids is not None:
-        # A copy, used as given: the same rows start the same fit as a seeded draw.
-        C = np.array(init_centroids, dtype=np.float64)
-        if C.ndim != 2 or C.shape[1] != emb.d or not C.shape[0]:
-            raise ValidationError("init_centroids must be (k, d) with k >= 1")
+        # Used as given: the same rows start the same fit as a seeded draw.
+        C = _unit_rows("init_centroids", init_centroids, emb.d)
         k = C.shape[0]
+        if not k:
+            raise ValidationError("init_centroids must be (k, d) with k >= 1")
         if cfg.k is not None and cfg.k != k:
             raise ValidationError("cfg.k disagrees with init_centroids row count")
-        _check_unit_norm(C, "init_centroids must be unit-norm")
     else:
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:

@@ -260,14 +260,18 @@ def binned_score_analysis(
     """Aggregate score deltas in equal-width bins of NN distance.
 
     Per bin: count, mean distance, mean before-score, and mean delta
-    (after minus before). Empty bins report count 0 and None means.
+    (after minus before). Empty bins report count 0 and None means. Each
+    validation id's scores must be real numbers (:func:`d4kit.errors._real`).
     """
+    if not isinstance(nn, NnReport):
+        raise ValidationError(f"nn must be an NnReport, got {type(nn).__name__}")
     n_bins = _index("n_bins", n_bins, 1)
+    before, after = [], []
     for e in nn.entries:
-        if e.valid_id not in score_before:
-            raise ValidationError(f"score_before missing id: {e.valid_id!r}")
-        if e.valid_id not in score_after:
-            raise ValidationError(f"score_after missing id: {e.valid_id!r}")
+        for name, scores, column in (("score_before", score_before, before), ("score_after", score_after, after)):
+            if e.valid_id not in scores:
+                raise ValidationError(f"{name} missing id: {e.valid_id!r}")
+            column.append(_real(f"{name}[{e.valid_id!r}]", scores[e.valid_id], "(-inf, inf)"))
     if not nn.entries:
         raise ValidationError("nearest-neighbor report is empty")
 
@@ -279,6 +283,8 @@ def binned_score_analysis(
     else:
         indices = np.zeros(len(dists), dtype=int)
 
+    before = np.array(before)
+    delta = np.array(after) - before
     edges = tuple(lo + width * i / n_bins for i in range(n_bins + 1))
     bins: list[BinStat] = []
     for b in range(n_bins):
@@ -287,15 +293,12 @@ def binned_score_analysis(
         if count == 0:
             bins.append(BinStat(count=0, mean_distance=None, mean_before=None, mean_delta=None))
             continue
-        members = [e for e, m in zip(nn.entries, mask) if m]
-        before = np.array([score_before[e.valid_id] for e in members])
-        after = np.array([score_after[e.valid_id] for e in members])
         bins.append(
             BinStat(
                 count=count,
                 mean_distance=float(dists[mask].mean()),
-                mean_before=float(before.mean()),
-                mean_delta=float((after - before).mean()),
+                mean_before=float(before[mask].mean()),
+                mean_delta=float(delta[mask].mean()),
             )
         )
     return BinnedScores(edges=edges, bins=tuple(bins))

@@ -23,9 +23,10 @@ file holds the ids, the n x d output and one block, however long the texts.
 
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
 is written and read a block at a time, rows are normalized a block at a
-time, and every row check (finite, and unit norm when flagged normalized)
-runs a block at a time, so none builds an n x d temporary. Writing takes
-one block beyond the matrix.
+time, and the one row check, :func:`_row_fault` (finite, and unit norm when
+flagged normalized), runs a block at a time, so none builds an n x d
+temporary. Writing takes one block beyond the matrix. Centroids come in
+through :func:`_unit_rows`: the one cast, :func:`_float_array`, then that check.
 
 A caller that needs only the ids and row blocks of a ``.d4em`` file uses
 :func:`_scan_embeddings`: it checks the file as :func:`read_embeddings` does,
@@ -121,7 +122,7 @@ class EmbeddingMatrix:
                 f"{len(self.ids)} ids but {self.vectors.shape[0]} rows"
             )
         _unique("embedding", self.ids)
-        fault = _row_fault(self._blocks(), self.normalized)
+        fault = _row_fault("vectors", self._blocks(), self.normalized)
         if fault:
             raise ValidationError(fault)
 
@@ -157,15 +158,15 @@ def _float_array(name: str, value) -> np.ndarray:
     raise ValidationError(f"{name} must be real, got a complex array")
 
 
-def _row_fault(blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> str | None:
-    """What is wrong with the rows of ``blocks``, checked in float64, or None.
+def _row_fault(name: str, blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> str | None:
+    """What is wrong with the rows of ``blocks``, which messages call ``name``, checked in float64, or None.
 
     Every row must be finite and, when ``normalized``, have an L2 norm
     within NORM_TOL of 1; a non-finite row is named first, and the norm
     message gives the largest deviation over all rows. Every block is
     consumed, so a file's payload is read to its end before a fault is
-    raised, and each block is checked on its own, so no n x d temporary is
-    made.
+    raised, and each block is checked on its own, with row-wise norms
+    (:func:`_row_norms`), so no n x d temporary is made.
     """
     finite, worst = True, 0.0
     for _, block in blocks:
@@ -174,29 +175,26 @@ def _row_fault(blocks: Iterable[tuple[slice, np.ndarray]], normalized: bool) -> 
         if not np.isfinite(block).all():
             finite = False
         elif normalized:
-            worst = max(worst, _norm_deviation(block.astype(np.float64, copy=False)))
+            deviation = np.abs(_row_norms(block.astype(np.float64, copy=False)) - 1.0)
+            worst = max(worst, float(deviation.max(initial=0.0)))
     if not finite:
-        return "vectors must be finite (no NaN or infinity)"
+        return f"{name} must be finite (no NaN or infinity)"
     if not worst <= NORM_TOL:
-        return f"normalized flag set but a row norm deviates by {worst:.2e}"
+        return f"{name} must have unit-norm rows, one deviates by {worst:.2e}"
     return None
 
 
-def _norm_deviation(rows: np.ndarray) -> float:
-    """The largest distance of a row's L2 norm from 1 (NaN if a norm is), 0.0 for no rows."""
-    return float(np.abs(_row_norms(rows) - 1.0).max()) if rows.shape[0] else 0.0
-
-
-def _check_unit_norm(rows: np.ndarray, message: str) -> None:
-    """Raise ``ValidationError(message)`` unless every row's L2 norm is within
-    NORM_TOL of 1; ``{worst}`` in ``message`` names the largest deviation.
-
-    Written so that a NaN norm fails too, and row-wise (:func:`_row_norms`),
-    so the check makes no n x d temporary.
-    """
-    worst = _norm_deviation(rows)
-    if not worst <= NORM_TOL:
-        raise ValidationError(message.format(worst=worst))
+def _unit_rows(name: str, value, d: int | None = None) -> np.ndarray:
+    """``value`` as a float64 matrix of finite unit-norm rows, ``d`` wide if
+    given; ``ValidationError`` otherwise. Every centroid matrix comes in here:
+    :func:`_float_array`, then the shape, then :func:`_row_fault`."""
+    rows = _float_array(name, value)
+    if rows.ndim != 2 or d not in (None, rows.shape[1]):
+        raise ValidationError(f"{name} must be a (k, {'d' if d is None else d}) matrix, got shape {rows.shape}")
+    fault = _row_fault(name, [(slice(0, rows.shape[0]), rows)], True)
+    if fault:
+        raise ValidationError(fault)
+    return rows
 
 
 def _block_step(n: int) -> int:
@@ -386,7 +384,7 @@ def _embedded_rows(docs: Iterable[Document | Record], spec: EmbedderSpec) -> tup
         # the output bytes depend on this pass.
         _normalize_rows(vectors, vectors)
     _unique("embedding", ids)
-    fault = _row_fault(((rows, vectors[rows]) for rows in _row_blocks(len(ids))), True)
+    fault = _row_fault("vectors", ((rows, vectors[rows]) for rows in _row_blocks(len(ids))), True)
     if fault:
         raise ValidationError(fault)
     return ids, vectors
@@ -567,7 +565,7 @@ def _scan_embeddings(path: str) -> EmbeddingMatrix | _EmbeddingFile:
         return read_embeddings(path)
     with open(path, "rb") as fh:
         count, dim, normalized = _read_header(fh)
-        fault = _row_fault(_payload_blocks(fh, count, dim), normalized)
+        fault = _row_fault("vectors", _payload_blocks(fh, count, dim), normalized)
         ids = _read_ids(fh, count, dim)
         stamp = _stamp(fh.fileno())
     _unique("embedding", ids)

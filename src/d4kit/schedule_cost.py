@@ -113,9 +113,10 @@ def overall_gain(model: CostModel) -> float:
     """Naive gain minus the cost of computing the selection.
 
     Negative results are returned as-is: they mean the selection cost
-    exceeds what it saves.
+    exceeds what it saves. ``ValidationError`` if the difference overflows.
     """
-    return naive_gain(model) - model.embed_gpu_hours - model.cpu_stage_gpu_hour_equivalent
+    gain = naive_gain(model) - model.embed_gpu_hours - model.cpu_stage_gpu_hour_equivalent
+    return _real("overall GPU-hour gain", gain, "(-inf, inf)")
 
 
 def embed_cost(tokens_to_embed: float, tokens_per_gpu_hour: float) -> float:

@@ -233,8 +233,9 @@ def _choose_cut(
     elif m == w.size:
         eps = 2.0
     else:
-        # Midway through the gap, so rounding cannot move an edge across it;
-        # from the two edges' exact dots, so row order cannot move epsilon.
+        # Midway through the gap, so rounding cannot move an edge across it; from
+        # the two edges' exact dots, though row order can pick which edges of the
+        # rounding band these are, and so move epsilon by an ulp.
         exact = [min(1.0, max(-1.0, math.fsum(X[heads[i]] * X[tails[i]]))) for i in (m - 1, m)]
         eps = 1.0 - 0.5 * (exact[0] + exact[1])
     return m, eps, kept

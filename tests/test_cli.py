@@ -134,6 +134,15 @@ class TestCost:
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
         assert not out.exists()
 
+    def test_overflowing_gain_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["cost", "--baseline-gpu-hours", "1", "--fraction-saved", "0.5", "--embed-gpu-hours", "1e308",
+                    "--cpu-gpu-hours", "1e308", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "got -inf" in captured.err
+        assert not out.exists()
+
 
 # Modules that only the embedding-space commands need.
 EMBEDDING_SPACE = {"d4kit.cluster", "d4kit.embed", "d4kit.select", "d4kit.diagnostics", "d4kit.schedule_cost"}

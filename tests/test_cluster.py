@@ -302,9 +302,9 @@ class TestAssign:
 
     def test_nan_centroids_rejected(self):
         emb = _random_emb(4, 3, seed=1)
-        with pytest.raises(ValidationError, match="unit-norm"):
+        with pytest.raises(ValidationError, match="finite"):
             assign(emb, np.full((2, 3), np.nan))
-        with pytest.raises(ValidationError, match="unit-norm"):
+        with pytest.raises(ValidationError, match="finite"):
             kmeans_spherical(emb, init_centroids=np.full((2, 3), np.nan))
 
     def test_empty_init_centroids_rejected(self):

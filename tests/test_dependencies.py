@@ -288,19 +288,24 @@ def _numpy_path(node: ast.AST) -> tuple[str, ...] | None:
 
 def _row_norm_sites(source: str) -> list[str]:
     """The function around every use of ``np.sqrt``, ``np.einsum`` or
-    ``np.linalg.norm`` in ``source`` (as ``np``, ``numpy`` or ``linalg``
-    attributes, or imported by name from numpy); ``<module>`` outside any
-    function."""
+    ``np.linalg.norm`` in ``source``; see :func:`_numpy_sites`."""
+    return _numpy_sites(source, ROW_NORM_PATHS)
+
+
+def _numpy_sites(source: str, paths: set[tuple[str, ...]]) -> list[str]:
+    """The function around every use of a numpy attribute path of ``paths`` in
+    ``source`` (as ``np``, ``numpy`` or ``linalg`` attributes, or imported by
+    name from numpy); ``<module>`` outside any function."""
     sites: list[str] = []
 
     def visit(node: ast.AST, where: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             where = node.name
-        if isinstance(node, ast.Attribute) and _numpy_path(node) in ROW_NORM_PATHS:
+        if isinstance(node, ast.Attribute) and _numpy_path(node) in paths:
             sites.append(where)
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "numpy":
             below = tuple(node.module.split(".")[1:])
-            sites.extend(where for alias in node.names if (*below, alias.name) in ROW_NORM_PATHS)
+            sites.extend(where for alias in node.names if (*below, alias.name) in paths)
         for child in ast.iter_child_nodes(node):
             visit(child, where)
 
@@ -336,3 +341,65 @@ def test_rows_are_normalized_in_one_place():
         for site in _row_norm_sites(path.read_text(encoding="utf-8"))
     )
     assert found == [("cluster", "_update_centroids"), ("embed", "_row_norms")], found
+
+
+def _package_sites(scan) -> list[tuple[str, str]]:
+    """``(module, function)`` of every site ``scan`` finds in the package source."""
+    return sorted(
+        (path.stem, site)
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        for site in scan(path.read_text(encoding="utf-8"))
+    )
+
+
+def test_arrays_are_cast_in_one_place():
+    """Every array a caller passes is cast by ``embed._float_array``, which
+    refuses a complex, ragged or non-numeric one; no other site calls
+    ``np.asarray``, whose plain cast would let such an array through."""
+    found = _package_sites(lambda source: _numpy_sites(source, {("asarray",)}))
+    assert found == [("embed", "_float_array")], found
+
+
+def _comparison_sites(source: str, name: str) -> list[str]:
+    """The function around every comparison in ``source`` that has ``name``
+    (a bare name or an attribute) in an operand; ``<module>`` outside any function."""
+    sites: list[str] = []
+
+    def named(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name) or (
+            isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Compare) and any(
+            named(sub) for operand in (node.left, *node.comparators) for sub in ast.walk(operand)
+        ):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_comparison_scan_finds_every_form():
+    source = """
+TOL = 1e-5
+assert 0 < TOL
+def f(x):
+    y = TOL * 2
+    return x <= TOL, abs(x - 1) > 2 * embed.TOL, x < y
+class C:
+    def g(self, x):
+        return not x <= TOL
+"""
+    assert _comparison_sites(source, "TOL") == ["<module>", "f", "f", "g"]
+
+
+def test_unit_norm_is_checked_in_one_place():
+    """``embed._row_fault`` is the one row check, for embedding rows and
+    centroids alike, so it alone compares a norm deviation with ``NORM_TOL``."""
+    found = _package_sites(lambda source: _comparison_sites(source, "NORM_TOL"))
+    assert found == [("embed", "_row_fault")], found

@@ -27,7 +27,7 @@ from d4kit import (
 )
 from d4kit import embed as embed_mod
 from d4kit.corpus import Record
-from d4kit.embed import MAGIC, _check_unit_norm, _chunk_lengths, _EmbeddingFile, _normalize_rows, _scan_embeddings
+from d4kit.embed import MAGIC, _chunk_lengths, _EmbeddingFile, _normalize_rows, _scan_embeddings, _unit_rows
 
 from oracles import feature_hash_oracle, scalar_cosine
 
@@ -407,12 +407,15 @@ class TestUnitNormCheck:
         rows = np.eye(2)
         rows[1, 1] = bad
         with pytest.raises(ValidationError) as info:
-            _check_unit_norm(rows, "deviates by {worst:.1f}")
-        assert str(info.value) == ("deviates by nan" if np.isnan(bad) else "deviates by 0.5")
+            _unit_rows("centroids", rows)
+        assert str(info.value) == (
+            "centroids must be finite (no NaN or infinity)" if np.isnan(bad)
+            else "centroids must have unit-norm rows, one deviates by 5.00e-01"
+        )
 
     def test_unit_rows_and_no_rows_pass(self):
-        _check_unit_norm(np.eye(3, 5), "unreachable")
-        _check_unit_norm(np.empty((0, 4)), "unreachable")
+        _unit_rows("centroids", np.eye(3, 5))
+        _unit_rows("centroids", np.empty((0, 4)))
 
 
 class TestSerialization:
@@ -629,7 +632,7 @@ class TestScan:
         if any(not np.isfinite(f) for f in faults.values()):
             expected = "vectors must be finite (no NaN or infinity)"
         elif normalized and max((abs(f - 1.0) for f in scales), default=0.0) > 1e-5:
-            expected = f"normalized flag set but a row norm deviates by {max(abs(f - 1.0) for f in scales):.2e}"
+            expected = f"vectors must have unit-norm rows, one deviates by {max(abs(f - 1.0) for f in scales):.2e}"
         else:
             expected = None
         path = str(tmp_path_factory.mktemp("faults") / "m.d4em")

@@ -5,9 +5,9 @@ exactly as the ``int`` it equals, and a ``bool``, float, string, ``None`` or
 a value below the minimum raises ``ValidationError``. Every real parameter
 goes through ``errors._real``: a number inside its interval is held as a
 ``float``, and anything else raises. Every id sequence goes through
-``errors._unique``, whose error names the repeated id. An embedding matrix
-or clustering must be an array of real numbers, and a path a ``str`` or
-``os.PathLike``.
+``errors._unique``, whose error names the repeated id. An embedding matrix,
+a clustering, and the centroids given to ``assign`` or as ``init_centroids``
+must be an array of real numbers, and a path a ``str`` or ``os.PathLike``.
 """
 
 import contextlib
@@ -33,6 +33,7 @@ from d4kit import (
     SynthSpec,
     ValidationError,
     analyze_clustering,
+    assign,
     binned_score_analysis,
     count_tokens,
     default_k,
@@ -41,6 +42,7 @@ from d4kit import (
     find_duplicate_driven_clusters,
     kmeans_spherical,
     lsh_dedup,
+    overall_gain,
     plan_epochs,
     load_corpus,
     read_clustering,
@@ -206,6 +208,10 @@ _REAL_TARGETS = {
         lambda a: analyze_clustering(_EMB, _CLUSTERING, **a), {"std_threshold": "[0, inf)"},
         lambda r: [],
     ),
+    "binned_score_analysis": (
+        lambda a: binned_score_analysis(_NN, *[{**_SCORES, "v1": a["score"]}] * 2), {"score": "(-inf, inf)"},
+        lambda r: [v for b in r.bins if b.count for v in (b.mean_before, b.mean_delta)],
+    ),
 }
 
 
@@ -240,10 +246,16 @@ class TestRealArguments:
             lambda: find_duplicate_driven_clusters(_EMB, _CLUSTERING, "0.03"),
             lambda: analyze_clustering(_EMB, _CLUSTERING, float("nan")),
             lambda: analyze_clustering(_EMB, _CLUSTERING, "0.03"),
+            lambda: binned_score_analysis(_NN, {**_SCORES, "v2": float("nan")}, _SCORES),
+            lambda: binned_score_analysis(_NN, _SCORES, {**_SCORES, "v0": -float("inf")}),
+            lambda: binned_score_analysis(_NN, {**_SCORES, "v3": "1.0"}, _SCORES),
+            lambda: binned_score_analysis(_NN, _SCORES, {**_SCORES, "v1": True}),
+            lambda: overall_gain(CostModel(1.0, 0.5, 1e308, 1e308)),
         ],
         ids=["rate-str", "rate-bool", "cost-str", "cost-bool", "cost-10**400", "embed-hours-10**400",
              "embed_cost-str", "embed_cost-bool", "ratio-10**400", "find-std-nan", "find-std-str",
-             "analyze-std-nan", "analyze-std-str"],
+             "analyze-std-nan", "analyze-std-str", "binned-before-nan", "binned-after-inf", "binned-str",
+             "binned-bool", "overall_gain-overflow"],
     )
     def test_rejected_with_the_interval(self, build):
         with pytest.raises(ValidationError, match=r"must be a number in [\[(]"):
@@ -298,6 +310,11 @@ class TestNonNumberInputs:
     def test_vectors_numpy_cannot_cast_rejected(self, vectors):
         with pytest.raises(ValidationError, match="vectors must be numbers"):
             EmbeddingMatrix(ids=("a",), vectors=vectors, normalized=False)
+
+    @pytest.mark.parametrize("nn", [[], None, _SCORES], ids=["list", "None", "dict"])
+    def test_binned_scores_need_an_nn_report(self, nn):
+        with pytest.raises(ValidationError, match="must be an NnReport"):
+            binned_score_analysis(nn, _SCORES, _SCORES, 3)
 
     def test_numeric_object_vectors_accepted(self):
         emb = EmbeddingMatrix(ids=("a",), vectors=np.array([[1, 0.0]], dtype=object), normalized=True)
@@ -414,6 +431,25 @@ class TestRealArrays:
     def test_arrays_numpy_cannot_use_rejected(self, build):
         with pytest.raises(ValidationError, match="must be"):
             build()
+
+    @pytest.mark.parametrize(
+        "centroids, match",
+        [
+            ([["a"] * 16] * 3, "must be numbers"),
+            ([[1.0] + [0.0] * 15, [1.0]], "must be numbers"),
+            (np.eye(3, 16) * (1 + 1j) / np.sqrt(2), "complex"),
+            (np.eye(3, 16, dtype=np.complex128), "complex"),
+        ],
+        ids=["str", "ragged", "complex", "complex-zero-imaginary"],
+    )
+    @pytest.mark.parametrize("call", ["assign", "init_centroids"])
+    def test_centroids_numpy_cannot_use_rejected(self, call, centroids, match):
+        emb = _emb()
+        with pytest.raises(ValidationError, match=match):
+            if call == "assign":
+                assign(emb, centroids)
+            else:
+                kmeans_spherical(emb, init_centroids=centroids)
 
 
 # Each library reader and writer that takes a path, as a call given ``fd`` instead.
