@@ -209,14 +209,13 @@ def cmd_embed(args: argparse.Namespace) -> None:
         chunk_size=args.chunk_size,
         path=args.embeddings,
     )
-    # The float32 rows are written as they are, with no float64 copy.
-    ids, vectors = embed_mod._embedded_rows(corpus_mod.iter_records(args.corpus), spec)
-    n, dim = vectors.shape
+    emb = embed_mod.embed_corpus(corpus_mod.iter_records(args.corpus), spec)
+    n, dim = emb.n, emb.d
     if dim != args.dim:
         # The external embedder keeps its file's width, whatever --dim says.
         args.dim = dim
         _prepare_out(args)
-    embed_mod._write_embeddings(ids, vectors, True, str(out / "embeddings.d4em"))
+    embed_mod.write_embeddings(emb, str(out / "embeddings.d4em"))
     _write_json(out / "summary.json", {"n": n, "dim": dim})
     print(f"embed: {n} rows, dim {dim}")
 

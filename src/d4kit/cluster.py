@@ -22,12 +22,18 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import EmbeddingMatrix, _float_array, _row_dots, _unit_rows
+from .embed import EmbeddingMatrix, _float_array, _Float64Rows, _row_dots, _unit_rows
 from .errors import FormatError, ValidationError, _index, _path
 
 MAGIC = b"D4KM"
 VERSION = 1
 DIST_TOL = 1e-5
+# A product block of a matrix's rows, which it gathers as float64, has at most
+# 1 / _GATHER_PARTS of them, so the gather takes at most a quarter of float32
+# rows' bytes; or _GATHER_ROWS rows if more, since a smaller gemm costs more
+# Python per row than its float64 copy saves.
+_GATHER_PARTS = 8
+_GATHER_ROWS = 256
 
 
 def default_k(n: int) -> int:
@@ -127,6 +133,16 @@ class Clustering:
         return _members(self.assignment, self.k)
 
 
+def _check_clustering(clustering, emb: EmbeddingMatrix | None = None) -> None:
+    """``ValidationError`` naming its type unless ``clustering`` is a
+    :class:`Clustering`, and, given ``emb``, unless it describes ``emb``
+    (:meth:`Clustering.validate_for`)."""
+    if not isinstance(clustering, Clustering):
+        raise ValidationError(f"clustering must be a Clustering, got {type(clustering).__name__}")
+    if emb is not None:
+        clustering.validate_for(emb)
+
+
 def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
     """Point indices of each of the k clusters of ``assignment``, ascending within each."""
     order = np.argsort(assignment, kind="stable")
@@ -134,19 +150,32 @@ def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
     return [order[boundaries[j] : boundaries[j + 1]] for j in range(k)]
 
 
-def _block_rows(a: np.ndarray, b: np.ndarray) -> int:
-    """Rows of ``a @ b.T`` per block that keep a block within half the larger input's entry count."""
-    return max(a.size, b.size) // max(2 * b.shape[0], 1)
+def _block_rows(a, b: np.ndarray) -> int:
+    """Rows of ``a @ b.T`` per block: within half the larger input's entry
+    count and, when ``a`` is a matrix's rows, within the gather cap
+    (``_GATHER_PARTS``, ``_GATHER_ROWS``). The cap does not look at the held
+    dtype: a gemm's bits depend on its block's shape, so the same values held
+    as float32 or float64 must split alike to give the same products."""
+    n, d = a.shape
+    rows = max(n * d, b.size) // max(2 * b.shape[0], 1)
+    if isinstance(a, _Float64Rows):
+        rows = min(rows, max(-(-n // _GATHER_PARTS), _GATHER_ROWS))
+    return rows
 
 
-def _product_blocks(a: np.ndarray, b: np.ndarray):
-    """Yield ``(start, stop, a[start:stop] @ b.T)`` over the rows of ``a``.
+def _product_blocks(a, b: np.ndarray):
+    """Yield ``(start, stop, a[start:stop] @ b.T)`` over the rows of ``a``, in float64.
 
-    The rows split into near-equal blocks of at most :func:`_block_rows`
-    rows, so no block holds more than half the entries of the larger of
-    ``a`` and ``b`` and the product takes O(n * d) memory whatever its
-    shape. Half is the floor: smaller blocks give each gemm fewer rows, and
-    ``nn_to_train`` slows more than the memory saved is worth. No block has
+    ``a`` is a float64 array or a matrix's rows
+    (``EmbeddingMatrix._rows()``), which each block gathers as float64. The
+    rows split into near-equal blocks of at most :func:`_block_rows` rows,
+    so no block holds more than half the entries of the larger of ``a`` and
+    ``b`` and the product takes O(n * d) memory whatever its shape. Half is
+    the floor: smaller blocks give each gemm fewer rows, and
+    ``nn_to_train`` slows more than the memory saved is worth. A matrix's
+    rows split at least ``_GATHER_PARTS`` ways, or into ``_GATHER_ROWS``-row
+    blocks: as one block, every ``assign`` would gather them all as float64,
+    twice a float32 matrix's bytes. No block has
     a single row unless ``a`` has one, because numpy computes a one-row
     product with gemv, which rounds differently from gemm; so a block may
     reach three rows when :func:`_block_rows` is below that (d <= 5).
@@ -163,7 +192,7 @@ def _product_blocks(a: np.ndarray, b: np.ndarray):
         return
     parts = min(-(-n // max(_block_rows(a, b), 2)), max(n // 2, 1))
     edges = (n * np.arange(parts + 1) // parts).tolist()
-    buf = np.empty((-(-n // parts), b.shape[0]), dtype=np.result_type(a, b))
+    buf = np.empty((-(-n // parts), b.shape[0]))
     for start, stop in zip(edges[:-1], edges[1:]):
         block = buf[: stop - start]
         np.matmul(a[start:stop], b.T, out=block)
@@ -175,19 +204,20 @@ def _rounding_band(d: int) -> float:
     return 2 * d * np.finfo(np.float64).eps
 
 
-def _nearest(a: np.ndarray, blocks, ties, chosen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(a, blocks, ties, chosen: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each row of ``a``'s nearest row of b by dot product, and its largest gemm dot.
 
-    b comes as ``(rows, b[rows])`` blocks in order: all centroids as one
-    block, or ``EmbeddingMatrix._blocks()``. Each block's dots come in row
-    blocks of ``a`` (:func:`_product_blocks`). Across blocks, each row of
-    ``a`` carries its incumbent: the largest gemm dot so far, the chosen
-    index and, in ``chosen`` (shaped like ``a``, and needed when b has more
-    than one block), the chosen row. Candidates within :func:`_rounding_band` of the
-    largest dot, the incumbent among them, are ranked again by ``math.fsum``
-    dots, which round alike wherever a row falls, and the lowest ``ties[c]``
-    wins among the exact best. So the choice depends on neither BLAS tiles
-    nor either block split.
+    ``a`` is a matrix's rows (``EmbeddingMatrix._rows()``), gathered as
+    float64. b comes as ``(rows, b[rows])`` blocks in order: all centroids
+    as one block, or ``EmbeddingMatrix._blocks()``. Each block's dots come
+    in row blocks of ``a`` (:func:`_product_blocks`). Across blocks, each
+    row of ``a`` carries its incumbent: the largest gemm dot so far, the
+    chosen index and, in ``chosen`` (a float64 array of ``a``'s shape,
+    needed when b has more than one block), the chosen row. Candidates
+    within :func:`_rounding_band` of the largest dot, the incumbent among
+    them, are ranked again by ``math.fsum`` dots, which round alike wherever
+    a row falls, and the lowest ``ties[c]`` wins among the exact best. So the
+    choice depends on neither BLAS tiles nor either block split.
     """
     band = _rounding_band(a.shape[1])
     nearest = np.zeros(a.shape[0], dtype=np.intp)
@@ -227,16 +257,18 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     """
     centroids = _unit_rows("centroids", centroids, emb.d)
     k = centroids.shape[0]
-    nearest, best = _nearest(emb.vectors, [(slice(0, k), centroids)], range(k))
+    nearest, best = _nearest(emb._rows(), [(slice(0, k), centroids)], range(k))
     return nearest.astype(np.uint32), np.clip(1.0 - best, 0.0, 2.0)
 
 
-def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _cluster_sums(X, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-cluster sums of the rows of X, bit-equal to ``np.add.at``.
 
-    Each cluster's rows (:func:`_members`) are added in index order, as
-    ``np.add.at`` adds them. numpy sums a lone column pairwise, so d = 1 goes
-    through ``bincount``, which also adds in index order.
+    X is a float64 array or a matrix's rows (``EmbeddingMatrix._rows()``),
+    gathered as float64 a cluster at a time. Each cluster's rows
+    (:func:`_members`) are added in index order, as ``np.add.at`` adds them.
+    numpy sums a lone column pairwise, so d = 1 goes through ``bincount``,
+    which also adds in index order.
     """
     k = counts.shape[0]
     if X.shape[1] == 1:
@@ -249,7 +281,7 @@ def _cluster_sums(X: np.ndarray, assignment: np.ndarray, counts: np.ndarray) -> 
 
 
 def _update_centroids(
-    X: np.ndarray,
+    X,
     centroids: np.ndarray,
     assignment: np.ndarray,
     distance: np.ndarray,
@@ -293,7 +325,7 @@ def kmeans_spherical(
     if n < 1:
         raise ValidationError("cannot cluster an empty matrix")
 
-    X = emb.vectors
+    X = emb._rows()
     if init_centroids is not None:
         # Used as given: the same rows start the same fit as a seeded draw.
         C = _unit_rows("init_centroids", init_centroids, emb.d)
@@ -306,7 +338,7 @@ def kmeans_spherical(
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:
             raise ValidationError(f"k ({k}) exceeds point count ({n})")
-        C = X[draws.choice(cfg.seed & draws.M64, n, k)]
+        C = X[draws.choice(cfg.seed & draws.M64, n, k)]  # float64, as every update keeps it
 
     assignment, distance = assign(emb, C)
     history = [float(distance.sum())]
@@ -340,7 +372,7 @@ def kmeans_spherical(
 
 def objective(emb: EmbeddingMatrix, clustering: Clustering) -> float:
     """Sum of cosine distances to assigned centroids."""
-    clustering.validate_for(emb)
+    _check_clustering(clustering, emb)
     return float(clustering.distance.sum())
 
 

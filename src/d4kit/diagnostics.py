@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cluster import Clustering, _nearest
+from .cluster import Clustering, _check_clustering, _nearest
 from .embed import EmbeddingMatrix, _row_dots
 from .errors import ValidationError, _index, _real
 
@@ -87,6 +87,7 @@ def cluster_balance(clustering: Clustering) -> float:
     1.0 means perfectly even clusters; values near 0 mean a few clusters
     dominate. Empty clusters are excluded from the pairing.
     """
+    _check_clustering(clustering)
     if clustering.k < 2:
         raise ValidationError("cluster balance needs k >= 2")
     sizes = np.bincount(clustering.assignment, minlength=clustering.k)
@@ -110,7 +111,7 @@ def find_duplicate_driven_clusters(
     Population standard deviation, sorted by ascending std. Tight clusters
     like these are characteristic of templated near-duplicate text.
     """
-    clustering.validate_for(emb)
+    _check_clustering(clustering, emb)
     return _duplicate_driven(clustering, std_threshold)
 
 
@@ -144,7 +145,7 @@ def ecdf_mean_distance(
     Returns (value, cumulative fraction) pairs with fractions i/k over the
     k nonempty clusters, ending at exactly 1.0.
     """
-    clustering.validate_for(emb)
+    _check_clustering(clustering, emb)
     return _ecdf(clustering)
 
 
@@ -208,9 +209,10 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     (``embed._scan_embeddings``). Neighbors follow :func:`cluster._nearest`
     over the train blocks: near-ties ranked by exact dots, and ties to the
     lowest train id whatever either block split. Memory is the validation
-    rows twice (they and their chosen train rows) plus one train block. A
-    distance is ``1 - _row_dots`` of the validation row and its chosen row,
-    clipped into [0, 2], so it depends on that pair alone.
+    rows and their chosen train rows, in float64, plus one train block and
+    one float64 block of validation rows. A distance is ``1 - _row_dots`` of
+    the validation row and its chosen row, clipped into [0, 2], so it
+    depends on that pair alone.
     """
     if valid_emb.d != train_emb.d:
         raise ValidationError(
@@ -223,9 +225,11 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     if valid_emb.n == 0:
         raise ValidationError("validation matrix is empty")
 
-    chosen = np.empty_like(valid_emb.vectors)
-    nearest, _ = _nearest(valid_emb.vectors, train_emb._blocks(), train_emb.ids, chosen)
-    dists = np.clip(1.0 - _row_dots(valid_emb.vectors, chosen), 0.0, 2.0)
+    chosen = np.empty((valid_emb.n, valid_emb.d))
+    nearest, _ = _nearest(valid_emb._rows(), train_emb._blocks(), train_emb.ids, chosen)
+    dists = np.empty(valid_emb.n)
+    for rows, block in valid_emb._blocks():
+        dists[rows] = np.clip(1.0 - _row_dots(block, chosen[rows]), 0.0, 2.0)
     entries = tuple(
         NnEntry(valid_id=v, train_id=train_emb.ids[t], distance=float(dist))
         for v, t, dist in zip(valid_emb.ids, nearest.tolist(), dists)
@@ -261,7 +265,8 @@ def binned_score_analysis(
 
     Per bin: count, mean distance, mean before-score, and mean delta
     (after minus before). Empty bins report count 0 and None means. Each
-    validation id's scores must be real numbers (:func:`d4kit.errors._real`).
+    validation id's scores, and each bin's means, must be real numbers
+    (:func:`d4kit.errors._real`), so finite scores whose mean overflows raise.
     """
     if not isinstance(nn, NnReport):
         raise ValidationError(f"nn must be an NnReport, got {type(nn).__name__}")
@@ -283,24 +288,25 @@ def binned_score_analysis(
     else:
         indices = np.zeros(len(dists), dtype=int)
 
-    before = np.array(before)
-    delta = np.array(after) - before
     edges = tuple(lo + width * i / n_bins for i in range(n_bins + 1))
     bins: list[BinStat] = []
-    for b in range(n_bins):
-        mask = indices == b
-        count = int(mask.sum())
-        if count == 0:
-            bins.append(BinStat(count=0, mean_distance=None, mean_before=None, mean_delta=None))
-            continue
-        bins.append(
-            BinStat(
-                count=count,
-                mean_distance=float(dists[mask].mean()),
-                mean_before=float(before[mask].mean()),
-                mean_delta=float(delta[mask].mean()),
+    with np.errstate(over="ignore"):  # an overflow gives inf, which _real refuses
+        before = np.array(before)
+        delta = np.array(after) - before
+        for b in range(n_bins):
+            mask = indices == b
+            count = int(mask.sum())
+            if count == 0:
+                bins.append(BinStat(count=0, mean_distance=None, mean_before=None, mean_delta=None))
+                continue
+            bins.append(
+                BinStat(
+                    count=count,
+                    mean_distance=float(dists[mask].mean()),
+                    mean_before=_real(f"bin {b} mean score before", float(before[mask].mean()), "(-inf, inf)"),
+                    mean_delta=_real(f"bin {b} mean score delta", float(delta[mask].mean()), "(-inf, inf)"),
+                )
             )
-        )
     return BinnedScores(edges=edges, bins=tuple(bins))
 
 
@@ -313,7 +319,7 @@ def analyze_clustering(
 
     The clustering is checked against ``emb`` once, before anything else.
     """
-    clustering.validate_for(emb)
+    _check_clustering(clustering, emb)
     notes: list[str] = []
     balance: float | None = None
     try:

@@ -21,6 +21,13 @@ same routine on a one-text corpus, so there is one hashing path.
 ``corpus.iter_records``, so no text outlives its block: embedding a corpus
 file holds the ids, the n x d output and one block, however long the texts.
 
+An :class:`EmbeddingMatrix` keeps float32 rows, which the hash embedder
+makes and the ``.d4em`` payload stores, as float32: n * d * 4 bytes. Other
+real rows are held as float64. Outside this module rows reach arithmetic
+only as float64, through :meth:`EmbeddingMatrix._blocks` or the one gather,
+:class:`_Float64Rows`, a block or a cluster at a time, so every stage
+computes in float64 and none holds a float64 copy of the matrix.
+
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
 is written and read a block at a time, rows are normalized a block at a
 time, and the one row check, :func:`_row_fault` (finite, and unit norm when
@@ -106,7 +113,11 @@ class EmbedderSpec:
 class EmbeddingMatrix:
     """n unit-norm rows aligned one-to-one with document ids.
 
-    Held as float64 (converted once here, so no stage casts again); stored as float32 on disk.
+    A float32 array is held as float32, as the ``.d4em`` payload stores it;
+    any other real array is converted once here to float64. Either way the
+    rows reach arithmetic as float64 only, through :meth:`_rows` or
+    :meth:`_blocks`, so a float32-held matrix gives the same results as the
+    same values held as float64, in about half the memory.
     """
 
     ids: tuple[str, ...]
@@ -114,7 +125,7 @@ class EmbeddingMatrix:
     normalized: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "vectors", _float_array("vectors", self.vectors))
+        object.__setattr__(self, "vectors", _float_array("vectors", self.vectors, float32=True))
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
         if len(self.ids) != self.vectors.shape[0]:
@@ -142,17 +153,42 @@ class EmbeddingMatrix:
             normalized=self.normalized,
         )
 
+    def _rows(self) -> "_Float64Rows":
+        """The rows, gathered as float64 when indexed."""
+        return _Float64Rows(self.vectors)
+
     def _blocks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """``(rows, vectors[rows])`` over the rows, in blocks of :func:`_row_blocks`."""
-        return ((rows, self.vectors[rows]) for rows in _row_blocks(self.n))
+        """``(rows, float64 vectors[rows])`` over the rows, in blocks of :func:`_row_blocks`."""
+        rows = self._rows()
+        return ((block, rows[block]) for block in _row_blocks(self.n))
 
 
-def _float_array(name: str, value) -> np.ndarray:
-    """``value`` as a float64 array, not copied if one; ``ValidationError`` unless an array of real numbers."""
+class _Float64Rows:
+    """A matrix's held rows, float32 or float64, that indexing gathers as float64.
+
+    This gather and :meth:`EmbeddingMatrix._blocks` are how rows reach
+    arithmetic outside this module, so no row is multiplied in float32. A
+    float32 value converts to float64 exactly, so every product and sum sees
+    the values it would see from the same rows held as float64. ``shape`` is
+    the held array's; a float64 slice is not copied.
+    """
+
+    __slots__ = ("_held", "shape")
+
+    def __init__(self, held: np.ndarray):
+        self._held, self.shape = held, held.shape
+
+    def __getitem__(self, index) -> np.ndarray:
+        return self._held[index].astype(np.float64, copy=False)
+
+
+def _float_array(name: str, value, float32: bool = False) -> np.ndarray:
+    """``value`` as a float64 array, or kept as float32 if one and ``float32``;
+    not copied if already so. ``ValidationError`` unless an array of real numbers."""
     try:
         array = np.asarray(value)
         if not np.iscomplexobj(array):
-            return array.astype(np.float64, copy=False)
+            return array if float32 and array.dtype == np.float32 else array.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} must be numbers: {exc}") from None
     raise ValidationError(f"{name} must be real, got a complex array")
@@ -368,12 +404,6 @@ def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> Embed
     document longer than one chunk gets the renormalized mean of its
     chunks' hash embeddings.
     """
-    return EmbeddingMatrix(*_embedded_rows(docs, spec), normalized=True)
-
-
-def _embedded_rows(docs: Iterable[Document | Record], spec: EmbedderSpec) -> tuple[tuple[str, ...], np.ndarray]:
-    """:func:`embed_corpus`'s ids and rows, the rows as float32, checked as
-    :class:`EmbeddingMatrix` checks them but without its float64 copy."""
     if spec.kind == "external":
         ids, vectors = _external_rows(docs, spec.path)
     else:
@@ -383,11 +413,7 @@ def _embedded_rows(docs: Iterable[Document | Record], spec: EmbedderSpec) -> tup
         # Rows are normalized a second time, in float64 from the float32 values;
         # the output bytes depend on this pass.
         _normalize_rows(vectors, vectors)
-    _unique("embedding", ids)
-    fault = _row_fault("vectors", ((rows, vectors[rows]) for rows in _row_blocks(len(ids))), True)
-    if fault:
-        raise ValidationError(fault)
-    return ids, vectors
+    return EmbeddingMatrix(ids, vectors, normalized=True)
 
 
 def _external_rows(docs: Iterable[Document | Record], path: str) -> tuple[tuple[str, ...], np.ndarray]:
@@ -426,21 +452,15 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
     The float32 payload is written in blocks of ceil(sqrt(n)) rows, so no
     float32 copy of the whole matrix is made.
     """
-    _write_embeddings(m.ids, m.vectors, m.normalized, path)
-
-
-def _write_embeddings(ids: tuple[str, ...], vectors: np.ndarray, normalized: bool, path: str) -> None:
-    """:func:`write_embeddings` of rows not held in an :class:`EmbeddingMatrix`, such as float32 ones."""
-    raw_ids = [doc_id.encode("utf-8") for doc_id in ids]
-    for doc_id, raw in zip(ids, raw_ids):
+    raw_ids = [doc_id.encode("utf-8") for doc_id in m.ids]
+    for doc_id, raw in zip(m.ids, raw_ids):
         if len(raw) > 0xFFFF:
             raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
-    n, d = vectors.shape
     with open_output(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<IQII", VERSION, n, d, 1 if normalized else 0))
-        for rows in _row_blocks(n):
-            fh.write(vectors[rows].astype("<f4"))
+        fh.write(struct.pack("<IQII", VERSION, m.n, m.d, 1 if m.normalized else 0))
+        for rows in _row_blocks(m.n):
+            fh.write(m.vectors[rows].astype("<f4"))
         fh.write(b"".join(struct.pack("<H", len(raw)) + raw for raw in raw_ids))
 
 
@@ -511,12 +531,12 @@ def read_embeddings(path: str) -> EmbeddingMatrix:
     """Read the binary embedding format; inverse of :func:`write_embeddings`.
 
     The payload is read in blocks of ceil(sqrt(n)) rows straight into the
-    float64 matrix, so reading takes about 8 bytes per value.
+    float32 matrix, so reading takes about 4 bytes per value.
     """
     with open(_path(path), "rb") as fh:
         count, dim, normalized = _read_header(fh)
         try:
-            vectors = np.empty((count, dim), dtype=np.float64)
+            vectors = np.empty((count, dim), dtype=np.float32)
         except (MemoryError, ValueError) as exc:  # a stream that claims too much
             raise FormatError(f"claimed shape ({count}, {dim}) cannot be allocated", 8) from exc
         for rows, block in _payload_blocks(fh, count, dim):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering, KmeansConfig, _rounding_band, kmeans_spherical
+from .cluster import Clustering, KmeansConfig, _check_clustering, _rounding_band, kmeans_spherical
 from .embed import EmbeddingMatrix
 from .errors import ValidationError, _index, _real, _unique
 from .graph import components
@@ -103,7 +103,7 @@ class D4Config:
 def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str) -> None:
     if not emb.normalized:
         raise ValidationError(f"{method} requires a normalized embedding matrix")
-    clustering.validate_for(emb)
+    _check_clustering(clustering, emb)
 
 
 def _result(
@@ -155,7 +155,7 @@ def _spanning_forest(
     the tree grows, so the steps' gemvs cover about (4/7) m^2 rows in all,
     not m^2. Ties go to the lowest member.
     """
-    X = emb.vectors
+    X = emb._rows()
     empty = np.zeros(0, dtype=np.intp)
     heads, tails, weights = [empty], [empty], [np.zeros(0)]
     for idx in clustering.members():
@@ -163,8 +163,8 @@ def _spanning_forest(
         if m < 2:
             continue
         # ``rows`` holds every member still outside the tree, in member
-        # order, and those that joined since it was last compacted; ``at``
-        # names the member of each row.
+        # order, and those that joined since it was last compacted, as
+        # float64; ``at`` names the member of each row.
         rows = X[idx]
         at = np.arange(m)
         best = np.full(m, -np.inf)  # similarity to the nearest tree member
@@ -202,12 +202,13 @@ def _spanning_forest(
 
 
 def _choose_cut(
-    X: np.ndarray, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
+    X, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
     n: int, r_target: float, tol: float,
 ) -> tuple[int, float, np.ndarray]:
     """How many of the heaviest forest edges to merge, and the epsilon that does it.
 
-    ``weights`` run heaviest first. Merging m edges keeps n - m documents;
+    ``weights`` run heaviest first; ``X`` is a float64 array or a matrix's
+    rows (``EmbeddingMatrix._rows()``). Merging m edges keeps n - m documents;
     m is achievable when m = 0 or when the weights drop by more than the
     rounding of a dot (``cluster._rounding_band``) after the m-th edge, so
     every rounding of the forest, in any row order, leaves the same
@@ -247,7 +248,7 @@ def _semdedup(
     """SemDeDup's kept rows, ascending, and its result, on checked inputs."""
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
-    m, eps, achievable = _choose_cut(emb.vectors, heads, tails, weights, n, r_dedup, SEMDEDUP_RATIO_TOL)
+    m, eps, achievable = _choose_cut(emb._rows(), heads, tails, weights, n, r_dedup, SEMDEDUP_RATIO_TOL)
     # The m heaviest forest edges join each epsilon-component; its label is
     # its lowest index, used only to group members in the lexsort below.
     labels = components(n, heads[:m], tails[:m])

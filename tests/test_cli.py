@@ -626,6 +626,28 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: line 2:") and "finite" in err[0]
         assert not (out / "binned.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "before, after, which",
+        [((-1e308, 0.0), (1e308, 0.0), "delta"), ((1e308, 1e308), (0.0, 0.0), "before")],
+        ids=["delta-overflows", "before-overflows"],
+    )
+    def test_nn_overflowing_score_mean_exits_1(self, tmp_path, capsys, before, after, which):
+        # Two validation rows at one distance share a bin; each score is finite, and a mean is not.
+        emb = tmp_path / "e.d4em"
+        d4kit.write_embeddings(d4kit.EmbeddingMatrix(("a", "b"), np.eye(2), True), str(emb))
+        scored = {}
+        for name, scores in (("before", before), ("after", after)):
+            scored[name] = tmp_path / f"{name}.jsonl"
+            scored[name].write_text("".join(json.dumps({"id": i, "score": s}) + "\n" for i, s in zip("ab", scores)))
+        out = tmp_path / "nn"
+        argv = ["nn", str(emb), "--embeddings", str(emb), "--scores-before", str(scored["before"]),
+                "--scores-after", str(scored["after"]), "--bins", "1", "--out", str(out)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: bin 0 mean score {which}") and err[0].endswith("got inf"), err
+        assert not (out / "binned.jsonl").exists()
+
     @pytest.mark.parametrize("score", ["true", "false"])
     def test_nn_boolean_score_exits_2_with_line(self, tmp_path, capsys, score):
         emb = _embed(tmp_path, _synth(tmp_path))

@@ -326,10 +326,15 @@ class TestAssign:
     @pytest.mark.parametrize("n, d, k", [(2000, 64, 16), (4000, 128, 63), (3, 8, 8)])
     def test_one_block_while_k_at_most_d(self, n, d, k):
         emb = _random_emb(n, d, seed=n)
-        centroids = _random_emb(k, d, seed=k).vectors
-        assert len(list(cluster_mod._product_blocks(emb.vectors, centroids))) == 1
+        centroids = _random_emb(k, d, seed=k).vectors.astype(np.float64)
+        # A float64 array of the same values is one block; a matrix's rows
+        # split into _GATHER_PARTS blocks of at least _GATHER_ROWS rows.
+        X = emb.vectors.astype(np.float64)
+        assert len(list(cluster_mod._product_blocks(X, centroids))) == 1
+        parts = -(-n // max(-(-n // cluster_mod._GATHER_PARTS), cluster_mod._GATHER_ROWS))
+        assert len(list(cluster_mod._product_blocks(emb._rows(), centroids))) == parts
         a, dist = assign(emb, centroids)
-        sims = emb.vectors @ centroids.T
+        sims = X @ centroids.T
         want = np.argmax(sims, axis=1)
         assert a.dtype == np.uint32 and np.array_equal(a, want)
         assert dist.tobytes() == np.clip(1.0 - sims[np.arange(n), want], 0.0, 2.0).tobytes()
@@ -359,7 +364,7 @@ class TestAssign:
             want, full_dist = assign(emb, centroids)
         assert np.array_equal(a, want)
         assert np.abs(dist - full_dist).max() <= cluster_mod._rounding_band(emb.d)
-        sims = emb.vectors @ centroids.T
+        sims = emb.vectors.astype(np.float64) @ centroids.T
         assert full_dist.tobytes() == np.clip(1.0 - sims.max(axis=1), 0.0, 2.0).tobytes()
 
     @pytest.mark.parametrize("d", [16, 64, 128])

@@ -403,3 +403,44 @@ def test_unit_norm_is_checked_in_one_place():
     centroids alike, so it alone compares a norm deviation with ``NORM_TOL``."""
     found = _package_sites(lambda source: _comparison_sites(source, "NORM_TOL"))
     assert found == [("embed", "_row_fault")], found
+
+
+def _attribute_sites(source: str, name: str) -> list[str]:
+    """The function around every read of an attribute ``name`` in ``source``;
+    ``<module>`` outside any function."""
+    sites: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load):
+            sites.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_attribute_scan_finds_every_form():
+    source = """
+x = m.vectors
+class C:
+    def f(self, m):
+        return m.vectors[0], self.vectors.shape, getattr(m, "vectors"), vectors
+    def g(self, v):
+        self.vectors = v
+        return m.ids.vectors
+"""
+    assert _attribute_sites(source, "vectors") == ["<module>", "f", "f", "g"]
+
+
+def test_rows_reach_arithmetic_as_float64():
+    """A matrix may hold float32 rows, so no module but ``embed`` reads
+    ``.vectors``: rows reach arithmetic through ``EmbeddingMatrix._blocks()``
+    or the one float64 gather, ``_rows()``, so none is multiplied in float32.
+    In ``embed`` only the matrix's own methods and ``write_embeddings``,
+    which casts each block to the file's float32, read them."""
+    found = set(_package_sites(lambda source: _attribute_sites(source, "vectors")))
+    methods = ("__post_init__", "_rows", "d", "n", "subset", "write_embeddings")
+    assert found == {("embed", method) for method in methods}, sorted(found)

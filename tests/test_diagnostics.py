@@ -453,14 +453,14 @@ class TestBlockedNn:
         # vectors. Each distance is its chosen pair's own row dot, so it is
         # bit for bit the same at every validation-side and train-side split.
         valid, train, rows = inputs
-        full = np.clip(1.0 - (valid.vectors @ train.vectors.T).max(axis=1), 0.0, 2.0)
+        full = np.clip(1.0 - (valid.vectors.astype(np.float64) @ train.vectors.T.astype(np.float64)).max(axis=1), 0.0, 2.0)
         with mock.patch.object(cluster_mod, "_block_rows", lambda a, b: rows):
             blocked = np.array([e.distance for e in nn_to_train(valid, train).entries])
         assert np.abs(blocked - full).max() <= 2 * valid.d * np.finfo(np.float64).eps
         position = {t: i for i, t in enumerate(train.ids)}
         chosen = train.vectors[[position[t] for _, t, _ in brute_force_nn(
             valid.vectors.tolist(), valid.ids, train.vectors.tolist(), train.ids)]]
-        pair = np.clip(1.0 - _row_dots(valid.vectors, chosen), 0.0, 2.0)
+        pair = np.clip(1.0 - _row_dots(valid.vectors.astype(np.float64), chosen.astype(np.float64)), 0.0, 2.0)
         for valid_rows, train_rows in itertools.product((rows, None), (1, 2, 3, 6, None)):
             with contextlib.ExitStack() as patches:
                 if valid_rows:

@@ -120,5 +120,5 @@ def test_kmeans_seeding_equals_numpy_seeding_on_float32_rows(tmp_path):
     path = str(tmp_path / "rows.d4em")
     write_embeddings(EmbeddingMatrix(tuple(f"p{i:05d}" for i in range(len(rows))), rows.astype(np.float32), True), path)
     emb = read_embeddings(path)
-    assert (np.linalg.norm(emb.vectors, axis=1) != 1.0).all()
+    assert (np.linalg.norm(emb.vectors.astype(np.float64), axis=1) != 1.0).all()
     _assert_kmeans_seeding_equals_numpy_seeding(emb, KmeansConfig(k=40, iters=5, seed=3))

@@ -428,16 +428,16 @@ class TestSerialization:
         assert back.ids == emb.ids
         assert back.normalized == emb.normalized
         assert back.vectors.tobytes() == emb.vectors.tobytes()
-        # float32 input is held as float64 with the same values ...
+        # float32 input is held as float32, as it is ...
         rows32 = emb.vectors.astype(np.float32)
         held = EmbeddingMatrix(ids=emb.ids, vectors=rows32, normalized=True)
-        assert held.vectors.dtype == np.float64
+        assert held.vectors.dtype == np.float32
         assert np.array_equal(held.vectors, rows32)
         # ... and the rows read back equal the file's float32 payload.
         payload = np.frombuffer(
             path.read_bytes(), dtype="<f4", count=emb.n * emb.d, offset=24
         ).reshape(emb.n, emb.d)
-        assert back.vectors.dtype == np.float64
+        assert back.vectors.dtype == np.float32
         assert np.array_equal(back.vectors, payload)
 
     def test_overlong_id_writes_nothing(self, tmp_path):
@@ -607,7 +607,7 @@ class TestScan:
         blocks = list(scanned._blocks())
         assert [rows for rows, _ in blocks] == [rows for rows, _ in m._blocks()]
         for rows, block in blocks:
-            assert block.dtype == np.float64 and block.tobytes() == m.vectors[rows].tobytes()
+            assert block.dtype == np.float64 and block.tobytes() == m.vectors[rows].astype(np.float64).tobytes()
 
     @given(
         n=st.integers(1, 40),

@@ -35,13 +35,17 @@ from d4kit import (
     analyze_clustering,
     assign,
     binned_score_analysis,
+    cluster_balance,
     count_tokens,
+    d4,
     default_k,
+    ecdf_mean_distance,
     embed_corpus,
     embed_cost,
     find_duplicate_driven_clusters,
     kmeans_spherical,
     lsh_dedup,
+    objective,
     overall_gain,
     plan_epochs,
     load_corpus,
@@ -261,6 +265,19 @@ class TestRealArguments:
         with pytest.raises(ValidationError, match=r"must be a number in [\[(]"):
             build()
 
+    @pytest.mark.parametrize(
+        "before, after, which",
+        [({"v0": -1e308, "v1": 0.0}, {"v0": 1e308, "v1": 0.0}, "delta"),
+         ({"v0": 1e308, "v1": 1e308}, {"v0": 0.0, "v1": 0.0}, "before"),
+         ({"v0": -1e308, "v1": -1e308}, {"v0": -1e308, "v1": -1e308}, "before")],
+        ids=["delta", "before", "before-negative"],
+    )
+    def test_binned_means_that_overflow_rejected(self, before, after, which):
+        # Both rows fall in the one bin; every score is finite, and one mean overflows.
+        nn = NnReport(entries=(NnEntry("v0", "t", 0.5), NnEntry("v1", "t", 0.5)), mean=0.5, median=0.5)
+        with pytest.raises(ValidationError, match=rf"bin 0 mean score {which} must be a number in \(-inf, inf\)"):
+            binned_score_analysis(nn, before, after, 1)
+
     def test_numpy_and_int_reals_stored_as_float(self):
         model = CostModel(np.float32(1.5), np.float64(0.25), embed_gpu_hours=2)
         assert model == CostModel(1.5, 0.25, embed_gpu_hours=2.0)
@@ -315,6 +332,33 @@ class TestNonNumberInputs:
     def test_binned_scores_need_an_nn_report(self, nn):
         with pytest.raises(ValidationError, match="must be an NnReport"):
             binned_score_analysis(nn, _SCORES, _SCORES, 3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: ecdf_mean_distance(_EMB, c),
+            lambda c: analyze_clustering(_EMB, c),
+            lambda c: objective(_EMB, c),
+            lambda c: cluster_balance(c),
+            lambda c: find_duplicate_driven_clusters(_EMB, c),
+            lambda c: semdedup(_EMB, c, 0.5),
+            lambda c: ssl_prototypes(_EMB, c, 0.5),
+        ],
+        ids=["ecdf", "analyze", "objective", "balance", "duplicate-driven", "semdedup", "prototypes"],
+    )
+    @pytest.mark.parametrize("clustering", [None, "c", (1, 2)], ids=["None", "str", "tuple"])
+    def test_clustering_functions_need_a_clustering(self, call, clustering):
+        with pytest.raises(ValidationError, match=f"clustering must be a Clustering, got {type(clustering).__name__}"):
+            call(clustering)
+
+    @pytest.mark.parametrize("clustering", ["c", (1, 2)], ids=["str", "tuple"])
+    def test_d4_needs_a_clustering_or_none(self, clustering):
+        with pytest.raises(ValidationError, match=f"clustering must be a Clustering, got {type(clustering).__name__}"):
+            d4(_EMB, D4Config(), clustering)
+
+    def test_ecdf_of_none_needs_a_clustering(self):
+        with pytest.raises(ValidationError, match="got NoneType"):
+            ecdf_mean_distance(None, None)
 
     def test_numeric_object_vectors_accepted(self):
         emb = EmbeddingMatrix(ids=("a",), vectors=np.array([[1, 0.0]], dtype=object), normalized=True)

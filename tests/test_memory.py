@@ -267,3 +267,27 @@ def test_tail_shuffle_peak_within_twice_numpy():
     ours = _peak(lambda: draws.choice(3, 40_000, 20_000))
     numpy_peak = _peak(lambda: np.random.default_rng(3).choice(40_000, size=20_000, replace=False))
     assert ours <= 2 * numpy_peak, (ours, numpy_peak)
+
+
+@pytest.mark.parametrize("command, bound", [("semdedup", 1.25), ("cluster", 2.5)])
+def test_matrix_commands_hold_float32_rows(command, bound, tmp_path):
+    # 4,000 rows at d = 8 and d = 128, as for ``embed``: the rise in peak is
+    # what the rows take, n * 120 * 4 bytes for one float32 copy. SemDeDup
+    # adds one cluster's float64 rows (k = 63); k-means adds one float64
+    # product block of at most n / 8 rows and one cluster's rows. A float64
+    # matrix alone would be twice the float32 copy.
+    n = 4000
+    peaks = {}
+    for d in (8, 128):
+        path = tmp_path / f"e{d}.d4em"
+        emb = _unit_file(path, n, d)
+        argv = ["--embeddings", str(path), "--out", str(tmp_path / f"o{d}")]
+        if command == "semdedup":
+            km = tmp_path / f"c{d}.d4km"
+            write_clustering(kmeans_spherical(emb, KmeansConfig(iters=2, seed=0)), str(km))
+            argv = ["select", *argv, "--clustering", str(km), "--method", "semdedup", "--r", "0.9"]
+        else:
+            argv = ["cluster", *argv]
+        del emb
+        peaks[d] = _cli_peak(argv)
+    assert peaks[128] - peaks[8] <= bound * n * 120 * 4, (peaks, (peaks[128] - peaks[8]) / (n * 120 * 4))
