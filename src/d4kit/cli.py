@@ -9,6 +9,10 @@ counts.
 Exit codes: 0 success, 1 validation or usage error or an allocation that
 failed (``MemoryError``), 2 I/O or file-format error.
 
+A ``minhash`` signature has ``--bands`` x ``--rows-per-band`` positions.
+``select`` without ``--clustering`` fits k-means with ``--k``, ``--iters``
+and the ``select.kmeans`` seed; ``d4`` fits its stage 1 so itself.
+
 ``diagnose``, and ``select`` with ``random`` or with ``prototypes`` and
 ``--clustering``, check the ``.d4em`` file a block at a time and keep only
 its ids and the clustering: O(n + k * d) memory. ``nn`` reads its train file
@@ -38,7 +42,6 @@ from .errors import FormatError, ParseError, ValidationError
 
 if TYPE_CHECKING:
     from . import cluster as cluster_mod
-    from . import embed as embed_mod
     from . import select as select_mod
 
 
@@ -175,7 +178,6 @@ def cmd_minhash(args: argparse.Namespace) -> None:
 
     out = _prepare_out(args)
     cfg = minhash_mod.LshConfig(
-        num_hashes=args.num_hashes,
         bands=args.bands,
         rows_per_band=args.rows_per_band,
         shingle_width=args.shingle_width,
@@ -246,14 +248,6 @@ def _kmeans_config(args: argparse.Namespace, stage: str) -> cluster_mod.KmeansCo
     return cluster_mod.KmeansConfig(k=args.k, iters=args.iters, seed=stage_seed(args.seed, stage))
 
 
-def _clustering_for(args: argparse.Namespace, emb: embed_mod.EmbeddingMatrix, stage: str):
-    from . import cluster as cluster_mod
-
-    if args.clustering:
-        return cluster_mod.read_clustering(args.clustering)
-    return cluster_mod.kmeans_spherical(emb, _kmeans_config(args, stage))
-
-
 def cmd_select(args: argparse.Namespace) -> None:
     from . import cluster as cluster_mod
     from . import embed as embed_mod
@@ -274,7 +268,10 @@ def cmd_select(args: argparse.Namespace) -> None:
             emb.ids, args.r, seed=stage_seed(args.seed, "select.random")
         )
     elif method in ("semdedup", "prototypes"):
-        clustering = _clustering_for(args, emb, "select.kmeans")
+        if args.clustering:
+            clustering = cluster_mod.read_clustering(args.clustering)
+        else:
+            clustering = cluster_mod.kmeans_spherical(emb, _kmeans_config(args, "select.kmeans"))
         if method == "semdedup":
             result = select_mod.semdedup(emb, clustering, args.r)
         else:
@@ -286,7 +283,8 @@ def cmd_select(args: argparse.Namespace) -> None:
             recluster=not args.no_recluster,
             kmeans=_kmeans_config(args, "select.kmeans"),
         )
-        clustering = _clustering_for(args, emb, "select.kmeans")
+        # Without --clustering, d4 fits stage 1 itself with cfg.kmeans.
+        clustering = cluster_mod.read_clustering(args.clustering) if args.clustering else None
         artifacts: dict = {}
         result = select_mod.d4(emb, cfg, clustering=clustering, artifacts=artifacts)
         embed_mod.write_embeddings(
@@ -498,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minhash", help="MinHash LSH near-duplicate removal")
     common(p)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--num-hashes", type=int, default=20)
     p.add_argument("--bands", type=int, default=20)
     p.add_argument("--rows-per-band", type=int, default=1)
     p.add_argument("--shingle-width", type=int, default=5)

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import EmbeddingMatrix, _float_array, _Float64Rows, _row_dots, _unit_rows
-from .errors import FormatError, ValidationError, _index, _path
+from .embed import _MATRICES, EmbeddingMatrix, _float_array, _row_dots, _unit_rows
+from .errors import FormatError, ValidationError, _index, _instance, _path
 
 MAGIC = b"D4KM"
 VERSION = 1
@@ -68,15 +68,14 @@ class Clustering:
     """k unit-norm centroids plus per-point assignment and cosine distance.
 
     Centroids are held as float64 (converted once here); stored as float32 on disk.
-    ``iters_run``, ``seed`` and ``objective_history`` describe the fit that
-    produced the clustering; they are not persisted by the binary format.
+    ``seed`` and ``objective_history`` describe the fit that produced the
+    clustering; they are not persisted by the binary format. ``k`` and
+    ``iters_run`` are computed from the fields.
     """
 
     centroids: np.ndarray
     assignment: np.ndarray
     distance: np.ndarray
-    k: int
-    iters_run: int = 0
     seed: int = 0
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
@@ -87,8 +86,6 @@ class Clustering:
         if not isinstance(self.distance, np.ndarray):
             raise ValidationError(f"distances must be an array, got {type(self.distance).__name__}")
         object.__setattr__(self, "distance", _float_array("distances", self.distance))
-        if self.centroids.shape[0] != self.k:
-            raise ValidationError("centroids must be a (k, d) matrix")
         if self.assignment.shape != self.distance.shape:
             raise ValidationError("assignment and distance lengths differ")
         if not np.isfinite(self.distance).all():
@@ -97,6 +94,15 @@ class Clustering:
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):
             raise ValidationError("cosine distances must lie in [0, 2]")
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def iters_run(self) -> int:
+        """Lloyd iterations of the fit: one per objective after the first."""
+        return max(len(self.objective_history) - 1, 0)
 
     @property
     def n(self) -> int:
@@ -109,13 +115,13 @@ class Clustering:
     def validate_for(self, emb: EmbeddingMatrix) -> None:
         """Check that this clustering describes ``emb``.
 
-        ``emb`` is an :class:`EmbeddingMatrix` or anything with its ``n``,
-        ``d`` and ``_blocks()``, such as a checked ``.d4em`` file read again
-        a block at a time (``embed._scan_embeddings``). Each stored distance
-        is checked against its row's dot with its centroid, one row block at
-        a time, so no n x d gather of rows or centroids is built.
+        ``emb`` is an :class:`EmbeddingMatrix` or a checked ``.d4em`` file
+        read again a block at a time (``embed._scan_embeddings``). Each
+        stored distance is checked against its row's dot with its centroid,
+        one row block at a time, so no n x d gather of rows or centroids is
+        built.
         """
-        if emb.n != self.n:
+        if _instance("emb", emb, _MATRICES).n != self.n:
             raise ValidationError(f"clustering covers {self.n} points, matrix has {emb.n}")
         if emb.d != self.d:
             raise ValidationError(f"clustering dimension {self.d} != matrix {emb.d}")
@@ -133,14 +139,10 @@ class Clustering:
         return _members(self.assignment, self.k)
 
 
-def _check_clustering(clustering, emb: EmbeddingMatrix | None = None) -> None:
-    """``ValidationError`` naming its type unless ``clustering`` is a
-    :class:`Clustering`, and, given ``emb``, unless it describes ``emb``
-    (:meth:`Clustering.validate_for`)."""
-    if not isinstance(clustering, Clustering):
-        raise ValidationError(f"clustering must be a Clustering, got {type(clustering).__name__}")
-    if emb is not None:
-        clustering.validate_for(emb)
+def _check_clustering(clustering, emb: EmbeddingMatrix) -> None:
+    """``ValidationError`` unless ``clustering`` is a :class:`Clustering`
+    that describes ``emb`` (:meth:`Clustering.validate_for`)."""
+    _instance("clustering", clustering, Clustering).validate_for(emb)
 
 
 def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
@@ -152,30 +154,27 @@ def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
 
 def _block_rows(a, b: np.ndarray) -> int:
     """Rows of ``a @ b.T`` per block: within half the larger input's entry
-    count and, when ``a`` is a matrix's rows, within the gather cap
-    (``_GATHER_PARTS``, ``_GATHER_ROWS``). The cap does not look at the held
-    dtype: a gemm's bits depend on its block's shape, so the same values held
-    as float32 or float64 must split alike to give the same products."""
+    count and within the gather cap (``_GATHER_PARTS``, ``_GATHER_ROWS``).
+    The cap does not look at the held dtype: a gemm's bits depend on its
+    block's shape, so the same values held as float32 or float64 must split
+    alike to give the same products."""
     n, d = a.shape
     rows = max(n * d, b.size) // max(2 * b.shape[0], 1)
-    if isinstance(a, _Float64Rows):
-        rows = min(rows, max(-(-n // _GATHER_PARTS), _GATHER_ROWS))
-    return rows
+    return min(rows, max(-(-n // _GATHER_PARTS), _GATHER_ROWS))
 
 
 def _product_blocks(a, b: np.ndarray):
     """Yield ``(start, stop, a[start:stop] @ b.T)`` over the rows of ``a``, in float64.
 
-    ``a`` is a float64 array or a matrix's rows
-    (``EmbeddingMatrix._rows()``), which each block gathers as float64. The
-    rows split into near-equal blocks of at most :func:`_block_rows` rows,
-    so no block holds more than half the entries of the larger of ``a`` and
-    ``b`` and the product takes O(n * d) memory whatever its shape. Half is
-    the floor: smaller blocks give each gemm fewer rows, and
-    ``nn_to_train`` slows more than the memory saved is worth. A matrix's
-    rows split at least ``_GATHER_PARTS`` ways, or into ``_GATHER_ROWS``-row
-    blocks: as one block, every ``assign`` would gather them all as float64,
-    twice a float32 matrix's bytes. No block has
+    ``a`` is a matrix's rows (``EmbeddingMatrix._rows()``), which each block
+    gathers as float64. The rows split into near-equal blocks of at most
+    :func:`_block_rows` rows, so no block holds more than half the entries
+    of the larger of ``a`` and ``b`` and the product takes O(n * d) memory
+    whatever its shape. Half is the floor: smaller blocks give each gemm
+    fewer rows, and ``nn_to_train`` slows more than the memory saved is
+    worth. The rows split at least ``_GATHER_PARTS`` ways, or into
+    ``_GATHER_ROWS``-row blocks: as one block, every ``assign`` would gather
+    them all as float64, twice a float32 matrix's bytes. No block has
     a single row unless ``a`` has one, because numpy computes a one-row
     product with gemv, which rounds differently from gemm; so a block may
     reach three rows when :func:`_block_rows` is below that (d <= 5).
@@ -255,7 +254,7 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     first copy. All centroids are one block, and a distance is ``1 - s``
     for the row's largest gemm dot ``s``, clipped into [0, 2].
     """
-    centroids = _unit_rows("centroids", centroids, emb.d)
+    centroids = _unit_rows("centroids", centroids, _instance("emb", emb, EmbeddingMatrix).d)
     k = centroids.shape[0]
     nearest, best = _nearest(emb._rows(), [(slice(0, k), centroids)], range(k))
     return nearest.astype(np.uint32), np.clip(1.0 - best, 0.0, 2.0)
@@ -318,8 +317,8 @@ def kmeans_spherical(
     initialization (and fixes k to its row count); its rows must be unit-norm
     within ``embed.NORM_TOL`` and start the fit as given, not renormalized.
     """
-    cfg = cfg or KmeansConfig()
-    if not emb.normalized:
+    cfg = KmeansConfig() if cfg is None else _instance("cfg", cfg, KmeansConfig)
+    if not _instance("emb", emb, EmbeddingMatrix).normalized:
         raise ValidationError("k-means requires a normalized embedding matrix")
     n = emb.n
     if n < 1:
@@ -342,31 +341,23 @@ def kmeans_spherical(
 
     assignment, distance = assign(emb, C)
     history = [float(distance.sum())]
-    iters_run = 0
-    for _ in range(cfg.iters):
+    for iteration in range(1, cfg.iters + 1):
         C = _update_centroids(X, C, assignment, distance, k)
         new_assignment, new_distance = assign(emb, C)
         obj = float(new_distance.sum())
         # Lloyd never increases the objective; tolerate only rounding noise.
         if obj > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise ValidationError(
-                f"k-means objective rose at iteration {iters_run + 1}: {history[-1]!r} -> {obj!r}"
+                f"k-means objective rose at iteration {iteration}: {history[-1]!r} -> {obj!r}"
             )
         history.append(obj)
         unchanged = np.array_equal(new_assignment, assignment)
         assignment, distance = new_assignment, new_distance
-        iters_run += 1
         if unchanged:
             break
 
     return Clustering(
-        centroids=C,
-        assignment=assignment,
-        distance=distance,
-        k=k,
-        iters_run=iters_run,
-        seed=cfg.seed,
-        objective_history=tuple(history),
+        centroids=C, assignment=assignment, distance=distance, seed=cfg.seed, objective_history=tuple(history)
     )
 
 
@@ -378,6 +369,7 @@ def objective(emb: EmbeddingMatrix, clustering: Clustering) -> float:
 
 def write_clustering(c: Clustering, path: str) -> None:
     """Persist a clustering (fit metadata is not stored)."""
+    _instance("c", c, Clustering)
     with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIQ", VERSION, c.k, c.d, c.n))
@@ -408,6 +400,4 @@ def read_clustering(path: str) -> Clustering:
     offset += n * 4
     if offset != len(data):
         raise FormatError("trailing bytes after distances", offset)
-    return Clustering(
-        centroids=centroids, assignment=assignment, distance=distance, k=k
-    )
+    return Clustering(centroids=centroids, assignment=assignment, distance=distance)

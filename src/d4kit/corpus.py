@@ -22,7 +22,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
-from .errors import ParseError, ValidationError, _index, _path, _real, _unique
+from .errors import ParseError, ValidationError, _index, _instance, _path, _real, _unique
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,23 +90,18 @@ class Document:
 
 @dataclass(frozen=True)
 class DocumentSet:
-    """An ordered, immutable collection of documents with unique ids."""
+    """An ordered, immutable collection of documents with unique ids; ``total_tokens`` is their token sum."""
 
     docs: tuple[Document, ...]
-    total_tokens: int
+    total_tokens: int = field(init=False)
 
     def __post_init__(self):
         _unique("document", [d.id for d in self.docs])
-        s = sum(d.token_count for d in self.docs)
-        if s != self.total_tokens:
-            raise ValidationError(
-                f"total_tokens={self.total_tokens} but member sum is {s}"
-            )
+        object.__setattr__(self, "total_tokens", sum(d.token_count for d in self.docs))
 
     @classmethod
     def from_documents(cls, docs: list[Document] | tuple[Document, ...]) -> "DocumentSet":
-        docs = tuple(docs)
-        return cls(docs=docs, total_tokens=sum(d.token_count for d in docs))
+        return cls(docs=tuple(docs))
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -262,6 +257,7 @@ def write_corpus(docs: DocumentSet, path: str) -> None:
     record, so each field is encoded on its own and the line joined around them.
     """
     enc = _ENCODER.encode
+    _instance("docs", docs, DocumentSet)
     with open_output(path) as fh:
         fh.writelines(
             f'{{"id": {enc(d.id)}, "text": {enc(d.text)}}}\n' if d.meta is None
@@ -335,7 +331,7 @@ def synthesize_corpus(spec: SynthSpec) -> DocumentSet:
     """
     import numpy as np
 
-    rng = np.random.default_rng(spec.seed & 0xFFFFFFFFFFFFFFFF)
+    rng = np.random.default_rng(_instance("spec", spec, SynthSpec).seed & 0xFFFFFFFFFFFFFFFF)
     vocab = [f"w{i:05d}" for i in range(spec.vocab_size)]
     lo, hi = spec.doc_length_range
 

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cluster import Clustering, _check_clustering, _nearest
-from .embed import EmbeddingMatrix, _row_dots
-from .errors import ValidationError, _index, _real
+from .embed import _MATRICES, EmbeddingMatrix, _row_dots
+from .errors import ValidationError, _index, _instance, _real
 
 if TYPE_CHECKING:
     from .select import SelectionResult
@@ -87,8 +87,7 @@ def cluster_balance(clustering: Clustering) -> float:
     1.0 means perfectly even clusters; values near 0 mean a few clusters
     dominate. Empty clusters are excluded from the pairing.
     """
-    _check_clustering(clustering)
-    if clustering.k < 2:
+    if _instance("clustering", clustering, Clustering).k < 2:
         raise ValidationError("cluster balance needs k >= 2")
     sizes = np.bincount(clustering.assignment, minlength=clustering.k)
     sizes = np.sort(sizes[sizes > 0]).astype(np.float64)
@@ -180,10 +179,13 @@ def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
     All results must come from the same source id sequence. The matrix is
     exactly symmetric with a 100.0 diagonal.
     """
+    from .select import SelectionResult
+
     if not results:
         raise ValidationError("need at least one selection result")
     first = results[0]
-    for r in results[1:]:
+    for i, r in enumerate(results):
+        _instance(f"results[{i}]", r, SelectionResult)
         if r.fingerprint != first.fingerprint or r.n_source != first.n_source:
             raise ValidationError(
                 f"mismatched source sets: {r.method} vs {first.method}"
@@ -203,18 +205,16 @@ def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
 def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnReport:
     """Exact brute-force nearest neighbor in train for each validation row.
 
-    ``train_emb`` is an :class:`EmbeddingMatrix` or anything with its
-    ``ids``, ``n``, ``d``, ``normalized`` and ``_blocks()``, such as a
-    checked ``.d4em`` file read a block at a time
-    (``embed._scan_embeddings``). Neighbors follow :func:`cluster._nearest`
-    over the train blocks: near-ties ranked by exact dots, and ties to the
+    ``train_emb`` is an :class:`EmbeddingMatrix` or a checked ``.d4em``
+    file read a block at a time (``embed._scan_embeddings``). Neighbors
+    follow :func:`cluster._nearest` over the train blocks: near-ties ranked by exact dots, and ties to the
     lowest train id whatever either block split. Memory is the validation
     rows and their chosen train rows, in float64, plus one train block and
     one float64 block of validation rows. A distance is ``1 - _row_dots`` of
     the validation row and its chosen row, clipped into [0, 2], so it
     depends on that pair alone.
     """
-    if valid_emb.d != train_emb.d:
+    if _instance("valid_emb", valid_emb, EmbeddingMatrix).d != _instance("train_emb", train_emb, _MATRICES).d:
         raise ValidationError(
             f"dimension mismatch: validation {valid_emb.d}, train {train_emb.d}"
         )
@@ -268,8 +268,7 @@ def binned_score_analysis(
     validation id's scores, and each bin's means, must be real numbers
     (:func:`d4kit.errors._real`), so finite scores whose mean overflows raise.
     """
-    if not isinstance(nn, NnReport):
-        raise ValidationError(f"nn must be an NnReport, got {type(nn).__name__}")
+    _instance("nn", nn, NnReport)
     n_bins = _index("n_bins", n_bins, 1)
     before, after = [], []
     for e in nn.entries:

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts, open_output
-from .errors import FormatError, ValidationError, _index, _path, _unique
+from .errors import FormatError, ValidationError, _index, _instance, _path, _unique
 
 MAGIC = b"D4EM"
 VERSION = 1
@@ -404,7 +404,7 @@ def embed_corpus(docs: Iterable[Document | Record], spec: EmbedderSpec) -> Embed
     document longer than one chunk gets the renormalized mean of its
     chunks' hash embeddings.
     """
-    if spec.kind == "external":
+    if _instance("spec", spec, EmbedderSpec).kind == "external":
         ids, vectors = _external_rows(docs, spec.path)
     else:
         id_list: list[str] = []
@@ -452,7 +452,7 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
     The float32 payload is written in blocks of ceil(sqrt(n)) rows, so no
     float32 copy of the whole matrix is made.
     """
-    raw_ids = [doc_id.encode("utf-8") for doc_id in m.ids]
+    raw_ids = [doc_id.encode("utf-8") for doc_id in _instance("m", m, EmbeddingMatrix).ids]
     for doc_id, raw in zip(m.ids, raw_ids):
         if len(raw) > 0xFFFF:
             raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
@@ -551,7 +551,7 @@ class _EmbeddingFile:
     It has the ``ids``, ``n``, ``d``, ``normalized`` and ``_blocks()`` of an
     :class:`EmbeddingMatrix`, so ``select_random``, ``nn_to_train``, and
     ``Clustering.validate_for`` (``ssl_prototypes``, ``analyze_clustering``)
-    take it in place of one.
+    take it in place of one (``_MATRICES``).
     ``_blocks()`` reads the payload again from the file checked, and raises
     ``FormatError`` if the file has changed since.
     """
@@ -567,6 +567,10 @@ class _EmbeddingFile:
             fh.seek(24)
             for rows, block in _payload_blocks(fh, self.n, self.d):
                 yield rows, block.astype(np.float64)
+
+
+# Where only ids and row blocks are read, a checked file is taken for a matrix.
+_MATRICES = (EmbeddingMatrix, _EmbeddingFile)
 
 
 def _stamp(fd: int) -> tuple[int, ...]:

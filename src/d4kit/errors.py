@@ -6,8 +6,9 @@ the CLI can map them to different exit codes.
 
 Each kind of input has one check, raising :class:`ValidationError`: :func:`_index`
 for integer counts, sizes and seeds, :func:`_real` for real ratios, rates, costs
-and thresholds, :func:`_unique` for ids, and :func:`_path` for file paths. A numpy
-number passes as the ``int`` or ``float`` it equals, and a ``bool`` is never a number.
+and thresholds, :func:`_unique` for ids, :func:`_path` for file paths, and
+:func:`_instance` for objects. A numpy number passes as the ``int`` or
+``float`` it equals, and a ``bool`` is never a number.
 """
 
 import numbers
@@ -48,6 +49,15 @@ def _unique(what: str, ids) -> None:
     if len(set(ids)) != len(ids):
         repeat = next(i for i, count in Counter(ids).items() if count > 1)
         raise ValidationError(f"{what} ids must be unique, {repeat!r} repeats")
+
+
+def _instance(name: str, value, types):
+    """``value`` as given; ``ValidationError`` naming its type unless an instance of ``types``."""
+    if isinstance(value, types):
+        return value
+    kind = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    an = kind[0] in "AEIOU" or kind[0] in "FHLMNRSX" and kind[1] not in "aeiouy"  # an NnReport
+    raise ValidationError(f"{name} must be {'an' if an else 'a'} {kind}, got {type(value).__name__}")
 
 
 def _path(path):

@@ -6,9 +6,10 @@ fmix64(base ^ key_i): fmix64 is MurmurHash3's 64-bit finaliser and key_i a
 fixed per-position constant (Broder 1997; one hash plus cheap permutations,
 as in datasketch). The corpus is signed in blocks of shingles by one
 routine, :func:`_signatures`; ``signature`` is that routine on one set.
-Signatures have 20 positions by default, banded 20 x 1, so two documents
-become duplicate candidates iff any signature position matches (Leskovec,
-Rajaraman & Ullman, Mining of Massive Datasets, ch. 3).
+A signature has one position per row of each band, 20 by default, banded
+20 x 1, so two documents become duplicate candidates iff any signature
+position matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets,
+ch. 3).
 Candidates are grouped transitively, as connected components of the
 band-collision graph found by ``graph.components`` (the routine SemDeDup
 also uses), and each duplicate group keeps its lexicographically lowest id.
@@ -23,27 +24,26 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts
-from .errors import ValidationError, _index, _unique
+from .errors import ValidationError, _index, _instance, _unique
 from .graph import components
 
 
 @dataclass(frozen=True)
 class LshConfig:
-    num_hashes: int = 20
+    """Banding and shingling; a signature has ``bands * rows_per_band`` positions."""
+
     bands: int = 20
     rows_per_band: int = 1
     shingle_width: int = 5
     seed: int = 0
 
     def __post_init__(self):
-        for name, least in (("num_hashes", 1), ("bands", 1), ("rows_per_band", 1),
-                            ("shingle_width", 1), ("seed", None)):
+        for name, least in (("bands", 1), ("rows_per_band", 1), ("shingle_width", 1), ("seed", None)):
             object.__setattr__(self, name, _index(name, getattr(self, name), least))
-        if self.bands * self.rows_per_band != self.num_hashes:
-            raise ValidationError(
-                f"bands ({self.bands}) x rows_per_band ({self.rows_per_band}) "
-                f"must equal num_hashes ({self.num_hashes})"
-            )
+
+    @property
+    def num_hashes(self) -> int:
+        return self.bands * self.rows_per_band
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _signatures(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfi
     ``minimum.reduceat`` takes each set's minima.
     """
     keys = np.arange(1, cfg.num_hashes + 1, dtype=np.uint64) * _POSITION_STEP
-    rows = [np.empty((0, cfg.num_hashes), dtype=np.uint64)]
+    rows = [np.empty((0, keys.size), dtype=np.uint64)]
     items: list[bytes] = []
     sizes: list[int] = []  # shingles per set of the open block
     for sh in shingle_sets:
@@ -144,7 +144,7 @@ def _block_minima(items: list[bytes], sizes: list[int], keys: np.ndarray, seed: 
 
 def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature:
     """The MinHash signature of one shingle set: :func:`_signatures` of that set."""
-    values = _signatures([sh], cfg)[0]
+    values = _signatures([sh], _instance("cfg", cfg, LshConfig))[0]
     return MinHashSignature(values=tuple(values.tolist()), shingle_width=cfg.shingle_width)
 
 
@@ -173,7 +173,7 @@ def lsh_dedup(docs: Iterable[Document | Record], cfg: LshConfig | None = None) -
     preserve corpus order. The result is independent of corpus permutation
     up to that keep rule.
     """
-    cfg = cfg or LshConfig()
+    cfg = LshConfig() if cfg is None else _instance("cfg", cfg, LshConfig)
     ids: list[str] = []
     matrix = _signatures((shingles(text, cfg.shingle_width) for text in iter_texts(docs, ids)), cfg)
     _unique("document", ids)

@@ -18,23 +18,26 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import DocumentSet
-from .errors import ValidationError, _index, _real
+from .errors import ValidationError, _index, _instance, _real
 
 
 @dataclass(frozen=True)
 class EpochPlan:
     """A document order covering the token budget.
 
-    ``epochs`` is exactly t_total / t_selected; ``order`` concatenates
-    per-epoch permutations of the selected ids, truncated at the first
-    document that reaches the budget.
+    ``order`` concatenates per-epoch permutations of the selected ids,
+    truncated at the first document that reaches the budget.
     """
 
     t_total: int
     t_selected: int
-    epochs: float
     order: tuple[str, ...]
     reshuffle_seed: int
+
+    @property
+    def epochs(self) -> float:
+        """Exactly t_total / t_selected."""
+        return self.t_total / self.t_selected
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ def plan_epochs(
     stops at the first document whose tokens reach the budget, so the
     overshoot is bounded by the largest document.
     """
-    tokens = [d.token_count for d in selected.docs]
+    tokens = [d.token_count for d in _instance("selected", selected, DocumentSet).docs]
     return _plan(selected.ids, tokens, t_total, seed, reshuffle_each_epoch)
 
 
@@ -95,18 +98,12 @@ def _plan(
                 break
         epoch += 1
 
-    return EpochPlan(
-        t_total=t_total,
-        t_selected=t_selected,
-        epochs=t_total / t_selected,
-        order=tuple(order),
-        reshuffle_seed=seed,
-    )
+    return EpochPlan(t_total=t_total, t_selected=t_selected, order=tuple(order), reshuffle_seed=seed)
 
 
 def naive_gain(model: CostModel) -> float:
     """GPU hours saved by reaching baseline quality with fewer updates."""
-    return model.baseline_train_gpu_hours * model.fraction_updates_saved
+    return _instance("model", model, CostModel).baseline_train_gpu_hours * model.fraction_updates_saved
 
 
 def overall_gain(model: CostModel) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import Clustering, KmeansConfig, _check_clustering, _rounding_band, kmeans_spherical
-from .embed import EmbeddingMatrix
-from .errors import ValidationError, _index, _real, _unique
+from .embed import _MATRICES, EmbeddingMatrix
+from .errors import ValidationError, _index, _instance, _real, _unique
 from .graph import components
 from .hashing import sha256
 
@@ -100,8 +100,8 @@ class D4Config:
         return self.r_dedup * self.r_proto
 
 
-def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str) -> None:
-    if not emb.normalized:
+def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str, types=EmbeddingMatrix) -> None:
+    if not _instance("emb", emb, types).normalized:
         raise ValidationError(f"{method} requires a normalized embedding matrix")
     _check_clustering(clustering, emb)
 
@@ -202,29 +202,29 @@ def _spanning_forest(
 
 
 def _choose_cut(
-    X, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray,
-    n: int, r_target: float, tol: float,
+    X, heads: np.ndarray, tails: np.ndarray, weights: np.ndarray, r_target: float
 ) -> tuple[int, float, np.ndarray]:
     """How many of the heaviest forest edges to merge, and the epsilon that does it.
 
     ``weights`` run heaviest first; ``X`` is a float64 array or a matrix's
-    rows (``EmbeddingMatrix._rows()``). Merging m edges keeps n - m documents;
-    m is achievable when m = 0 or when the weights drop by more than the
-    rounding of a dot (``cluster._rounding_band``) after the m-th edge, so
+    rows (``EmbeddingMatrix._rows()``), n x d. Merging m edges keeps n - m
+    documents; m is achievable when m = 0 or when the weights drop by more
+    than the rounding of a dot (``cluster._rounding_band``) after the m-th edge, so
     every rounding of the forest, in any row order, leaves the same
     components; an edge of weight -1 never merges. The achievable kept
     count closest to ``r_target * n`` wins, ties toward the smaller kept
     set, except that m = 0 (epsilon 0) is used whenever it is already
-    within ``tol``. Returns (m, epsilon, achievable kept counts in
-    decreasing order).
+    within ``SEMDEDUP_RATIO_TOL``. Returns (m, epsilon, achievable kept
+    counts in decreasing order).
     """
+    n, d = X.shape
     w = weights[weights > -1.0]
-    drops = np.flatnonzero(w[:-1] - w[1:] > _rounding_band(X.shape[1])) + 1
+    drops = np.flatnonzero(w[:-1] - w[1:] > _rounding_band(d)) + 1
     # drops ascend strictly inside (0, w.size), so these counts are distinct;
     # an empty forest merges only 0.
     merged = np.concatenate(([0], drops, [w.size])) if w.size else np.zeros(1, dtype=np.int64)
     kept = n - merged
-    if abs(1.0 - r_target) <= tol:
+    if abs(1.0 - r_target) <= SEMDEDUP_RATIO_TOL:
         m = 0
     else:
         gap = np.abs(kept - r_target * n)
@@ -248,7 +248,7 @@ def _semdedup(
     """SemDeDup's kept rows, ascending, and its result, on checked inputs."""
     n = emb.n
     heads, tails, weights = _spanning_forest(emb, clustering)
-    m, eps, achievable = _choose_cut(emb._rows(), heads, tails, weights, n, r_dedup, SEMDEDUP_RATIO_TOL)
+    m, eps, achievable = _choose_cut(emb._rows(), heads, tails, weights, r_dedup)
     # The m heaviest forest edges join each epsilon-component; its label is
     # its lowest index, used only to group members in the lexsort below.
     labels = components(n, heads[:m], tails[:m])
@@ -321,7 +321,7 @@ def ssl_prototypes(
     id first. Scores are distances to the assigned (nearest) centroid.
     """
     r_proto = _real("r_proto", r_proto, "(0, 1]")
-    _check_inputs(emb, clustering, "prototype pruning")
+    _check_inputs(emb, clustering, "prototype pruning", _MATRICES)
     return _prototypes(emb.ids, clustering.distance, r_proto)[1]
 
 
@@ -344,6 +344,7 @@ def d4(
     (keys ``stage1_clustering``, ``stage2_embeddings``,
     ``stage2_clustering``) for diagnostics.
     """
+    _instance("cfg", cfg, D4Config)
     if clustering is None:
         clustering = kmeans_spherical(emb, cfg.kmeans)
     _check_inputs(emb, clustering, "semdedup")
@@ -358,7 +359,6 @@ def d4(
             centroids=clustering.centroids,
             assignment=clustering.assignment[rows1],
             distance=clustering.distance[rows1],
-            k=clustering.k,
             seed=clustering.seed,
         )
     rows3, stage3 = _prototypes(sub.ids, sub_clustering.distance, cfg.r_proto)

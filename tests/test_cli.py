@@ -51,7 +51,7 @@ def _write_empty_pair(base: Path) -> tuple[str, str]:
         d4kit.EmbeddingMatrix(ids=(), vectors=np.zeros((0, 8), dtype=np.float32), normalized=True), str(emb)
     )
     d4kit.write_clustering(
-        d4kit.Clustering(centroids=np.eye(1, 8), assignment=np.zeros(0, dtype=np.intp), distance=np.zeros(0), k=1),
+        d4kit.Clustering(centroids=np.eye(1, 8), assignment=np.zeros(0, dtype=np.intp), distance=np.zeros(0)),
         str(km),
     )
     return str(emb), str(km)
@@ -805,6 +805,19 @@ class TestPipeline:
         groups = [json.loads(l) for l in (out / "groups.jsonl").read_text().splitlines()]
         assert all(len(g["member_ids"]) >= 2 for g in groups)
 
+    def test_minhash_signature_length_is_bands_times_rows(self, tmp_path, capsys):
+        corpus = _synth(tmp_path)
+        out = tmp_path / "mh"
+        assert run(["minhash", "--corpus", str(corpus), "--bands", "5", "--out", str(out), "--seed", "1"]) == 0
+        cfg = d4kit.LshConfig(bands=5, seed=stage_seed(1, "minhash"))
+        assert cfg.num_hashes == 5
+        kept = d4kit.lsh_dedup(d4kit.load_corpus(str(corpus)), cfg).kept_ids
+        assert (out / "kept_ids.txt").read_text().splitlines() == list(kept)
+        assert "num_hashes" not in _read_json(out / "config.json")
+        capsys.readouterr()
+        assert run(["minhash", "--corpus", str(corpus), "--num-hashes", "5", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --num-hashes 5" in capsys.readouterr().err
+
     def test_select_d4_composition(self, tmp_path):
         corpus = _synth(tmp_path, name="big", docs_per_topic="100")
         emb = _embed(tmp_path, corpus, name="bigemb")
@@ -1176,13 +1189,13 @@ def _fault(name: str) -> tuple[bytes, Path | None]:
     elif name == "clustering_of_other_n":
         clustering = d4kit.Clustering(
             centroids=clustering.centroids, assignment=clustering.assignment[:8],
-            distance=clustering.distance[:8], k=clustering.k,
+            distance=clustering.distance[:8],
         )
     elif name == "inconsistent_distance":
         distance = clustering.distance.copy()
         distance[5] += 0.01
         clustering = d4kit.Clustering(
-            centroids=clustering.centroids, assignment=clustering.assignment, distance=distance, k=clustering.k
+            centroids=clustering.centroids, assignment=clustering.assignment, distance=distance
         )
     data = _d4em(rows, ids, flags)
     return data[: len(data) - tail], clustering

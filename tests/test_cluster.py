@@ -20,6 +20,7 @@ from d4kit import (
     read_clustering,
     write_clustering,
 )
+from d4kit.embed import _Float64Rows
 
 from oracles import best_two_partition, scalar_dot
 
@@ -327,10 +328,11 @@ class TestAssign:
     def test_one_block_while_k_at_most_d(self, n, d, k):
         emb = _random_emb(n, d, seed=n)
         centroids = _random_emb(k, d, seed=k).vectors.astype(np.float64)
-        # A float64 array of the same values is one block; a matrix's rows
-        # split into _GATHER_PARTS blocks of at least _GATHER_ROWS rows.
+        # The first _GATHER_ROWS rows, or all if fewer, are one block; more
+        # rows split into _GATHER_PARTS blocks of at least _GATHER_ROWS rows.
         X = emb.vectors.astype(np.float64)
-        assert len(list(cluster_mod._product_blocks(X, centroids))) == 1
+        head = emb.subset(np.arange(min(n, cluster_mod._GATHER_ROWS)))
+        assert len(list(cluster_mod._product_blocks(head._rows(), centroids))) == 1
         parts = -(-n // max(-(-n // cluster_mod._GATHER_PARTS), cluster_mod._GATHER_ROWS))
         assert len(list(cluster_mod._product_blocks(emb._rows(), centroids))) == parts
         a, dist = assign(emb, centroids)
@@ -447,7 +449,7 @@ class TestProductBlocks:
 
     @pytest.mark.parametrize("d", [8, 64, 128])
     def test_one_block_exactly_while_k_at_most_half_d(self, d):
-        rows = np.ones((1000, d))
+        rows = _Float64Rows(np.ones((cluster_mod._GATHER_ROWS, d), dtype=np.float32))
         assert len(list(cluster_mod._product_blocks(rows, np.ones((d // 2, d))))) == 1
         assert len(list(cluster_mod._product_blocks(rows, np.ones((d // 2 + 1, d))))) == 2
 
@@ -475,7 +477,6 @@ class TestClusteringValidation:
                 centroids=np.eye(2),
                 assignment=np.array([0, 1], dtype=np.uint32),
                 distance=np.array([0.0, np.nan]),
-                k=2,
             )
 
     def test_non_finite_centroid_rejected(self):
@@ -486,7 +487,6 @@ class TestClusteringValidation:
                 centroids=centroids,
                 assignment=np.array([0, 1], dtype=np.uint32),
                 distance=np.zeros(2),
-                k=2,
             )
 
     def test_float32_centroids_held_as_float64(self):
@@ -494,7 +494,7 @@ class TestClusteringValidation:
         c = kmeans_spherical(emb, KmeansConfig(k=3, seed=2))
         centroids32 = c.centroids.astype(np.float32)
         held = Clustering(
-            centroids=centroids32, assignment=c.assignment, distance=c.distance, k=c.k
+            centroids=centroids32, assignment=c.assignment, distance=c.distance
         )
         assert held.centroids.dtype == np.float64
         assert np.array_equal(held.centroids, centroids32)
@@ -512,7 +512,7 @@ class TestClusteringValidation:
                 (moved, c.distance),
             ):
                 bad = Clustering(
-                    centroids=c.centroids, assignment=assignment, distance=distance, k=c.k
+                    centroids=c.centroids, assignment=assignment, distance=distance
                 )
                 with pytest.raises(ValidationError, match="inconsistent"):
                     bad.validate_for(emb)

@@ -214,11 +214,11 @@ class TestDocument:
 
 
 class TestDocumentSet:
-    def test_total_tokens_conservation(self):
-        with pytest.raises(ValidationError):
-            DocumentSet(
-                docs=(Document(id="a", text="x", token_count=1),), total_tokens=5
-            )
+    def test_total_tokens_is_the_member_sum_and_not_a_parameter(self):
+        docs = (Document(id="a", text="x", token_count=1), Document(id="b", text="y z", token_count=2))
+        assert DocumentSet(docs=docs).total_tokens == 3
+        with pytest.raises(TypeError):
+            DocumentSet(docs=docs, total_tokens=3)
 
     def test_duplicate_ids_rejected(self):
         docs = [

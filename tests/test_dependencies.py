@@ -444,3 +444,29 @@ def test_rows_reach_arithmetic_as_float64():
     found = set(_package_sites(lambda source: _attribute_sites(source, "vectors")))
     methods = ("__post_init__", "_rows", "d", "n", "subset", "write_embeddings")
     assert found == {("embed", method) for method in methods}, sorted(found)
+
+
+def _assert_lines(source: str) -> list[int]:
+    """Line of every ``assert`` statement in ``source``, inside functions and classes included."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_scan_finds_every_form():
+    source = """
+assert ok
+x = "assert not a statement"
+def f(x):
+    assert x > 0, "positive"
+    return x
+class C:
+    def g(self):
+        if self:
+            assert (self, 1)
+"""
+    assert sorted(_assert_lines(source)) == [2, 5, 10]
+
+
+def test_no_assert_in_the_package():
+    """A bare ``assert`` vanishes under ``python -O``, so no runtime check is one."""
+    found = _package_sites(_assert_lines)
+    assert not found, f"assert statements at {found}"

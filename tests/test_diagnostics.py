@@ -54,7 +54,7 @@ def _sized_clustering(sizes, d=4):
         centroids[j, j % d] = 1.0
     assignment = np.repeat(np.arange(k, dtype=np.uint32), sizes)
     distance = np.zeros(int(sum(sizes)))
-    return Clustering(centroids=centroids, assignment=assignment, distance=distance, k=k)
+    return Clustering(centroids=centroids, assignment=assignment, distance=distance)
 
 
 def _labeled_clustering(emb, labels):
@@ -68,7 +68,7 @@ def _labeled_clustering(emb, labels):
         mean = X[assignment == j].sum(axis=0)
         centroids[j] = mean / np.linalg.norm(mean)
     distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0.0, 2.0)
-    return Clustering(centroids=centroids, assignment=assignment, distance=distance, k=len(names))
+    return Clustering(centroids=centroids, assignment=assignment, distance=distance)
 
 
 class TestClusterBalance:
@@ -109,7 +109,6 @@ class TestClusterBalance:
             centroids=np.vstack([c.centroids, np.array([[0.0, 0.0, 0.0, 1.0]])]),
             assignment=c.assignment,
             distance=c.distance,
-            k=3,
         )
         assert cluster_balance(widened) == 0.5
 
@@ -134,7 +133,6 @@ class TestDuplicateDriven:
             centroids=centroid,
             assignment=np.zeros(2, dtype=np.uint32),
             distance=distance,
-            k=1,
         )
         assert find_duplicate_driven_clusters(emb, c, 0.03) == []
         wide = find_duplicate_driven_clusters(emb, c, 0.41)
@@ -189,7 +187,7 @@ class TestEcdf:
         X = emb.vectors.astype(np.float64)
         assignment = np.array([0, 1], dtype=np.uint32)
         distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0, 2)
-        c = Clustering(centroids=centroids, assignment=assignment, distance=distance, k=2)
+        c = Clustering(centroids=centroids, assignment=assignment, distance=distance)
         ecdf = ecdf_mean_distance(emb, c)
         assert len(ecdf) == 2
         assert abs(ecdf[0][0] - 0.1) < 1e-6 and ecdf[0][1] == 0.5

@@ -8,11 +8,16 @@ goes through ``errors._real``: a number inside its interval is held as a
 ``errors._unique``, whose error names the repeated id. An embedding matrix,
 a clustering, and the centroids given to ``assign`` or as ``init_centroids``
 must be an array of real numbers, and a path a ``str`` or ``os.PathLike``.
+Every object argument (an embedding, a clustering, a config, a spec, a cost
+model, a selection, a result, an object to write) goes through
+``errors._instance``, whose error names the parameter, the type it needs and
+the type it got. A value the other fields determine is computed, not taken.
 """
 
 import contextlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +32,7 @@ from d4kit import (
     DocumentSet,
     EmbedderSpec,
     EmbeddingMatrix,
+    EpochPlan,
     KmeansConfig,
     LshConfig,
     SelectionResult,
@@ -45,6 +51,8 @@ from d4kit import (
     find_duplicate_driven_clusters,
     kmeans_spherical,
     lsh_dedup,
+    naive_gain,
+    nn_to_train,
     objective,
     overall_gain,
     plan_epochs,
@@ -52,8 +60,10 @@ from d4kit import (
     read_clustering,
     read_embeddings,
     select_random,
+    selection_overlap,
     semdedup,
     shingles,
+    signature,
     ssl_prototypes,
     synthesize_corpus,
     write_clustering,
@@ -113,7 +123,7 @@ _TARGETS = {
     ),
     "LshConfig": (
         lambda a: LshConfig(**a),
-        {"num_hashes": 1, "bands": 1, "rows_per_band": 1, "shingle_width": 1, "seed": None}, (),
+        {"bands": 1, "rows_per_band": 1, "shingle_width": 1, "seed": None}, (),
         lambda r: [r.num_hashes, r.bands, r.rows_per_band, r.shingle_width, r.seed],
     ),
     "SynthSpec": (
@@ -372,12 +382,12 @@ class TestIntegerFields:
             lambda: KmeansConfig(k=2.5),
             lambda: KmeansConfig(k=True),
             lambda: KmeansConfig(seed=7.0),
-            lambda: LshConfig(num_hashes=2.0, bands=2),
+            lambda: LshConfig(bands=2.0),
             lambda: LshConfig(seed="7"),
             lambda: SynthSpec(n_topics=2.5, docs_per_topic=3),
             lambda: SynthSpec(n_topics=2, docs_per_topic=3, doc_length_range=(4.0, 9)),
         ],
-        ids=["k-float", "k-bool", "kmeans-seed-float", "num_hashes-float", "lsh-seed-str",
+        ids=["k-float", "k-bool", "kmeans-seed-float", "bands-float", "lsh-seed-str",
              "n_topics-float", "doc_length-float"],
     )
     def test_non_integers_rejected_at_construction(self, build):
@@ -394,7 +404,7 @@ class TestIntegerFields:
 # Each of the five seeded stages run end to end, as a value that compares by bytes.
 _SEEDED = {
     "kmeans_spherical": lambda s: _clustering_bytes(kmeans_spherical(_emb(), KmeansConfig(k=3, seed=s))),
-    "lsh_dedup": lambda s: lsh_dedup(_corpus(0), LshConfig(num_hashes=4, bands=4, seed=s)),
+    "lsh_dedup": lambda s: lsh_dedup(_corpus(0), LshConfig(bands=4, seed=s)),
     "select_random": lambda s: select_random(_corpus(0).ids, 0.4, seed=s),
     "plan_epochs": lambda s: plan_epochs(_corpus(0), 2_000, seed=s, reshuffle_each_epoch=True),
     "synthesize_corpus": lambda s: _corpus(s),
@@ -459,16 +469,16 @@ class TestRealArrays:
         parts = {"centroids": c.centroids, "assignment": c.assignment, "distance": c.distance}
         parts[field] = parts[field].astype(np.complex128)
         with pytest.raises(ValidationError, match="complex"):
-            type(c)(k=c.k, **parts)
+            type(c)(**parts)
 
     @pytest.mark.parametrize(
         "build",
         [
             lambda: EmbeddingMatrix(ids=("a", "b"), vectors=[[1.0, 0.0], [1.0]], normalized=True),
-            lambda: Clustering(centroids=np.array([["x"]]), assignment=np.zeros(1, np.uint32), distance=np.zeros(1), k=1),
-            lambda: Clustering(centroids=np.eye(2), assignment=[0, 1], distance=np.zeros(2), k=2),
-            lambda: Clustering(centroids=np.eye(2), assignment=np.array([0.0, 1.0]), distance=np.zeros(2), k=2),
-            lambda: Clustering(centroids=np.eye(2), assignment=np.zeros(2, np.uint32), distance=[0.0, 0.0], k=2),
+            lambda: Clustering(centroids=np.array([["x"]]), assignment=np.zeros(1, np.uint32), distance=np.zeros(1)),
+            lambda: Clustering(centroids=np.eye(2), assignment=[0, 1], distance=np.zeros(2)),
+            lambda: Clustering(centroids=np.eye(2), assignment=np.array([0.0, 1.0]), distance=np.zeros(2)),
+            lambda: Clustering(centroids=np.eye(2), assignment=np.zeros(2, np.uint32), distance=[0.0, 0.0]),
         ],
         ids=["ragged-vectors", "str-centroids", "list-assignment", "float-assignment", "list-distance"],
     )
@@ -542,3 +552,111 @@ class TestDocumentText:
             lsh_dedup([Document("b", "x y", 2), doc])
         with pytest.raises(ValidationError, match="must be str"):
             embed_corpus([doc], EmbedderSpec(kind="hash", dim=8))
+
+
+# Each public function given a wrong object where it takes one: (call, parameter, type it needs).
+_C = _CLUSTERING
+_OBJECT_CALLS = {
+    "objective": (lambda x: objective(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "analyze_clustering": (lambda x: analyze_clustering(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "find_duplicate_driven_clusters": (
+        lambda x: find_duplicate_driven_clusters(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"
+    ),
+    "ecdf_mean_distance": (lambda x: ecdf_mean_distance(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "validate_for": (lambda x: _C.validate_for(x), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "semdedup": (lambda x: semdedup(x, _C, 0.5), "emb", "an EmbeddingMatrix"),
+    "ssl_prototypes": (lambda x: ssl_prototypes(x, _C, 0.5), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "d4-emb": (lambda x: d4(x, D4Config(), _C), "emb", "an EmbeddingMatrix"),
+    "d4-cfg": (lambda x: d4(_EMB, x, _C), "cfg", "a D4Config"),
+    "nn_to_train-valid": (lambda x: nn_to_train(x, _EMB), "valid_emb", "an EmbeddingMatrix"),
+    "nn_to_train-train": (lambda x: nn_to_train(_EMB, x), "train_emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "assign": (lambda x: assign(x, _C.centroids), "emb", "an EmbeddingMatrix"),
+    "kmeans_spherical-emb": (lambda x: kmeans_spherical(x), "emb", "an EmbeddingMatrix"),
+    "kmeans_spherical-cfg": (lambda x: kmeans_spherical(_EMB, x), "cfg", "a KmeansConfig"),
+    "lsh_dedup": (lambda x: lsh_dedup(_DOCS, x), "cfg", "an LshConfig"),
+    "signature": (lambda x: signature(frozenset({"a"}), x), "cfg", "an LshConfig"),
+    "embed_corpus": (lambda x: embed_corpus(_DOCS, x), "spec", "an EmbedderSpec"),
+    "synthesize_corpus": (lambda x: synthesize_corpus(x), "spec", "a SynthSpec"),
+    "plan_epochs": (lambda x: plan_epochs(x, 10), "selected", "a DocumentSet"),
+    "naive_gain": (lambda x: naive_gain(x), "model", "a CostModel"),
+    "overall_gain": (lambda x: overall_gain(x), "model", "a CostModel"),
+    "selection_overlap": (lambda x: selection_overlap([select_random(_DOCS.ids, 0.5), x]), "results[1]",
+                          "a SelectionResult"),
+}
+# Where None stands for the default config.
+_NONE_MEANS_DEFAULT = {"kmeans_spherical-cfg": _clustering_bytes(kmeans_spherical(_EMB)), "lsh_dedup": lsh_dedup(_DOCS)}
+# Each writer given a wrong object: (call on the object and a path, parameter, type it needs).
+_WRITER_CALLS = {
+    "write_clustering": (write_clustering, "c", "a Clustering"),
+    "write_embeddings": (write_embeddings, "m", "an EmbeddingMatrix"),
+    "write_corpus": (write_corpus, "docs", "a DocumentSet"),
+}
+
+
+class TestObjectArguments:
+    @pytest.mark.parametrize("name", list(_OBJECT_CALLS))
+    @pytest.mark.parametrize("value", [None, "x", (1, 2)], ids=["None", "str", "tuple"])
+    def test_wrong_object_rejected_and_named(self, name, value):
+        call, param, kind = _OBJECT_CALLS[name]
+        if value is None and name in _NONE_MEANS_DEFAULT:
+            got = call(value)
+            assert (_clustering_bytes(got) if isinstance(got, Clustering) else got) == _NONE_MEANS_DEFAULT[name]
+            return
+        with pytest.raises(ValidationError, match=rf"^{re.escape(param)} must be {kind}, got {type(value).__name__}$"):
+            call(value)
+
+    @pytest.mark.parametrize("name", list(_WRITER_CALLS))
+    @pytest.mark.parametrize("value", [None, _CLUSTERING.centroids, [Document("a", "x", 1)]], ids=["None", "array", "list"])
+    def test_writer_refuses_a_wrong_object_before_writing(self, tmp_path, name, value):
+        write, param, kind = _WRITER_CALLS[name]
+        with pytest.raises(ValidationError, match=rf"^{param} must be {kind}, got {type(value).__name__}$"):
+            write(value, str(tmp_path / "out"))
+        assert not list(tmp_path.iterdir())
+
+    def test_checked_file_accepted_where_blocks_suffice(self, tmp_path):
+        path = tmp_path / "e.d4em"
+        write_embeddings(_EMB, str(path))
+        scanned = _scan_embeddings(str(path))
+        assert objective(scanned, _C) == objective(_EMB, _C)
+        assert ecdf_mean_distance(scanned, _C) == ecdf_mean_distance(_EMB, _C)
+        assert find_duplicate_driven_clusters(scanned, _C) == find_duplicate_driven_clusters(_EMB, _C)
+        assert analyze_clustering(scanned, _C) == analyze_clustering(_EMB, _C)
+        assert ssl_prototypes(scanned, _C, 0.5) == ssl_prototypes(_EMB, _C, 0.5)
+        assert nn_to_train(_EMB, scanned) == nn_to_train(_EMB, _EMB)
+        with pytest.raises(ValidationError, match="emb must be an EmbeddingMatrix, got _EmbeddingFile"):
+            semdedup(scanned, _C, 0.5)
+
+
+class TestDerivedValues:
+    """``Clustering.k``/``iters_run``, ``LshConfig.num_hashes``, ``DocumentSet.total_tokens`` and
+    ``EpochPlan.epochs`` follow from the other fields, so no constructor takes them."""
+
+    def test_on_the_objects_the_library_builds(self, tmp_path):
+        c = kmeans_spherical(_emb(), KmeansConfig(k=3, iters=20, seed=1))
+        assert c.k == c.centroids.shape[0] == 3 and c.k == len(c.members())
+        assert c.iters_run == len(c.objective_history) - 1 >= 1
+        write_clustering(c, str(tmp_path / "c.d4km"))
+        back = read_clustering(str(tmp_path / "c.d4km"))
+        assert (back.k, back.iters_run, back.objective_history) == (3, 0, ())
+        write_corpus(_corpus(0), str(tmp_path / "c.jsonl"))
+        docs = load_corpus(str(tmp_path / "c.jsonl"))
+        assert docs.total_tokens == sum(d.token_count for d in docs) > 0
+        plan = plan_epochs(docs, 2 * docs.total_tokens + 1)
+        assert plan.t_selected == docs.total_tokens
+        assert plan.epochs == plan.t_total / plan.t_selected > 2
+        assert LshConfig(bands=5, rows_per_band=3).num_hashes == 15
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Clustering(np.eye(2), np.zeros(2, np.uint32), np.zeros(2), k=2),
+            lambda: Clustering(np.eye(2), np.zeros(2, np.uint32), np.zeros(2), iters_run=0),
+            lambda: LshConfig(num_hashes=20),
+            lambda: DocumentSet(docs=(), total_tokens=0),
+            lambda: EpochPlan(t_total=2, t_selected=1, epochs=2.0, order=("a",), reshuffle_seed=0),
+        ],
+        ids=["k", "iters_run", "num_hashes", "total_tokens", "epochs"],
+    )
+    def test_not_a_parameter(self, build):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build()

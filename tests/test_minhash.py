@@ -105,16 +105,20 @@ class TestSignature:
         st.integers(min_value=1, max_value=40),
     )
     def test_matches_scalar_oracle(self, sh, seed, num_hashes):
-        cfg = LshConfig(num_hashes=num_hashes, bands=num_hashes, rows_per_band=1, seed=seed)
+        cfg = LshConfig(bands=num_hashes, rows_per_band=1, seed=seed)
         assert signature(sh, cfg).values == minhash_signature_oracle(sh, seed, num_hashes)
-
-    def test_config_invariant(self):
-        with pytest.raises(ValidationError):
-            LshConfig(num_hashes=20, bands=7, rows_per_band=3)
 
     def test_negative_band_shape_rejected(self):
         with pytest.raises(ValidationError):
-            LshConfig(num_hashes=20, bands=-1, rows_per_band=-20)
+            LshConfig(bands=-1, rows_per_band=-20)
+
+    @pytest.mark.parametrize("bands, rows", [(20, 1), (5, 1), (7, 3)])
+    def test_signature_length_is_bands_times_rows(self, bands, rows):
+        cfg = LshConfig(bands=bands, rows_per_band=rows)
+        assert cfg.num_hashes == bands * rows
+        assert len(signature(frozenset({"a b"}), cfg).values) == bands * rows
+        with pytest.raises(TypeError):
+            LshConfig(num_hashes=bands * rows, bands=bands, rows_per_band=rows)
 
 
 # Few distinct words make repeated windows likely; the alphabet holds
@@ -137,7 +141,7 @@ class TestSignatures:
         texts=["a b c", "b c d", " ".join("abcdefghij"), ""], w=1, seed=2**65 + 3, num_hashes=3, block=4
     )
     def test_rows_match_scalar_oracle(self, texts, w, seed, num_hashes, block):
-        cfg = LshConfig(num_hashes=num_hashes, bands=num_hashes, rows_per_band=1, shingle_width=w, seed=seed)
+        cfg = LshConfig(bands=num_hashes, rows_per_band=1, shingle_width=w, seed=seed)
         with mock.patch.object(minhash_mod, "_SIGN_BLOCK", block):
             rows = _signatures((shingles(t, w) for t in texts), cfg)
         assert rows.shape == (len(texts), num_hashes) and rows.dtype == np.uint64
@@ -145,7 +149,7 @@ class TestSignatures:
             assert tuple(row) == minhash_signature_oracle(shingles_oracle(text, w), seed, num_hashes)
 
     def test_empty_corpus(self):
-        rows = _signatures(iter(()), LshConfig(num_hashes=4, bands=4, seed=1))
+        rows = _signatures(iter(()), LshConfig(bands=4, seed=1))
         assert rows.shape == (0, 4) and rows.dtype == np.uint64
 
     def test_single_document(self):
@@ -234,7 +238,7 @@ class TestLshDedup:
     def test_multi_row_bands_match_oracle_closure(self, planted_docs, bands, rows):
         # Groups must equal the closure of "some band matches in every row",
         # in lowest-member order with corpus-ordered members.
-        cfg = LshConfig(num_hashes=20, bands=bands, rows_per_band=rows, seed=3)
+        cfg = LshConfig(bands=bands, rows_per_band=rows, seed=3)
         ids = planted_docs.ids
         band_keys = []
         for d in planted_docs:

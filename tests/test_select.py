@@ -49,7 +49,6 @@ def _clustering_from_centroids(emb, centroids):
         centroids=np.asarray(centroids, dtype=np.float64),
         assignment=a,
         distance=dist,
-        k=len(centroids),
     )
 
 
@@ -213,7 +212,7 @@ class TestSemdedup:
     def test_forest_that_merges_nothing_keeps_everything(self, weights, r):
         n, X = 4, np.eye(4)
         edges = np.arange(weights.size, dtype=np.intp)
-        m, eps, kept = _choose_cut(X, edges, edges + 1, weights, n, r, SEMDEDUP_RATIO_TOL)
+        m, eps, kept = _choose_cut(X, edges, edges + 1, weights, r)
         assert (m, eps) == (0, 0.0)
         assert kept.tolist() == [n]
 
@@ -242,7 +241,7 @@ def _small_clustering(draw):
         if np.linalg.norm(total) > 1e-6:
             centroids[j] = total / np.linalg.norm(total)
     distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0.0, 2.0)
-    c = Clustering(centroids=centroids, assignment=assignment, distance=distance, k=k + 1)
+    c = Clustering(centroids=centroids, assignment=assignment, distance=distance)
     return emb, c
 
 
@@ -278,7 +277,7 @@ def _arc_clustering(draw):
     centroids = np.array([X[assignment == j].sum(axis=0) for j in range(k + singletons)])
     centroids /= np.linalg.norm(centroids, axis=1, keepdims=True)
     distance = np.clip(1.0 - np.einsum("ij,ij->i", X, centroids[assignment]), 0.0, 2.0)
-    c = Clustering(centroids=centroids, assignment=assignment, distance=distance, k=k + singletons)
+    c = Clustering(centroids=centroids, assignment=assignment, distance=distance)
     return emb, c
 
 
@@ -400,7 +399,7 @@ def _permuted(emb, c, perm):
     """``emb`` with its rows (and ids) in the order ``perm``, and ``c`` moved with them."""
     return (
         EmbeddingMatrix(ids=tuple(emb.ids[i] for i in perm), vectors=emb.vectors[perm], normalized=True),
-        Clustering(centroids=c.centroids, assignment=c.assignment[perm], distance=c.distance[perm], k=c.k),
+        Clustering(centroids=c.centroids, assignment=c.assignment[perm], distance=c.distance[perm]),
     )
 
 

@@ -3,7 +3,6 @@
 import os
 import stat
 import threading
-import types
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +79,10 @@ def _fail_embeddings(monkeypatch, out: Path):
 
 def _fail_clustering(monkeypatch, out: Path):
     c = kmeans_spherical(_emb(), KmeansConfig(k=3))
-    # The header and centroids are written before the distances fail to convert.
-    partial = types.SimpleNamespace(
-        k=c.k, d=c.d, n=c.n, centroids=c.centroids, assignment=c.assignment,
-        distance=_Unconvertible(),
-    )
-    write_clustering(partial, str(out / "clustering.d4km"))
+    # The header and centroids are written before the distances fail to
+    # convert; a writer takes only a Clustering, so its field is swapped.
+    object.__setattr__(c, "distance", _Unconvertible())
+    write_clustering(c, str(out / "clustering.d4km"))
 
 
 WRITERS = {
