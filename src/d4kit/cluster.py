@@ -23,7 +23,7 @@ import numpy as np
 from . import draws
 from .corpus import open_output
 from .embed import _MATRICES, EmbeddingMatrix, _float_array, _row_dots, _unit_rows
-from .errors import FormatError, ValidationError, _index, _instance, _path
+from .errors import FormatError, ValidationError, _index, _instance, _path, _real
 
 MAGIC = b"D4KM"
 VERSION = 1
@@ -94,6 +94,10 @@ class Clustering:
             raise ValidationError("cluster index out of range [0, k)")
         if self.n and (self.distance.min() < 0.0 or self.distance.max() > 2.0):
             raise ValidationError("cosine distances must lie in [0, 2]")
+        object.__setattr__(self, "seed", _index("seed", self.seed))
+        history = _instance("objective_history", self.objective_history, tuple)
+        history = tuple(_real(f"objective_history[{i}]", v, "(-inf, inf)") for i, v in enumerate(history))
+        object.__setattr__(self, "objective_history", history)
 
     @property
     def k(self) -> int:

@@ -96,7 +96,7 @@ class DocumentSet:
     total_tokens: int = field(init=False)
 
     def __post_init__(self):
-        _unique("document", [d.id for d in self.docs])
+        _unique("document", [_instance(f"docs[{i}]", d, Document).id for i, d in enumerate(self.docs)])
         object.__setattr__(self, "total_tokens", sum(d.token_count for d in self.docs))
 
     @classmethod
@@ -227,9 +227,11 @@ def iter_texts(docs: Iterable[Document | Record], ids: list[str]) -> Iterator[st
     """Each document's text, in order, appending its id to ``ids`` as it is reached.
 
     So a stage reads its documents in one pass and keeps only their ids.
-    A non-str id or text raises :class:`ValidationError` when it is reached.
+    A member that is not a :class:`Document` or :class:`Record`, or has a
+    non-str id or text, raises :class:`ValidationError` when it is reached.
     """
-    for d in docs:
+    for i, d in enumerate(docs):
+        _instance(f"docs[{i}]", d, (Document, Record))
         if not (isinstance(d.id, str) and isinstance(d.text, str)):
             raise ValidationError(f"id and text must be str, got {type(d.id).__name__}, {type(d.text).__name__}")
         ids.append(d.id)

@@ -9,6 +9,7 @@ reports, and binned aggregation of externally supplied per-document scores
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -173,14 +174,16 @@ def ecdf_value(ecdf: tuple[tuple[float, float], ...], x: float) -> float:
     return frac
 
 
-def selection_overlap(results: list[SelectionResult]) -> OverlapMatrix:
+def selection_overlap(results: Iterable[SelectionResult]) -> OverlapMatrix:
     """Pairwise overlap of kept sets, as a percentage of the smaller set.
 
-    All results must come from the same source id sequence. The matrix is
-    exactly symmetric with a 100.0 diagonal.
+    ``results`` is any iterable, read once. All results must come from the
+    same source id sequence. The matrix is exactly symmetric with a 100.0
+    diagonal.
     """
     from .select import SelectionResult
 
+    results = list(_instance("results", results, Iterable))
     if not results:
         raise ValidationError("need at least one selection result")
     first = results[0]

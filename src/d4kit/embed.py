@@ -423,7 +423,7 @@ def _external_rows(docs: Iterable[Document | Record], path: str) -> tuple[tuple[
     at a time, each block's rows normalized into their documents' places:
     no float64 matrix, only the float32 rows and one block.
     """
-    ids = tuple(d.id for d in docs)
+    ids = tuple(_instance(f"docs[{i}]", d, (Document, Record)).id for i, d in enumerate(docs))
     m = _scan_embeddings(path)
     index = {doc_id: i for i, doc_id in enumerate(m.ids)}
     missing = [i for i in ids if i not in index]

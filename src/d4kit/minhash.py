@@ -5,7 +5,8 @@ Each shingle is hashed once, with blake2b keyed by the seed, to a 64-bit
 fmix64(base ^ key_i): fmix64 is MurmurHash3's 64-bit finaliser and key_i a
 fixed per-position constant (Broder 1997; one hash plus cheap permutations,
 as in datasketch). The corpus is signed in blocks of shingles by one
-routine, :func:`_signatures`; ``signature`` is that routine on one set.
+routine, :func:`_signature_blocks`, a few positions at a time so that each
+fmix64 array stays in cache; ``signature`` is that routine on one set.
 A signature has one position per row of each band, 20 by default, banded
 20 x 1, so two documents become duplicate candidates iff any signature
 position matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets,
@@ -13,12 +14,16 @@ ch. 3).
 Candidates are grouped transitively, as connected components of the
 band-collision graph found by ``graph.components`` (the routine SemDeDup
 also uses), and each duplicate group keeps its lexicographically lowest id.
+``lsh_dedup`` holds the ids, the blocks' signature rows (n x num_hashes x 8
+bytes, never copied whole), one band's columns and the edges between
+distinct documents: ~2x the signatures at 8k documents and more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -103,24 +108,26 @@ def _fmix64(x: np.ndarray) -> np.ndarray:
 
 
 # A block of documents closes once it holds this many shingles, so the
-# block's digests and its two (shingles x num_hashes) fmix64 arrays stay
-# bounded however long the corpus is. A document is never split, so a block
-# can exceed this by one document's shingles.
+# block's digests stay bounded however long the corpus is. A document is
+# never split, so a block can exceed this by one document's shingles.
 _SIGN_BLOCK = 1 << 12
+# Signature positions hashed per pass over a block: each fmix64 array is
+# then _POSITION_CHUNK x (block shingles) x 8 bytes, ~128 KB, and stays in cache.
+_POSITION_CHUNK = 4
 
 
-def _signatures(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfig) -> np.ndarray:
-    """Row j holds the MinHash values of the j-th shingle set, as uint64.
+def _signature_blocks(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfig) -> Iterator[np.ndarray]:
+    """The MinHash rows of consecutive runs of the shingle sets, one uint64 array per block,
+    after a first empty block, so that even an empty corpus gives a block to concatenate.
 
     Position i is the minimum of fmix64(base ^ key_i) over the set, where
     ``base`` is each shingle's 8-byte blake2b digest keyed by the seed and
     ``key_i`` is fixed per position. fmix64 is a bijection, so distinct
-    bases never collide at any position. Sets are taken in blocks: one
-    ``keyed_digests`` call hashes a block's shingles and one
-    ``minimum.reduceat`` takes each set's minima.
+    bases never collide at any position. One ``keyed_digests`` call hashes
+    a block's shingles and ``minimum.reduceat`` takes each set's minima.
     """
     keys = np.arange(1, cfg.num_hashes + 1, dtype=np.uint64) * _POSITION_STEP
-    rows = [np.empty((0, keys.size), dtype=np.uint64)]
+    yield np.empty((0, keys.size), dtype=np.uint64)
     items: list[bytes] = []
     sizes: list[int] = []  # shingles per set of the open block
     for sh in shingle_sets:
@@ -129,17 +136,30 @@ def _signatures(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfi
         items.extend(map(str.encode, sh))  # UTF-8
         sizes.append(len(sh))
         if len(items) >= _SIGN_BLOCK:
-            rows.append(_block_minima(items, sizes, keys, cfg.seed))
+            yield _block_minima(items, sizes, keys, cfg.seed)
             items, sizes = [], []
     if sizes:
-        rows.append(_block_minima(items, sizes, keys, cfg.seed))
-    return np.concatenate(rows)
+        yield _block_minima(items, sizes, keys, cfg.seed)
+
+
+def _signatures(shingle_sets: Iterable[frozenset[str] | set[str]], cfg: LshConfig) -> np.ndarray:
+    """Row j holds the MinHash values of the j-th shingle set, as uint64 (:func:`_signature_blocks`)."""
+    return np.concatenate(list(_signature_blocks(shingle_sets, cfg)))
 
 
 def _block_minima(items: list[bytes], sizes: list[int], keys: np.ndarray, seed: int) -> np.ndarray:
-    """One row of per-position minima for each run of ``sizes`` items."""
+    """One row of per-position minima for each run of ``sizes`` items.
+
+    A few positions at a time, each laid out along the block's shingles, so
+    that ``reduceat`` reduces contiguous runs.
+    """
     base = hashing.keyed_digests(items, seed)
-    return np.minimum.reduceat(_fmix64(base[:, None] ^ keys), np.cumsum(sizes) - sizes, axis=0)
+    starts = np.cumsum(sizes) - sizes
+    out = np.empty((len(sizes), keys.size), dtype=np.uint64)
+    for lo in range(0, keys.size, _POSITION_CHUNK):
+        chunk = _fmix64(keys[lo : lo + _POSITION_CHUNK, None] ^ base)
+        out[:, lo : lo + _POSITION_CHUNK] = np.minimum.reduceat(chunk, starts, axis=1).T
+    return out
 
 
 def signature(sh: frozenset[str] | set[str], cfg: LshConfig) -> MinHashSignature:
@@ -168,36 +188,41 @@ def lsh_dedup(docs: Iterable[Document | Record], cfg: LshConfig | None = None) -
 
     ``docs`` is any iterable of documents with unique ids, such as a
     ``DocumentSet`` or ``corpus.iter_records``; it is read once, and only
-    the ids and one signing block are held. Documents sharing any band
-    bucket are joined into groups; each group keeps its lowest id. Kept ids
-    preserve corpus order. The result is independent of corpus permutation
-    up to that keep rule.
+    the ids, the signing blocks' rows and one band's columns are held.
+    Documents sharing any band bucket are joined into groups; each group
+    keeps its lowest id. Kept ids preserve corpus order. The result is
+    independent of corpus permutation up to that keep rule.
     """
     cfg = LshConfig() if cfg is None else _instance("cfg", cfg, LshConfig)
     ids: list[str] = []
-    matrix = _signatures((shingles(text, cfg.shingle_width) for text in iter_texts(docs, ids)), cfg)
+    blocks = list(_signature_blocks((shingles(text, cfg.shingle_width) for text in iter_texts(docs, ids)), cfg))
     _unique("document", ids)
-    n = len(matrix)
+    n = len(ids)
 
-    # Each band links every document to the first document in its bucket.
-    heads = [
-        _band_heads(matrix[:, band * cfg.rows_per_band : (band + 1) * cfg.rows_per_band])
-        for band in range(cfg.bands)
-    ]
-    labels = components(n, np.tile(np.arange(n), cfg.bands), np.concatenate(heads))
+    # Each band links every document to the first document in its bucket;
+    # only the links to another document are edges.
+    index = np.arange(n)
+    tails, heads = [], []
+    for lo in range(0, cfg.num_hashes, cfg.rows_per_band):
+        head = _band_heads(np.concatenate([b[:, lo : lo + cfg.rows_per_band] for b in blocks]))
+        linked = np.flatnonzero(head != index)
+        tails.append(linked)
+        heads.append(head[linked])
+    labels = components(n, np.concatenate(tails), np.concatenate(heads))
 
-    # Dict insertion order: groups by lowest member index, members in corpus order.
-    members: dict[int, list[int]] = {}
-    for i, label in enumerate(labels.tolist()):
-        members.setdefault(label, []).append(i)
-
-    keep: set[str] = set()
+    # A stable sort by label puts each group in one run, in corpus order;
+    # labels are lowest member indices, so runs come in the groups' order.
+    order = np.argsort(labels, kind="stable")
+    sizes = np.bincount(labels, minlength=n)
+    ends = np.cumsum(sizes)
+    keep = np.ones(n, dtype=bool)
     groups: list[DuplicateGroup] = []
-    for idx in members.values():
+    for label in np.flatnonzero(sizes > 1).tolist():
+        idx = order[ends[label] - sizes[label] : ends[label]].tolist()
         group_ids = tuple(ids[i] for i in idx)
-        keep.add(min(group_ids))
-        if len(idx) > 1:
-            groups.append(DuplicateGroup(group_id=len(groups), member_ids=group_ids))
+        keep[idx] = False
+        keep[idx[group_ids.index(min(group_ids))]] = True
+        groups.append(DuplicateGroup(group_id=len(groups), member_ids=group_ids))
 
-    kept = tuple(i for i in ids if i in keep)
+    kept = tuple(compress(ids, keep.tolist()))
     return DedupResult(kept_ids=kept, groups=tuple(groups))

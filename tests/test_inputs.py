@@ -660,3 +660,72 @@ class TestDerivedValues:
     def test_not_a_parameter(self, build):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             build()
+
+
+class TestCollectionMembers:
+    """Each member of a document collection goes through ``errors._instance`` where it is
+    read, and ``selection_overlap`` reads any iterable of results once."""
+
+    @pytest.mark.parametrize("member", ["abc", 1, None, ("a", "b")], ids=["str", "int", "None", "tuple"])
+    def test_non_documents_rejected_and_named(self, tmp_path, member):
+        doc = Document("a", "x y", 2)
+        want = rf"^docs\[1\] must be a Document or Record, got {type(member).__name__}$"
+        with pytest.raises(ValidationError, match=want.replace(" or Record", "")):
+            DocumentSet.from_documents([doc, member])
+        with pytest.raises(ValidationError, match=want):
+            lsh_dedup([doc, member])
+        with pytest.raises(ValidationError, match=want):
+            embed_corpus([doc, member], EmbedderSpec(kind="hash", dim=8))
+        path = tmp_path / "e.d4em"
+        write_embeddings(_EMB, str(path))
+        with pytest.raises(ValidationError, match=want):
+            spec = EmbedderSpec(kind="external", dim=_EMB.d, path=str(path))
+            embed_corpus([Document(_EMB.ids[0], "x", 1), member], spec)
+
+    def test_overlap_of_a_generator_equals_the_list(self):
+        results = [select_random(_DOCS.ids, r, seed=s) for r, s in ((0.5, 0), (0.25, 1), (0.75, 2))]
+        got, want = selection_overlap(r for r in results), selection_overlap(results)
+        assert got.labels == want.labels and np.array_equal(got.cells, want.cells)
+
+    @pytest.mark.parametrize("results", [None, 5], ids=["None", "int"])
+    def test_overlap_of_a_non_iterable_rejected(self, results):
+        with pytest.raises(ValidationError, match=rf"^results must be an Iterable, got {type(results).__name__}$"):
+            selection_overlap(results)
+
+
+class TestClusteringFitFields:
+    """``Clustering.seed`` goes through ``errors._index`` and ``objective_history`` must be a
+    tuple of finite reals, held as floats."""
+
+    @staticmethod
+    def _build(**fields):
+        return Clustering(np.eye(2), np.zeros(2, np.uint32), np.zeros(2), **fields)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": "x", "objective_history": "abc"}, r"^seed must be an integer, got 'x'$"),
+            ({"seed": True}, r"^seed must be an integer, got True$"),
+            ({"seed": 1.0}, r"^seed must be an integer, got 1\.0$"),
+            ({"objective_history": "abc"}, r"^objective_history must be a tuple, got str$"),
+            ({"objective_history": [1.0]}, r"^objective_history must be a tuple, got list$"),
+            ({"objective_history": (2.0, math.nan)}, r"^objective_history\[1\] must be a number in \(-inf, inf\), got nan$"),
+            ({"objective_history": (math.inf,)}, r"^objective_history\[0\] must be a number in \(-inf, inf\), got inf$"),
+            ({"objective_history": ("1",)}, r"^objective_history\[0\] must be a number in \(-inf, inf\), got '1'$"),
+            ({"objective_history": (True,)}, r"^objective_history\[0\] must be a number in \(-inf, inf\), got True$"),
+        ],
+        ids=[
+            "str-seed-and-history", "bool-seed", "float-seed", "str-history", "list-history",
+            "nan", "inf", "str-entry", "bool-entry",
+        ],
+    )
+    def test_rejected_and_named(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            self._build(**fields)
+
+    def test_numpy_values_stored_as_python_numbers(self):
+        c = self._build(seed=np.uint64(2**64 - 1), objective_history=(np.float64(2.5), 2, np.float32(1.5)))
+        assert type(c.seed) is int and c.seed == 2**64 - 1
+        assert c.objective_history == (2.5, 2.0, 1.5) and all(type(v) is float for v in c.objective_history)
+        assert c.iters_run == 2
+        assert self._build(seed=-3).seed == -3

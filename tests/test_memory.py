@@ -1,4 +1,5 @@
-"""Every stage's memory is O(n * d), and MinHash's O(n) plus one block.
+"""Every stage's memory is O(n * d), and MinHash's O(n) plus one block, under
+3x its n x num_hashes x 8-byte signatures.
 
 The text commands stream their corpus, so 16x longer texts barely move
 their peak.
@@ -291,3 +292,19 @@ def test_matrix_commands_hold_float32_rows(command, bound, tmp_path):
         del emb
         peaks[d] = _cli_peak(argv)
     assert peaks[128] - peaks[8] <= bound * n * 120 * 4, (peaks, (peaks[128] - peaks[8]) / (n * 120 * 4))
+
+
+LSH_MULTIPLE = 3.0
+
+
+def test_lsh_dedup_peak_within_multiple_of_signatures():
+    # The signing blocks' rows are the one n x num_hashes array held: bands
+    # are read from them a band at a time, and only the links between
+    # distinct documents become graph edges. A concatenated copy of the
+    # signatures, or bands x n edge arrays, would each add a whole multiple.
+    # Ten-word documents keep the run short; a block's fixed cost is then
+    # well under one multiple at these sizes.
+    cfg = LshConfig(seed=0)
+    for n in (8000, 16000):
+        peak = _peak(_lsh_call(n, 10))
+        assert peak < LSH_MULTIPLE * n * cfg.num_hashes * 8, (n, peak / (n * cfg.num_hashes * 8))

@@ -283,6 +283,69 @@ class TestLshDedup:
             lsh_dedup(docs)
 
 
+_WORD = st.sampled_from(["a", "b", "c", "d", "e", "\u00e9\u00df", "\u6f22"])
+
+
+@st.composite
+def _near_copy_corpus(draw):
+    """Texts of up to 12 words, many a one-word edit of an earlier text, under shuffled unique ids."""
+    texts: list[str] = []
+    for _ in range(draw(st.integers(0, 12))):
+        words = draw(st.lists(_WORD, max_size=12))
+        if texts and draw(st.booleans()):
+            words = draw(st.sampled_from(texts)).split()
+            if words:
+                words[draw(st.integers(0, len(words) - 1))] = draw(_WORD)
+        texts.append(" ".join(words))
+    ids = draw(st.permutations([f"d{i:02d}" for i in range(len(texts))]))
+    return texts, list(ids)
+
+
+def _closure_oracle(texts, ids, cfg):
+    """Groups and kept ids of the closure of "some band matches in every row", from scalar signatures."""
+    rows = cfg.rows_per_band
+    band_keys = []
+    for text in texts:
+        values = minhash_signature_oracle(shingles_oracle(text, cfg.shingle_width), cfg.seed, cfg.num_hashes)
+        band_keys.append([values[b * rows : (b + 1) * rows] for b in range(cfg.bands)])
+    uf = OracleUnionFind()
+    for i in range(len(texts)):
+        uf.find(i)
+    for a, b in itertools.combinations(range(len(texts)), 2):
+        if any(map(operator.eq, band_keys[a], band_keys[b])):
+            uf.union(a, b)
+    components = sorted((sorted(g) for g in uf.groups()), key=lambda g: g[0])
+    groups = [tuple(ids[i] for i in g) for g in components if len(g) > 1]
+    keep = {min(ids[i] for i in g) for g in components}
+    return groups, tuple(i for i in ids if i in keep)
+
+
+class TestLshDedupProperty:
+    @given(
+        corpus=_near_copy_corpus(),
+        bands=st.integers(1, 7),
+        rows=st.integers(1, 3),
+        w=st.integers(1, 3),
+        seed=st.integers(min_value=-(2**70), max_value=2**70),
+        block=st.integers(1, 8),
+    )
+    # Three copies of one text and a one-word edit of it in blocks of 2 under
+    # 7 positions, so that signing blocks close inside the group and the last
+    # position chunk is short; the lowest id is not the first member.
+    @example(
+        corpus=(["a b c d", "x y", "a b c d", "a b e d", "a b c d"], ["d04", "d01", "d03", "d00", "d02"]),
+        bands=7, rows=1, w=2, seed=5, block=2,
+    )
+    def test_groups_and_kept_equal_closure_oracle(self, corpus, bands, rows, w, seed, block):
+        texts, ids = corpus
+        cfg = LshConfig(bands=bands, rows_per_band=rows, shingle_width=w, seed=seed)
+        with mock.patch.object(minhash_mod, "_SIGN_BLOCK", block):
+            res = lsh_dedup(_docs(texts, ids), cfg)
+        groups, kept = _closure_oracle(texts, ids, cfg)
+        assert [(g.group_id, g.member_ids) for g in res.groups] == list(enumerate(groups))
+        assert res.kept_ids == kept
+
+
 class TestBandHeads:
     @given(
         rows_per_band=st.integers(1, 4),
