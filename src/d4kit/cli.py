@@ -89,11 +89,7 @@ def _write_json(path: Path, payload: Any) -> None:
 def _prepare_out(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    for k, v in resolved.items():
-        if isinstance(v, Path):
-            resolved[k] = str(v)
-    _write_json(out / "config.json", resolved)
+    _write_json(out / "config.json", {k: v for k, v in vars(args).items() if k != "func"})
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import draws
 from .corpus import open_output
-from .embed import _MATRICES, EmbeddingMatrix, _float_array, _row_dots, _unit_rows
+from .embed import _MATRICES, EmbeddingMatrix, _cosine_matrix, _float_array, _row_dots, _unit_rows
 from .errors import FormatError, ValidationError, _index, _instance, _path, _real
 
 MAGIC = b"D4KM"
@@ -125,7 +125,7 @@ class Clustering:
         one row block at a time, so no n x d gather of rows or centroids is
         built.
         """
-        if _instance("emb", emb, _MATRICES).n != self.n:
+        if _cosine_matrix("emb", emb, _MATRICES).n != self.n:
             raise ValidationError(f"clustering covers {self.n} points, matrix has {emb.n}")
         if emb.d != self.d:
             raise ValidationError(f"clustering dimension {self.d} != matrix {emb.d}")
@@ -258,7 +258,7 @@ def assign(emb: EmbeddingMatrix, centroids: np.ndarray) -> tuple[np.ndarray, np.
     first copy. All centroids are one block, and a distance is ``1 - s``
     for the row's largest gemm dot ``s``, clipped into [0, 2].
     """
-    centroids = _unit_rows("centroids", centroids, _instance("emb", emb, EmbeddingMatrix).d)
+    centroids = _unit_rows("centroids", centroids, _cosine_matrix("emb", emb).d)
     k = centroids.shape[0]
     nearest, best = _nearest(emb._rows(), [(slice(0, k), centroids)], range(k))
     return nearest.astype(np.uint32), np.clip(1.0 - best, 0.0, 2.0)
@@ -322,9 +322,7 @@ def kmeans_spherical(
     within ``embed.NORM_TOL`` and start the fit as given, not renormalized.
     """
     cfg = KmeansConfig() if cfg is None else _instance("cfg", cfg, KmeansConfig)
-    if not _instance("emb", emb, EmbeddingMatrix).normalized:
-        raise ValidationError("k-means requires a normalized embedding matrix")
-    n = emb.n
+    n = _cosine_matrix("emb", emb).n
     if n < 1:
         raise ValidationError("cannot cluster an empty matrix")
 

@@ -9,14 +9,14 @@ reports, and binned aggregation of externally supplied per-document scores
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cluster import Clustering, _check_clustering, _nearest
-from .embed import _MATRICES, EmbeddingMatrix, _row_dots
+from .embed import _MATRICES, EmbeddingMatrix, _cosine_matrix, _row_dots
 from .errors import ValidationError, _index, _instance, _real
 
 if TYPE_CHECKING:
@@ -217,12 +217,10 @@ def nn_to_train(valid_emb: EmbeddingMatrix, train_emb: EmbeddingMatrix) -> NnRep
     the validation row and its chosen row, clipped into [0, 2], so it
     depends on that pair alone.
     """
-    if _instance("valid_emb", valid_emb, EmbeddingMatrix).d != _instance("train_emb", train_emb, _MATRICES).d:
+    if _cosine_matrix("valid_emb", valid_emb).d != _cosine_matrix("train_emb", train_emb, _MATRICES).d:
         raise ValidationError(
             f"dimension mismatch: validation {valid_emb.d}, train {train_emb.d}"
         )
-    if not (valid_emb.normalized and train_emb.normalized):
-        raise ValidationError("both matrices must be normalized")
     if train_emb.n == 0:
         raise ValidationError("train matrix is empty")
     if valid_emb.n == 0:
@@ -260,8 +258,8 @@ def _median(values: np.ndarray) -> float:
 
 def binned_score_analysis(
     nn: NnReport,
-    score_before: dict[str, float],
-    score_after: dict[str, float],
+    score_before: Mapping[str, float],
+    score_after: Mapping[str, float],
     n_bins: int = 20,
 ) -> BinnedScores:
     """Aggregate score deltas in equal-width bins of NN distance.
@@ -272,6 +270,8 @@ def binned_score_analysis(
     (:func:`d4kit.errors._real`), so finite scores whose mean overflows raise.
     """
     _instance("nn", nn, NnReport)
+    _instance("score_before", score_before, Mapping)
+    _instance("score_after", score_after, Mapping)
     n_bins = _index("n_bins", n_bins, 1)
     before, after = [], []
     for e in nn.entries:

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import hashing
 from .corpus import Document, Record, iter_texts, open_output
-from .errors import FormatError, ValidationError, _index, _instance, _path, _unique
+from .errors import FormatError, ValidationError, _index, _instance, _path, _str_ids, _unique
 
 MAGIC = b"D4EM"
 VERSION = 1
@@ -111,7 +111,7 @@ class EmbedderSpec:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """n unit-norm rows aligned one-to-one with document ids.
+    """n rows, unit-norm if flagged ``normalized``, aligned one-to-one with unique ``str`` ids held as a tuple.
 
     A float32 array is held as float32, as the ``.d4em`` payload stores it;
     any other real array is converted once here to float64. Either way the
@@ -128,11 +128,11 @@ class EmbeddingMatrix:
         object.__setattr__(self, "vectors", _float_array("vectors", self.vectors, float32=True))
         if self.vectors.ndim != 2:
             raise ValidationError("vectors must be a 2-d array")
+        object.__setattr__(self, "ids", _str_ids("embedding", self.ids))
         if len(self.ids) != self.vectors.shape[0]:
             raise ValidationError(
                 f"{len(self.ids)} ids but {self.vectors.shape[0]} rows"
             )
-        _unique("embedding", self.ids)
         fault = _row_fault("vectors", self._blocks(), self.normalized)
         if fault:
             raise ValidationError(fault)
@@ -218,6 +218,14 @@ def _row_fault(name: str, blocks: Iterable[tuple[slice, np.ndarray]], normalized
     if not worst <= NORM_TOL:
         return f"{name} must have unit-norm rows, one deviates by {worst:.2e}"
     return None
+
+
+def _cosine_matrix(name: str, emb, types=EmbeddingMatrix):
+    """``emb`` as given; ``ValidationError`` unless an instance of ``types`` flagged normalized.
+    Every routine that reads a cosine distance as ``1 - dot`` takes its matrix through here."""
+    if not _instance(name, emb, types).normalized:
+        raise ValidationError(f"{name} must be a normalized embedding matrix")
+    return emb
 
 
 def _unit_rows(name: str, value, d: int | None = None) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import Clustering, KmeansConfig, _check_clustering, _rounding_band, kmeans_spherical
-from .embed import _MATRICES, EmbeddingMatrix
-from .errors import ValidationError, _index, _instance, _real, _unique
+from .embed import EmbeddingMatrix, _cosine_matrix
+from .errors import ValidationError, _index, _instance, _real, _str_ids
 from .graph import components
 from .hashing import sha256
 
@@ -71,9 +71,9 @@ class SelectionResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "kept_ids", _str_ids("kept", self.kept_ids))
         if len(self.kept_ids) != len(self.scores):
             raise ValidationError("scores must align with kept ids")
-        _unique("kept", self.kept_ids)
 
     @property
     def n_kept(self) -> int:
@@ -94,16 +94,12 @@ class D4Config:
     def __post_init__(self):
         object.__setattr__(self, "r_dedup", _real("r_dedup", self.r_dedup, "(0, 1]"))
         object.__setattr__(self, "r_proto", _real("r_proto", self.r_proto, "(0, 1]"))
+        _instance("recluster", self.recluster, bool)
+        _instance("kmeans", self.kmeans, KmeansConfig)
 
     @property
     def r_overall(self) -> float:
         return self.r_dedup * self.r_proto
-
-
-def _check_inputs(emb: EmbeddingMatrix, clustering: Clustering, method: str, types=EmbeddingMatrix) -> None:
-    if not _instance("emb", emb, types).normalized:
-        raise ValidationError(f"{method} requires a normalized embedding matrix")
-    _check_clustering(clustering, emb)
 
 
 def _result(
@@ -124,9 +120,8 @@ def _result(
 def select_random(ids: tuple[str, ...] | list[str], r: float, seed: int = 0) -> SelectionResult:
     """Uniform sample without replacement of round(r * n) ids."""
     r, seed = _real("selection ratio", r, "(0, 1]"), _index("seed", seed)
-    ids = tuple(ids)
+    ids = _str_ids("source", ids)
     n = len(ids)
-    _unique("source", ids)
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     rows = np.sort(rng.choice(n, size=_round_half_up(r * n), replace=False))
     return _result(f"random(seed={seed})", r, ids, rows, np.zeros(rows.size))
@@ -297,7 +292,7 @@ def semdedup(
     r_dedup = _real("r_dedup", r_dedup, "(0, 1]")
     if keep_rule not in ("farthest", "nearest"):
         raise ValidationError(f"unknown keep_rule: {keep_rule!r}")
-    _check_inputs(emb, clustering, "semdedup")
+    _check_clustering(clustering, _cosine_matrix("emb", emb))
     return _semdedup(emb, clustering, r_dedup, keep_rule)[1]
 
 
@@ -321,7 +316,7 @@ def ssl_prototypes(
     id first. Scores are distances to the assigned (nearest) centroid.
     """
     r_proto = _real("r_proto", r_proto, "(0, 1]")
-    _check_inputs(emb, clustering, "prototype pruning", _MATRICES)
+    _check_clustering(clustering, emb)
     return _prototypes(emb.ids, clustering.distance, r_proto)[1]
 
 
@@ -345,9 +340,12 @@ def d4(
     ``stage2_clustering``) for diagnostics.
     """
     _instance("cfg", cfg, D4Config)
-    if clustering is None:
+    if artifacts is not None:
+        _instance("artifacts", artifacts, dict)
+    if clustering is None:  # a fit describes ``emb`` by construction, so only a given clustering is checked
         clustering = kmeans_spherical(emb, cfg.kmeans)
-    _check_inputs(emb, clustering, "semdedup")
+    else:
+        _check_clustering(clustering, _cosine_matrix("emb", emb))
 
     rows1, stage1 = _semdedup(emb, clustering, cfg.r_dedup, "farthest")
     sub = emb.subset(rows1)

@@ -1213,7 +1213,7 @@ class TestStreamedSelect:
             ("worst_norm", "0.5", (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02")),
             ("duplicate_id_and_nan", "0.5", (1, "ids must be unique"), (1, "ids must be unique")),
             ("id_table_and_nan", "0.5", (2, "truncated id entry"), (2, "truncated id entry")),
-            ("unnormalized", "0.5", (0, ""), (1, "requires a normalized")),
+            ("unnormalized", "0.5", (0, ""), (1, "emb must be a normalized embedding matrix")),
             ("unnormalized", "1.5", (1, "selection ratio"), (1, "r_proto must be")),
             ("clustering_of_other_n", "0.5", (0, ""), (1, "clustering covers 8 points")),
             ("inconsistent_distance", "0.5", (0, ""), (1, "stored distances inconsistent")),
@@ -1321,7 +1321,8 @@ class TestStreamedReads:
             ("worst_norm", (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02"), (1, "deviates by 2.00e-02")),
             ("duplicate_id_and_nan", (1, "ids must be unique"), (1, "ids must be unique"), (1, "ids must be unique")),
             ("id_table_and_nan", (2, "truncated id entry"), (2, "truncated id entry"), (2, "truncated id entry")),
-            ("unnormalized", (1, "both matrices must be normalized"), (0, ""), (0, "")),
+            ("unnormalized", (1, "train_emb must be a normalized embedding matrix"),
+             (1, "emb must be a normalized embedding matrix"), (0, "")),
             ("clustering_of_other_n", (0, ""), (1, "clustering covers 8 points"), (0, "")),
             ("inconsistent_distance", (0, ""), (1, "stored distances inconsistent"), (0, "")),
             ("truncated_clustering", (0, ""), (2, "truncated payload"), (0, "")),

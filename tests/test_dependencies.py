@@ -446,6 +446,16 @@ def test_rows_reach_arithmetic_as_float64():
     assert found == {("embed", method) for method in methods}, sorted(found)
 
 
+def test_normalized_flag_read_in_one_check():
+    """A cosine distance is ``1 - dot`` only between unit rows, so the flag that says a
+    matrix has them is read in ``embed`` alone: by the matrix itself, by
+    ``write_embeddings``, and by ``_cosine_matrix``, the one check that every routine
+    reading such a distance takes its matrix through."""
+    found = set(_package_sites(lambda source: _attribute_sites(source, "normalized")))
+    methods = ("__post_init__", "subset", "write_embeddings", "_cosine_matrix")
+    assert found == {("embed", method) for method in methods}, sorted(found)
+
+
 def _assert_lines(source: str) -> list[int]:
     """Line of every ``assert`` statement in ``source``, inside functions and classes included."""
     return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]

@@ -12,16 +12,19 @@ Every object argument (an embedding, a clustering, a config, a spec, a cost
 model, a selection, a result, an object to write) goes through
 ``errors._instance``, whose error names the parameter, the type it needs and
 the type it got. A value the other fields determine is computed, not taken.
+Every routine that reads a cosine distance as ``1 - dot`` takes only a matrix
+flagged normalized, through ``embed._cosine_matrix``.
 """
 
 import contextlib
 import math
 import os
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d4kit import (
@@ -70,9 +73,13 @@ from d4kit import (
     write_corpus,
     write_embeddings,
 )
+from d4kit import cluster as cluster_mod
+from d4kit import diagnostics as diagnostics_mod
+from d4kit import select as select_mod
 from d4kit.corpus import iter_records
 from d4kit.diagnostics import NnEntry, NnReport
 from d4kit.embed import _scan_embeddings
+from d4kit.errors import _instance
 
 
 def _integer_arg(least):
@@ -557,19 +564,24 @@ class TestDocumentText:
 # Each public function given a wrong object where it takes one: (call, parameter, type it needs).
 _C = _CLUSTERING
 _OBJECT_CALLS = {
-    "objective": (lambda x: objective(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
-    "analyze_clustering": (lambda x: analyze_clustering(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "objective": (lambda x: objective(x, _C), "emb", "an EmbeddingMatrix"),
+    "analyze_clustering": (lambda x: analyze_clustering(x, _C), "emb", "an EmbeddingMatrix"),
     "find_duplicate_driven_clusters": (
-        lambda x: find_duplicate_driven_clusters(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"
+        lambda x: find_duplicate_driven_clusters(x, _C), "emb", "an EmbeddingMatrix"
     ),
-    "ecdf_mean_distance": (lambda x: ecdf_mean_distance(x, _C), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
-    "validate_for": (lambda x: _C.validate_for(x), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "ecdf_mean_distance": (lambda x: ecdf_mean_distance(x, _C), "emb", "an EmbeddingMatrix"),
+    "validate_for": (lambda x: _C.validate_for(x), "emb", "an EmbeddingMatrix"),
     "semdedup": (lambda x: semdedup(x, _C, 0.5), "emb", "an EmbeddingMatrix"),
-    "ssl_prototypes": (lambda x: ssl_prototypes(x, _C, 0.5), "emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "ssl_prototypes": (lambda x: ssl_prototypes(x, _C, 0.5), "emb", "an EmbeddingMatrix"),
     "d4-emb": (lambda x: d4(x, D4Config(), _C), "emb", "an EmbeddingMatrix"),
     "d4-cfg": (lambda x: d4(_EMB, x, _C), "cfg", "a D4Config"),
+    "d4-artifacts": (lambda x: d4(_EMB, D4Config(), _C, artifacts=x), "artifacts", "a dict"),
+    "D4Config-recluster": (lambda x: D4Config(recluster=x), "recluster", "a bool"),
+    "D4Config-kmeans": (lambda x: D4Config(kmeans=x), "kmeans", "a KmeansConfig"),
+    "binned_score_analysis-before": (lambda x: binned_score_analysis(_NN, x, _SCORES), "score_before", "a Mapping"),
+    "binned_score_analysis-after": (lambda x: binned_score_analysis(_NN, _SCORES, x), "score_after", "a Mapping"),
     "nn_to_train-valid": (lambda x: nn_to_train(x, _EMB), "valid_emb", "an EmbeddingMatrix"),
-    "nn_to_train-train": (lambda x: nn_to_train(_EMB, x), "train_emb", "an EmbeddingMatrix or _EmbeddingFile"),
+    "nn_to_train-train": (lambda x: nn_to_train(_EMB, x), "train_emb", "an EmbeddingMatrix"),
     "assign": (lambda x: assign(x, _C.centroids), "emb", "an EmbeddingMatrix"),
     "kmeans_spherical-emb": (lambda x: kmeans_spherical(x), "emb", "an EmbeddingMatrix"),
     "kmeans_spherical-cfg": (lambda x: kmeans_spherical(_EMB, x), "cfg", "a KmeansConfig"),
@@ -583,8 +595,12 @@ _OBJECT_CALLS = {
     "selection_overlap": (lambda x: selection_overlap([select_random(_DOCS.ids, 0.5), x]), "results[1]",
                           "a SelectionResult"),
 }
-# Where None stands for the default config.
-_NONE_MEANS_DEFAULT = {"kmeans_spherical-cfg": _clustering_bytes(kmeans_spherical(_EMB)), "lsh_dedup": lsh_dedup(_DOCS)}
+# Where None stands for the default config, or for no artifacts.
+_NONE_MEANS_DEFAULT = {
+    "kmeans_spherical-cfg": _clustering_bytes(kmeans_spherical(_EMB)),
+    "lsh_dedup": lsh_dedup(_DOCS),
+    "d4-artifacts": d4(_EMB, D4Config(), _C, artifacts={}),
+}
 # Each writer given a wrong object: (call on the object and a path, parameter, type it needs).
 _WRITER_CALLS = {
     "write_clustering": (write_clustering, "c", "a Clustering"),
@@ -625,6 +641,114 @@ class TestObjectArguments:
         assert nn_to_train(_EMB, scanned) == nn_to_train(_EMB, _EMB)
         with pytest.raises(ValidationError, match="emb must be an EmbeddingMatrix, got _EmbeddingFile"):
             semdedup(scanned, _C, 0.5)
+
+
+class TestStringIds:
+    """``EmbeddingMatrix``, ``select_random`` and ``SelectionResult`` hold their ids as a
+    tuple of ``str`` (``errors._str_ids``); ``DocumentSet`` takes any id, which ``write_corpus`` writes."""
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda ids: EmbeddingMatrix(ids, np.eye(3), True), "embedding"),
+            (lambda ids: select_random(ids, 0.5), "source"),
+            (lambda ids: SelectionResult("m", 1.0, ids, (0.0,) * 3, 3, "f"), "kept"),
+        ],
+        ids=["EmbeddingMatrix", "select_random", "SelectionResult"],
+    )
+    @pytest.mark.parametrize("ids, bad", [((1, 2, 3), "1"), (("a", b"b", "c"), "b'b'"), (["a", "b", None], "None")],
+                             ids=["ints", "bytes", "None"])
+    def test_non_str_rejected_and_named(self, call, what, ids, bad):
+        with pytest.raises(ValidationError, match=rf"^{what} ids must be str, got {re.escape(bad)}$"):
+            call(ids)
+
+    @pytest.mark.parametrize("ids", [None, 3], ids=["None", "int"])
+    def test_non_iterable_rejected(self, ids):
+        with pytest.raises(ValidationError, match=rf"^embedding ids must be an Iterable, got {type(ids).__name__}$"):
+            EmbeddingMatrix(ids, np.eye(3), True)
+
+    def test_held_as_a_tuple(self):
+        for ids in (["a", "b", "c"], iter("abc"), np.array(["a", "b", "c"])):
+            emb = EmbeddingMatrix(ids, np.eye(3), True)
+            assert type(emb.ids) is tuple and emb.ids == ("a", "b", "c")
+        result = SelectionResult("m", 1.0, ["a", "b"], (0.0, 0.0), 2, "f")
+        assert type(result.kept_ids) is tuple and result.kept_ids == ("a", "b")
+        assert select_random(["a", "b", "c", "d"], 0.5) == select_random(("a", "b", "c", "d"), 0.5)
+
+
+def _unit_matrix_rows(seed: int, n: int, d: int) -> np.ndarray:
+    rows = np.random.default_rng(seed).normal(size=(n, d))
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+# Each routine that reads a cosine distance as 1 - dot, on a matrix ``e`` and a clustering ``c`` of
+# the same rows flagged normalized, and the parameter that takes ``e``.
+_COSINE_CALLS = {
+    "assign": (lambda e, c, t: assign(e, c.centroids), "emb"),
+    "kmeans_spherical": (lambda e, c, t: kmeans_spherical(e, KmeansConfig(k=2)), "emb"),
+    "validate_for": (lambda e, c, t: c.validate_for(e), "emb"),
+    "objective": (lambda e, c, t: objective(e, c), "emb"),
+    "semdedup": (lambda e, c, t: semdedup(e, c, 0.5), "emb"),
+    "ssl_prototypes": (lambda e, c, t: ssl_prototypes(e, c, 0.5), "emb"),
+    "d4": (lambda e, c, t: d4(e, D4Config(r_dedup=0.75, r_proto=0.75, kmeans=KmeansConfig(k=2)), c), "emb"),
+    "d4-fit": (lambda e, c, t: d4(e, D4Config(r_dedup=0.75, r_proto=0.75, kmeans=KmeansConfig(k=2))), "emb"),
+    "analyze_clustering": (lambda e, c, t: analyze_clustering(e, c), "emb"),
+    "find_duplicate_driven_clusters": (lambda e, c, t: find_duplicate_driven_clusters(e, c), "emb"),
+    "ecdf_mean_distance": (lambda e, c, t: ecdf_mean_distance(e, c), "emb"),
+    "nn_to_train-valid": (lambda e, c, t: nn_to_train(e, t), "valid_emb"),
+    "nn_to_train-train": (lambda e, c, t: nn_to_train(t, e), "train_emb"),
+}
+
+
+def _comparable(value):
+    """``value`` as something ``==`` compares by value: arrays and clusterings as bytes."""
+    if isinstance(value, Clustering):
+        return _clustering_bytes(value)
+    if isinstance(value, tuple):
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in value)
+    return value
+
+
+@contextlib.contextmanager
+def _flag_unchecked():
+    """The cosine routines with ``embed._cosine_matrix`` checking only the type, as a
+    routine that never read the flag would."""
+    unchecked = lambda name, emb, types=EmbeddingMatrix: _instance(name, emb, types)  # noqa: E731
+    with contextlib.ExitStack() as stack:
+        for module in (cluster_mod, select_mod, diagnostics_mod):
+            stack.enter_context(mock.patch.object(module, "_cosine_matrix", unchecked))
+        yield
+
+
+class TestCosineMatrix:
+    """Unit rows flagged ``normalized=False`` are refused by every cosine routine with one
+    message (``embed._cosine_matrix``); flagged ``True`` they give what a routine that
+    never read the flag gives."""
+
+    @pytest.mark.parametrize("name", list(_COSINE_CALLS))
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), d=st.integers(2, 5))
+    def test_flag_refused_or_result_unchanged(self, name, seed, n, d):
+        rows = _unit_matrix_rows(seed, n, d)
+        ids = tuple(f"d{i}" for i in range(n))
+        on, off = EmbeddingMatrix(ids, rows, True), EmbeddingMatrix(ids, rows, False)
+        clustering = kmeans_spherical(on, KmeansConfig(k=2))
+        train = EmbeddingMatrix(("t0", "t1", "t2"), _unit_matrix_rows(seed + 1, 3, d), True)
+        call, param = _COSINE_CALLS[name]
+        with pytest.raises(ValidationError, match=rf"^{param} must be a normalized embedding matrix$"):
+            call(off, clustering, train)
+        with _flag_unchecked():
+            unchecked = call(off, clustering, train)
+        assert _comparable(call(on, clustering, train)) == _comparable(unchecked)
+
+    def test_rows_of_other_norms_refused(self):
+        # Read as 1 - dot, row [1, 1] would sit at distance 0 from e_0, not 0.293, and cluster 0
+        # would be flagged duplicate-driven with std 0.
+        emb = EmbeddingMatrix(("a", "b", "c"), np.array([[3.0, 0.0], [0.0, 2.0], [1.0, 1.0]]), False)
+        for call in (lambda: assign(emb, np.eye(2)),
+                     lambda: analyze_clustering(emb, Clustering(np.eye(2), np.array([0, 1, 0]), np.zeros(3)))):
+            with pytest.raises(ValidationError, match=r"^emb must be a normalized embedding matrix$"):
+                call()
 
 
 class TestDerivedValues:
