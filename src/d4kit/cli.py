@@ -22,9 +22,9 @@ holds only the float32 rows it writes.
 Each subcommand imports the library modules it runs, so a command loads
 only those (``minhash`` never loads the embedding-space stages). Hashes
 come from :mod:`d4kit.hashing`, which takes them from CPython's bundled
-modules, and k-means seeds from :mod:`d4kit.draws`, so no command loads
-OpenSSL except through ``numpy.random``: ``synth``, ``select`` with
-``random``, and a reshuffled ``schedule`` draw from it.
+modules, and k-means draws its start rows from that keyed hash, so no
+command loads OpenSSL except through ``numpy.random``: ``synth``,
+``select`` with ``random``, and a reshuffled ``schedule`` draw from it.
 """
 
 from __future__ import annotations
@@ -344,7 +344,9 @@ def _read_selection_dir(path: str) -> select_mod.SelectionResult:
         raise ParseError(f"invalid JSON in {summary_path}: {exc.msg}", exc.lineno) from exc
     if not (
         isinstance(summary, dict)
-        and all(isinstance(summary.get(k), t) for k, t in _SUMMARY_FIELDS.items())
+        and all(
+            isinstance(v := summary.get(k), t) and not isinstance(v, bool) for k, t in _SUMMARY_FIELDS.items()
+        )
     ):
         raise ParseError(
             f"{summary_path} needs string method and fingerprint, "
@@ -352,6 +354,8 @@ def _read_selection_dir(path: str) -> select_mod.SelectionResult:
             1,
         )
     records = _read_scored(str(base / "selection.jsonl"))
+    if len(records) > summary["n_source"]:
+        raise ParseError(f"{summary_path} has n_source {summary['n_source']} below its {len(records)} kept ids", 1)
     return select_mod.SelectionResult(
         method=summary["method"],
         r_target=summary["R_target"],

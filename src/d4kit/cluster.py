@@ -2,9 +2,9 @@
 
 Lloyd iterations with cosine-similarity assignment and renormalized-mean
 centroid updates. Initialization samples k distinct data rows under the
-seed (:func:`d4kit.draws.choice`); k defaults to round(sqrt(n)) when not
-set explicitly. No cluster balancing is performed during the fit; balance
-is reported as a diagnostic instead.
+seed, by Floyd's algorithm on the package's keyed hash (:func:`_sample_rows`);
+k defaults to round(sqrt(n)) when not set explicitly. No cluster balancing
+is performed during the fit; balance is reported as a diagnostic instead.
 
 Empty clusters are repaired by reseeding the empty centroid with the point
 currently farthest from its assigned centroid (next-farthest points for
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import draws
+from . import graph, hashing
 from .corpus import open_output
 from .embed import _MATRICES, EmbeddingMatrix, _cosine_matrix, _float_array, _row_dots, _unit_rows
 from .errors import FormatError, ValidationError, _index, _instance, _path, _real
@@ -140,7 +140,7 @@ class Clustering:
 
     def members(self) -> list[np.ndarray]:
         """Point indices per cluster, ascending within each cluster."""
-        return _members(self.assignment, self.k)
+        return list(graph.members(self.assignment, self.k))
 
 
 def _check_clustering(clustering, emb: EmbeddingMatrix) -> None:
@@ -149,11 +149,22 @@ def _check_clustering(clustering, emb: EmbeddingMatrix) -> None:
     _instance("clustering", clustering, Clustering).validate_for(emb)
 
 
-def _members(assignment: np.ndarray, k: int) -> list[np.ndarray]:
-    """Point indices of each of the k clusters of ``assignment``, ascending within each."""
-    order = np.argsort(assignment, kind="stable")
-    boundaries = np.searchsorted(assignment[order], np.arange(k + 1))
-    return [order[boundaries[j] : boundaries[j + 1]] for j in range(k)]
+def _sample_rows(seed: int, n: int, k: int) -> list[int]:
+    """k distinct rows of range(n) under ``seed``, in the order picked.
+
+    Floyd's algorithm (Bentley & Floyd, "A sample of brilliance", CACM 1987):
+    for j in ``range(n - k, n)`` the candidate is ``h_j * (j + 1) >> 64``,
+    a row in [0, j], where ``h_j`` is :func:`d4kit.hashing.keyed_digests` of
+    j's 8 little-endian bytes keyed by ``seed``; row j is taken instead if
+    the candidate is already picked. O(k) time and memory.
+    """
+    tail = range(n - k, n)
+    digests = hashing.keyed_digests((j.to_bytes(8, "little") for j in tail), seed).tolist()
+    picked: dict[int, None] = {}
+    for j, h in zip(tail, digests):
+        row = h * (j + 1) >> 64
+        picked[j if row in picked else row] = None
+    return list(picked)
 
 
 def _block_rows(a, b: np.ndarray) -> int:
@@ -269,17 +280,17 @@ def _cluster_sums(X, assignment: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     X is a float64 array or a matrix's rows (``EmbeddingMatrix._rows()``),
     gathered as float64 a cluster at a time. Each cluster's rows
-    (:func:`_members`) are added in index order, as ``np.add.at`` adds them.
-    numpy sums a lone column pairwise, so d = 1 goes through ``bincount``,
-    which also adds in index order.
+    (:func:`d4kit.graph.members`) are added in index order, as ``np.add.at``
+    adds them. numpy sums a lone column pairwise, so d = 1 goes through
+    ``bincount``, which also adds in index order.
     """
     k = counts.shape[0]
     if X.shape[1] == 1:
         return np.bincount(assignment, weights=X[:, 0], minlength=k)[:, None]
     sums = np.zeros((k, X.shape[1]), dtype=np.float64)
-    members = _members(assignment, k)
-    for j in np.flatnonzero(counts):
-        sums[j] = X[members[j]].sum(axis=0)
+    for j, rows in enumerate(graph.members(assignment, k)):
+        if rows.size:
+            sums[j] = X[rows].sum(axis=0)
     return sums
 
 
@@ -314,12 +325,10 @@ def kmeans_spherical(
 
     Runs exactly ``cfg.iters`` Lloyd iterations unless the assignment stops
     changing earlier. By default the fit starts from the k data rows that
-    :func:`d4kit.draws.choice` draws under ``cfg.seed`` mod 2**64: the rows
-    ``np.random.default_rng(seed).choice(n, size=k, replace=False)`` picks,
-    that is numpy's PCG64 stream behind ``SeedSequence``, reproduced without
-    importing ``numpy.random``. ``init_centroids`` overrides that
-    initialization (and fixes k to its row count); its rows must be unit-norm
-    within ``embed.NORM_TOL`` and start the fit as given, not renormalized.
+    :func:`_sample_rows` picks under ``cfg.seed`` mod 2**64, in the order
+    picked. ``init_centroids`` overrides that initialization (and fixes k to
+    its row count); its rows must be unit-norm within ``embed.NORM_TOL`` and
+    start the fit as given, not renormalized.
     """
     cfg = KmeansConfig() if cfg is None else _instance("cfg", cfg, KmeansConfig)
     n = _cosine_matrix("emb", emb).n
@@ -339,7 +348,7 @@ def kmeans_spherical(
         k = cfg.k if cfg.k is not None else default_k(n)
         if k > n:
             raise ValidationError(f"k ({k}) exceeds point count ({n})")
-        C = X[draws.choice(cfg.seed & draws.M64, n, k)]  # float64, as every update keeps it
+        C = X[_sample_rows(cfg.seed, n, k)]  # float64, as every update keeps it
 
     assignment, distance = assign(emb, C)
     history = [float(distance.sum())]

@@ -1,6 +1,9 @@
-"""Connected components of an undirected graph given as an edge list."""
+"""Connected components of an undirected graph given as an edge list, and the
+members of each label of a labelling."""
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -29,3 +32,17 @@ def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         jumped = labels[labels]
         while not np.array_equal(jumped, labels):
             labels, jumped = jumped, jumped[jumped]
+
+
+def members(labels: np.ndarray, k: int) -> Iterator[np.ndarray]:
+    """Indices of each of labels 0..k-1 in ``labels``, ascending within each.
+
+    A stable sort by label puts each label's indices in one run, in index
+    order; the runs' bounds come from one ``searchsorted``. The runs are
+    yielded one at a time, so a caller that skips most labels holds no
+    array per label.
+    """
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    for j in range(k):
+        yield order[bounds[j] : bounds[j + 1]]

@@ -13,7 +13,8 @@ position matches (Leskovec, Rajaraman & Ullman, Mining of Massive Datasets,
 ch. 3).
 Candidates are grouped transitively, as connected components of the
 band-collision graph found by ``graph.components`` (the routine SemDeDup
-also uses), and each duplicate group keeps its lexicographically lowest id.
+also uses), listed by ``graph.members`` (the routine k-means groups its
+clusters with), and each duplicate group keeps its lexicographically lowest id.
 ``lsh_dedup`` holds the ids, the blocks' signature rows (n x num_hashes x 8
 bytes, never copied whole), one band's columns and the edges between
 distinct documents: ~2x the signatures at 8k documents and more.
@@ -30,7 +31,7 @@ import numpy as np
 from . import hashing
 from .corpus import Document, Record, iter_texts
 from .errors import ValidationError, _index, _instance, _unique
-from .graph import components
+from .graph import components, members
 
 
 @dataclass(frozen=True)
@@ -210,15 +211,14 @@ def lsh_dedup(docs: Iterable[Document | Record], cfg: LshConfig | None = None) -
         heads.append(head[linked])
     labels = components(n, np.concatenate(tails), np.concatenate(heads))
 
-    # A stable sort by label puts each group in one run, in corpus order;
-    # labels are lowest member indices, so runs come in the groups' order.
-    order = np.argsort(labels, kind="stable")
-    sizes = np.bincount(labels, minlength=n)
-    ends = np.cumsum(sizes)
+    # Each label's members come in corpus order; labels are lowest member
+    # indices, so the labels' order is the groups' order.
     keep = np.ones(n, dtype=bool)
     groups: list[DuplicateGroup] = []
-    for label in np.flatnonzero(sizes > 1).tolist():
-        idx = order[ends[label] - sizes[label] : ends[label]].tolist()
+    for idx in members(labels, n):
+        if idx.size < 2:
+            continue
+        idx = idx.tolist()
         group_ids = tuple(ids[i] for i in idx)
         keep[idx] = False
         keep[idx[group_ids.index(min(group_ids))]] = True

@@ -299,9 +299,9 @@ def test_command_that_never_hashes_never_loads_openssl(valid_inputs, tmp_path, a
 def test_command_loads_neither_openssl_nor_a_numpy_submodule(valid_inputs, tmp_path, argv):
     # The hashing commands take blake2b and sha256 from CPython's bundled
     # modules, ``nn`` takes its median without ``numpy.ma``, and k-means seeds
-    # from ``d4kit.draws``. What still draws from ``numpy.random``, and so
-    # loads OpenSSL through its ``secrets`` import, is ``synth``, ``select
-    # --method random`` and ``schedule --reshuffle``.
+    # from ``d4kit.hashing``'s keyed hash. What still draws from
+    # ``numpy.random``, and so loads OpenSSL through its ``secrets`` import, is
+    # ``synth``, ``select --method random`` and ``schedule --reshuffle``.
     argv = [t.format(**valid_inputs) for t in argv] + ["--out", str(tmp_path / "out")]
     assert _probe_imports(argv) == (0, False, [])
 
@@ -585,6 +585,23 @@ class TestErrors:
         assert run(["overlap", str(sel), str(sel), "--out", str(tmp_path / "ov")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 1:")
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n_source": True}, {"R_target": False}, {"n_source": 55}, {"n_source": -1}],
+        ids=["bool-n_source", "bool-R_target", "n_source-below-kept", "negative-n_source"],
+    )
+    def test_overlap_contradictory_summary_exits_2(self, tmp_path, capsys, fields):
+        # 56 of 112 rows kept: a bool field, or an n_source below the 56, is no summary of them.
+        sel = self._random_selection(tmp_path)
+        summary = _read_json(sel / "summary.json")
+        assert (summary["n_kept"], summary["n_source"]) == (56, 112)
+        (sel / "summary.json").write_text(json.dumps({**summary, **fields}), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["overlap", str(sel), str(sel), "--out", str(tmp_path / "ov")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 1:")
+        assert not (tmp_path / "ov" / "overlap.json").exists()
 
     def test_nn_non_numeric_score_exits_2_with_line(self, tmp_path, capsys):
         emb = _embed(tmp_path, _synth(tmp_path))

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -18,8 +18,11 @@ from d4kit import (
     kmeans_spherical,
     objective,
     read_clustering,
+    read_embeddings,
     write_clustering,
+    write_embeddings,
 )
+from d4kit.cluster import _sample_rows
 from d4kit.embed import _Float64Rows
 
 from oracles import best_two_partition, scalar_dot
@@ -151,6 +154,71 @@ class TestKmeans:
         monkeypatch.setattr(cluster_mod, "_update_centroids", lambda X, C, *rest: -C)
         with pytest.raises(ValidationError, match="objective rose at iteration 1"):
             kmeans_spherical(emb, KmeansConfig(k=3, seed=0))
+
+
+class TestSampleRows:
+    """``_sample_rows``, the seeded draw of k-means's k distinct start rows."""
+
+    def test_pinned(self):
+        # Literal draws, so d4kit's seeding stays fixed across versions.
+        assert _sample_rows(0, 10, 4) == [4, 2, 8, 9]
+        assert _sample_rows(2**32, 100, 6) == [59, 29, 55, 18, 40, 43]
+        pinned = [6190, 11472, 9946, 5905, 1147, 8334, 10621, 744]
+        assert _sample_rows(2**64 - 1, 12_000, 8) == pinned
+        assert _sample_rows(-1, 12_000, 8) == pinned  # the seed is taken mod 2**64
+        tail = _sample_rows(12345, 20_000, 500)
+        assert tail[:5] == [10669, 1283, 12882, 6575, 12722]
+        assert tail[-5:] == [6730, 650, 10119, 14823, 15789]
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 2000), data=st.data())
+    def test_distinct_rows_in_range(self, seed, n, data):
+        k = data.draw(st.integers(0, n))
+        rows = _sample_rows(seed, n, k)
+        assert len(set(rows)) == k and all(0 <= r < n for r in rows)
+        assert _sample_rows(seed, n, k) == rows
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_every_row_at_k_equal_n_and_none_at_k_zero(self, n):
+        assert sorted(_sample_rows(5, n, n)) == list(range(n))
+        assert _sample_rows(5, n, 0) == []
+
+    def test_rows_picked_equally_often(self):
+        # Each of 10 rows is one of 3 picks with probability 0.3.
+        counts = np.zeros(10)
+        for seed in range(10_000):
+            counts[_sample_rows(seed, 10, 3)] += 1
+        np.testing.assert_allclose(counts / 10_000, 0.3, atol=0.02)
+
+    @staticmethod
+    def _assert_seeded_fit_starts_from_sample(emb: EmbeddingMatrix, cfg: KmeansConfig) -> None:
+        got = kmeans_spherical(emb, cfg)
+        want = kmeans_spherical(emb, cfg, init_centroids=emb.vectors[_sample_rows(cfg.seed, emb.n, cfg.k)])
+        np.testing.assert_array_equal(got.centroids, want.centroids)
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        np.testing.assert_array_equal(got.distance, want.distance)
+        assert got.objective_history == want.objective_history
+
+    @pytest.mark.parametrize("k", [40, 300])
+    def test_kmeans_seeding_equals_sample_rows(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.normal(size=(12_000, 16))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        emb = EmbeddingMatrix(tuple(f"p{i:05d}" for i in range(len(rows))), rows, True)
+        self._assert_seeded_fit_starts_from_sample(emb, KmeansConfig(k=k, iters=5, seed=-7))
+
+    def test_kmeans_seeding_equals_sample_rows_on_float32_rows(self, tmp_path):
+        # Rows stored as float32 read back with float64 norms off 1.0 by rounding;
+        # ``init_centroids`` starts from them as they are, as the seeded draw does.
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(12_000, 16))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        path = str(tmp_path / "rows.d4em")
+        ids = tuple(f"p{i:05d}" for i in range(len(rows)))
+        write_embeddings(EmbeddingMatrix(ids, rows.astype(np.float32), True), path)
+        emb = read_embeddings(path)
+        assert (np.linalg.norm(emb.vectors.astype(np.float64), axis=1) != 1.0).all()
+        self._assert_seeded_fit_starts_from_sample(emb, KmeansConfig(k=40, iters=5, seed=3))
 
 
 def _update_centroids_add_at(X, centroids, assignment, distance, k):

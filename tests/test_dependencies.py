@@ -253,8 +253,9 @@ class C:
 
 
 def test_numpy_random_only_at_known_sites():
-    """k-means seeds from ``d4kit.draws``, so ``cluster`` and ``select --method d4``
-    never load ``numpy.random`` (or, through its ``secrets`` import, OpenSSL).
+    """k-means seeds from ``d4kit.hashing``'s keyed hash, so ``cluster`` and
+    ``select --method d4`` never load ``numpy.random`` (or, through its
+    ``secrets`` import, OpenSSL).
     These three sites still draw from it: each draws O(n) values, where a
     pure-Python generator is measurably slower, or makes the synthetic inputs."""
     found = {

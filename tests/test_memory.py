@@ -43,8 +43,8 @@ from d4kit import (
     write_corpus,
     write_embeddings,
 )
-from d4kit import draws
 from d4kit.cli import run
+from d4kit.cluster import _sample_rows
 from d4kit.select import ssl_prototypes
 
 D = 32  # below the default k at 4n, so k-means's n x k product must block
@@ -262,12 +262,13 @@ def test_external_embed_holds_one_float32_copy(tmp_path):
     assert peaks[128] - peaks[8] <= 1.25 * n * 120 * 4, peaks
 
 
-def test_tail_shuffle_peak_within_twice_numpy():
-    # k > n // 50 at n > 10,000 takes the tail shuffle, which holds an int64
-    # buffer of all n rows, as numpy's does; a list of n ints would be over 3x.
-    ours = _peak(lambda: draws.choice(3, 40_000, 20_000))
-    numpy_peak = _peak(lambda: np.random.default_rng(3).choice(40_000, size=20_000, replace=False))
-    assert ours <= 2 * numpy_peak, (ours, numpy_peak)
+def test_seed_sample_peak_is_o_of_k():
+    # Floyd's algorithm holds the k picks and their k digests, never a buffer
+    # of all n rows: at n = 10**6 and k = 1,000 its peak stays far below the
+    # 8 MB an n-row int64 array would take, and near its peak at n = 10**4.
+    n, k = 10**6, 1000
+    peak, small = _peak(lambda: _sample_rows(3, n, k)), _peak(lambda: _sample_rows(3, 10**4, k))
+    assert peak <= n * 8 / 20 and peak <= 1.5 * small, (peak, small)
 
 
 @pytest.mark.parametrize("command, bound", [("semdedup", 1.25), ("cluster", 2.5)])
