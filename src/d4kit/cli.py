@@ -330,9 +330,6 @@ def cmd_diagnose(args: argparse.Namespace) -> None:
         print(f"{f.cluster_index:>8} {f.std:>10.5f} {f.mean_distance:>10.5f} {f.size:>6}")
 
 
-_SUMMARY_FIELDS = {"method": str, "R_target": (int, float), "n_source": int, "fingerprint": str}
-
-
 def _read_selection_dir(path: str) -> select_mod.SelectionResult:
     from . import select as select_mod
 
@@ -342,29 +339,23 @@ def _read_selection_dir(path: str) -> select_mod.SelectionResult:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {summary_path}: {exc.msg}", exc.lineno) from exc
-    if not (
-        isinstance(summary, dict)
-        and all(
-            isinstance(v := summary.get(k), t) and not isinstance(v, bool) for k, t in _SUMMARY_FIELDS.items()
-        )
-    ):
-        raise ParseError(
-            f"{summary_path} needs string method and fingerprint, "
-            "numeric R_target and integer n_source",
-            1,
-        )
+    except RecursionError:
+        raise ParseError(f"invalid JSON in {summary_path}: nested too deeply", 1) from None
+    if not isinstance(summary, dict):
+        raise ParseError(f"{summary_path} must hold a JSON object", 1)
     records = _read_scored(str(base / "selection.jsonl"))
-    if len(records) > summary["n_source"]:
-        raise ParseError(f"{summary_path} has n_source {summary['n_source']} below its {len(records)} kept ids", 1)
-    return select_mod.SelectionResult(
-        method=summary["method"],
-        r_target=summary["R_target"],
-        kept_ids=tuple(doc_id for doc_id, _ in records),
-        scores=tuple(score for _, score in records),
-        n_source=summary["n_source"],
-        fingerprint=summary["fingerprint"],
-        epsilon_used=summary.get("epsilon_used"),
-    )
+    try:
+        return select_mod.SelectionResult(
+            method=summary.get("method"),
+            r_target=summary.get("R_target"),
+            kept_ids=tuple(doc_id for doc_id, _ in records),
+            scores=tuple(score for _, score in records),
+            n_source=summary.get("n_source"),
+            fingerprint=summary.get("fingerprint"),
+            epsilon_used=summary.get("epsilon_used"),
+        )
+    except ValidationError as exc:
+        raise ParseError(f"selection in {base}: {exc}", 1) from None
 
 
 def cmd_overlap(args: argparse.Namespace) -> None:

@@ -36,10 +36,13 @@ _GATHER_PARTS = 8
 _GATHER_ROWS = 256
 
 
+def _round_half_up(x: float) -> int:
+    return math.floor(x + 0.5)
+
+
 def default_k(n: int) -> int:
-    """Cluster-count heuristic: round(sqrt(n)), at least 1."""
-    n = _index("point count", n, 1)
-    return max(1, int(math.floor(math.sqrt(n) + 0.5)))
+    """Cluster-count heuristic: round(sqrt(n)), at least 1 as n is."""
+    return _round_half_up(math.sqrt(_index("point count", n, 1)))
 
 
 @dataclass(frozen=True)

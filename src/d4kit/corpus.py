@@ -128,8 +128,8 @@ _ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
     """Yield ``(line number, record)`` for each non-blank line of a JSONL file.
 
-    Each line decodes as by ``json.loads``, with its error message: a
-    malformed line raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
+    Each line decodes as by ``json.loads``, with its error message: a malformed or
+    too deeply nested line raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
     """
     # Each raw line is dropped before its record is handed on, so the next
     # read does not also hold the last line; ``enumerate`` would keep it in
@@ -148,6 +148,8 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
                     raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON{where}: {exc.msg}", lineno) from exc
+            except RecursionError:
+                raise ParseError(f"invalid JSON{where}: nested too deeply", lineno) from None
             del line
             yield lineno, rec
 

@@ -50,9 +50,6 @@ class OverlapMatrix:
     labels: tuple[str, ...]
     cells: np.ndarray
 
-    def cell(self, i: int, j: int) -> float:
-        return float(self.cells[i, j])
-
 
 @dataclass(frozen=True)
 class NnEntry:

@@ -184,9 +184,11 @@ class _Float64Rows:
 
 def _float_array(name: str, value, float32: bool = False) -> np.ndarray:
     """``value`` as a float64 array, or kept as float32 if one and ``float32``;
-    not copied if already so. ``ValidationError`` unless an array of real numbers."""
+    not copied if already so. ``ValidationError`` unless an array of real numbers, not bools or strings."""
     try:
         array = np.asarray(value)
+        if array.dtype.kind in "bUS":
+            raise TypeError(f"got a {array.dtype} array")
         if not np.iscomplexobj(array):
             return array if float32 and array.dtype == np.float32 else array.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import Clustering, KmeansConfig, _check_clustering, _rounding_band, kmeans_spherical
-from .embed import EmbeddingMatrix, _cosine_matrix
+from .cluster import Clustering, KmeansConfig, _check_clustering, _round_half_up, _rounding_band, kmeans_spherical
+from .embed import EmbeddingMatrix, _cosine_matrix, _float_array
 from .errors import ValidationError, _index, _instance, _real, _str_ids
 from .graph import components
 from .hashing import sha256
@@ -34,10 +34,6 @@ SEMDEDUP_RATIO_TOL = 0.005
 D4_RATIO_TOL = 0.01
 # Fewest joined rows the spanning-tree loop drops from its block at a time.
 _COMPACT_ROWS = 64
-
-
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
 
 
 def source_fingerprint(ids: tuple[str, ...] | list[str]) -> str:
@@ -57,7 +53,7 @@ class SelectionResult:
 
     ``kept_ids`` preserve source order; ``scores`` align with ``kept_ids``
     and are method-specific: 0.0 for random, distance to cluster centroid
-    for semdedup/prototypes/d4.
+    for semdedup/prototypes/d4. Each field but stages and warnings is checked, so 0 <= r_achieved <= 1.
     """
 
     method: str
@@ -71,9 +67,19 @@ class SelectionResult:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
+        _instance("method", self.method, str)
+        _instance("fingerprint", self.fingerprint, str)
+        object.__setattr__(self, "r_target", _real("r_target", self.r_target, "(0, 1]"))
         object.__setattr__(self, "kept_ids", _str_ids("kept", self.kept_ids))
-        if len(self.kept_ids) != len(self.scores):
+        object.__setattr__(self, "n_source", _index("n_source", self.n_source, len(self.kept_ids)))
+        scores = _float_array("scores", self.scores)
+        if scores.shape != (len(self.kept_ids),):
             raise ValidationError("scores must align with kept ids")
+        # numpy casts a bool among floats to 1.0 or 0.0, so bools are sought in the scores as given.
+        if not np.isfinite(scores).all() or {bool, np.bool_} & set(map(type, self.scores)):
+            raise ValidationError("scores must be finite numbers (no NaN, infinity or bool)")
+        if self.epsilon_used is not None:
+            object.__setattr__(self, "epsilon_used", _real("epsilon_used", self.epsilon_used, "[0, 2]"))
 
     @property
     def n_kept(self) -> int:
@@ -94,6 +100,7 @@ class D4Config:
     def __post_init__(self):
         object.__setattr__(self, "r_dedup", _real("r_dedup", self.r_dedup, "(0, 1]"))
         object.__setattr__(self, "r_proto", _real("r_proto", self.r_proto, "(0, 1]"))
+        _real("r_dedup * r_proto", self.r_overall, "(0, 1]")  # a product that underflows to 0 is no ratio
         _instance("recluster", self.recluster, bool)
         _instance("kmeans", self.kmeans, KmeansConfig)
 

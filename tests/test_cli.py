@@ -588,8 +588,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"n_source": True}, {"R_target": False}, {"n_source": 55}, {"n_source": -1}],
-        ids=["bool-n_source", "bool-R_target", "n_source-below-kept", "negative-n_source"],
+        [
+            {"n_source": True}, {"R_target": False}, {"n_source": 55}, {"n_source": -1},
+            {"R_target": float("nan")}, {"R_target": 1.5}, {"epsilon_used": "x"}, {"method": 3},
+        ],
+        ids=[
+            "bool-n_source", "bool-R_target", "n_source-below-kept", "negative-n_source",
+            "nan-R_target", "R_target-above-1", "str-epsilon_used", "int-method",
+        ],
     )
     def test_overlap_contradictory_summary_exits_2(self, tmp_path, capsys, fields):
         # 56 of 112 rows kept: a bool field, or an n_source below the 56, is no summary of them.
@@ -602,6 +608,25 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 1:")
         assert not (tmp_path / "ov" / "overlap.json").exists()
+
+    @pytest.mark.parametrize("command", ["minhash", "overlap"])
+    def test_deeply_nested_json_exits_2_with_line(self, tmp_path, capsys, command):
+        # 10,000 levels, far past the interpreter's recursion limit, in a corpus line or a summary.
+        deep = "[" * 10_000 + "]" * 10_000
+        if command == "minhash":
+            corpus = tmp_path / "deep.jsonl"
+            corpus.write_text(f'{{"id": "a", "text": "x", "meta": {deep}}}\n', encoding="utf-8")
+            argv = ["minhash", "--corpus", str(corpus)]
+        else:
+            sel = self._random_selection(tmp_path)
+            (sel / "summary.json").write_text(f'{{"method": {deep}}}', encoding="utf-8")
+            argv = ["overlap", str(sel), str(sel)]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 1:")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
     def test_nn_non_numeric_score_exits_2_with_line(self, tmp_path, capsys):
         emb = _embed(tmp_path, _synth(tmp_path))

@@ -481,3 +481,82 @@ def test_no_assert_in_the_package():
     """A bare ``assert`` vanishes under ``python -O``, so no runtime check is one."""
     found = _package_sites(_assert_lines)
     assert not found, f"assert statements at {found}"
+
+
+JSON_DECODERS = {("json", "loads"), ("json", "load")}
+
+
+def _json_decode_sites(source: str) -> list[tuple[str, bool]]:
+    """The function around every JSON decode in ``source`` (a ``json.loads`` or
+    ``json.load`` call, either imported by name from ``json``, or any
+    ``raw_decode`` call), and whether a ``try`` around it catches ``RecursionError``,
+    which a value nested past the interpreter's recursion limit raises."""
+    sites: list[tuple[str, bool]] = []
+
+    def catches_recursion(node: ast.Try) -> bool:
+        caught = [h.type for h in node.handlers if h.type is not None]
+        caught += [elt for t in caught if isinstance(t, ast.Tuple) for elt in t.elts]
+        return any(isinstance(t, ast.Name) and t.id == "RecursionError" for t in caught)
+
+    def visit(node: ast.AST, where: str, guarded: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where, guarded = node.name, False
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "raw_decode") or (
+                isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and (func.value.id, func.attr) in JSON_DECODERS
+            ):
+                sites.append((where, guarded))
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "json":
+            sites.extend((where, guarded) for alias in node.names if ("json", alias.name) in JSON_DECODERS)
+        if isinstance(node, ast.Try):
+            for child in node.body:
+                visit(child, where, guarded or catches_recursion(node))
+            for child in [*node.handlers, *node.orelse, *node.finalbody]:
+                visit(child, where, guarded)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, guarded)
+
+    visit(ast.parse(source), "<module>", False)
+    return sites
+
+
+def test_json_decode_scan_finds_every_form():
+    source = """
+from json import loads, dumps
+json.dumps(x)
+def f(s, fh):
+    try:
+        json.loads(s)
+    except (ValueError, RecursionError):
+        json.load(fh)
+    return decoder.raw_decode(s, 0)
+class C:
+    def g(self, s):
+        try:
+            try:
+                return self.decoder.raw_decode(s)
+            except ValueError:
+                pass
+        except RecursionError:
+            raise
+    def h(self, s):
+        try:
+            def inner():
+                return json.loads(s)
+        except RecursionError:
+            pass
+"""
+    assert _json_decode_sites(source) == [
+        ("<module>", False), ("f", True), ("f", False), ("f", False), ("g", True), ("inner", False),
+    ]
+
+
+def test_json_is_decoded_at_two_guarded_sites():
+    """A JSON value nested past the recursion limit raises ``RecursionError`` in the
+    decoder, so every decode turns it into a ``ParseError``: the JSONL reader, which
+    reads corpora, selections and scores, and the ``summary.json`` read of ``overlap``."""
+    found = _package_sites(_json_decode_sites)
+    assert found == [("cli", ("_read_selection_dir", True)), ("corpus", ("read_jsonl", True))], found

@@ -340,7 +340,13 @@ class TestNonNumberInputs:
         with pytest.raises(ValidationError, match=r"a \(min, max\) pair"):
             SynthSpec(n_topics=2, docs_per_topic=3, doc_length_range=pair)
 
-    @pytest.mark.parametrize("vectors", [np.array([["x"]]), np.array([[{}, 1.0]], dtype=object)])
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            np.array([["x"]]), np.array([[{}, 1.0]], dtype=object),
+            [["1.0", "0"]], np.array([[b"1"]]), np.array([[True, False]]), [[False, True]],
+        ],
+    )
     def test_vectors_numpy_cannot_cast_rejected(self, vectors):
         with pytest.raises(ValidationError, match="vectors must be numbers"):
             EmbeddingMatrix(ids=("a",), vectors=vectors, normalized=False)
@@ -853,3 +859,80 @@ class TestClusteringFitFields:
         assert c.objective_history == (2.5, 2.0, 1.5) and all(type(v) is float for v in c.objective_history)
         assert c.iters_run == 2
         assert self._build(seed=-3).seed == -3
+
+
+class TestSelectionResultFields:
+    """Every field of ``SelectionResult`` but ``stages`` and ``warnings`` is checked on
+    construction, so a result that builds has a kept fraction in [0, 1]."""
+
+    _FIELDS = {
+        "method": "random", "r_target": 0.5, "kept_ids": ("a", "b", "c"), "scores": (0.0, 0.5, 2.0),
+        "n_source": 4, "fingerprint": "f", "epsilon_used": None,
+    }
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("r_target", math.nan, r"^r_target must be a number in \(0, 1\], got nan$"),
+            ("r_target", math.inf, r"^r_target must be a number in \(0, 1\], got inf$"),
+            ("r_target", -math.inf, r"^r_target must be a number in \(0, 1\], got -inf$"),
+            ("r_target", 0, r"^r_target must be a number in \(0, 1\], got 0$"),
+            ("r_target", 1.5, r"^r_target must be a number in \(0, 1\], got 1\.5$"),
+            ("r_target", True, r"^r_target must be a number in \(0, 1\], got True$"),
+            ("n_source", True, r"^n_source must be an integer, got True$"),
+            ("n_source", -2, r"^n_source must be >= 3, got -2$"),
+            ("n_source", 2, r"^n_source must be >= 3, got 2$"),
+            ("method", 3, r"^method must be a str, got int$"),
+            ("method", None, r"^method must be a str, got NoneType$"),
+            ("fingerprint", None, r"^fingerprint must be a str, got NoneType$"),
+            ("fingerprint", b"f", r"^fingerprint must be a str, got bytes$"),
+            ("scores", (0.0, math.nan, 1.0), r"^scores must be finite numbers \(no NaN, infinity or bool\)$"),
+            ("scores", (0.0, math.inf, 1.0), r"^scores must be finite numbers \(no NaN, infinity or bool\)$"),
+            ("scores", (0.0, True, 1.0), r"^scores must be finite numbers \(no NaN, infinity or bool\)$"),
+            ("scores", (0.0, np.False_, 1.0), r"^scores must be finite numbers \(no NaN, infinity or bool\)$"),
+            ("scores", (True, False, True), r"^scores must be numbers"),
+            ("scores", (0.0, "x", 1.0), r"^scores must be numbers"),
+            ("scores", ("0", "1", "2"), r"^scores must be numbers"),
+            ("scores", (0.0, 1.0), r"^scores must align with kept ids$"),
+            ("scores", ((0.0,), (1.0,), (2.0,)), r"^scores must align with kept ids$"),
+            ("epsilon_used", "x", r"^epsilon_used must be a number in \[0, 2\], got 'x'$"),
+            ("epsilon_used", math.nan, r"^epsilon_used must be a number in \[0, 2\], got nan$"),
+            ("epsilon_used", 2.5, r"^epsilon_used must be a number in \[0, 2\], got 2\.5$"),
+        ],
+        ids=[
+            "r_target-nan", "r_target-inf", "r_target--inf", "r_target-0", "r_target-1.5", "r_target-bool",
+            "n_source-bool", "n_source-negative", "n_source-below-kept", "method-int", "method-None",
+            "fingerprint-None", "fingerprint-bytes", "score-nan", "score-inf", "score-bool", "score-numpy-bool",
+            "scores-all-bool", "score-str", "scores-numeric-str", "scores-short", "scores-2d",
+            "epsilon-str", "epsilon-nan", "epsilon-2.5",
+        ],
+    )
+    def test_rejected_and_named(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            SelectionResult(**{**self._FIELDS, field: value})
+
+    def test_numbers_stored_as_python_numbers(self):
+        result = SelectionResult(
+            **{**self._FIELDS, "r_target": np.float32(0.5), "n_source": np.int64(3), "epsilon_used": 2}
+        )
+        assert (result.r_target, result.n_source, result.epsilon_used) == (0.5, 3, 2.0)
+        assert (type(result.r_target), type(result.n_source), type(result.epsilon_used)) == (float, int, float)
+        assert result.r_achieved == 1.0
+
+    def test_d4_ratio_product_that_underflows_rejected(self):
+        with pytest.raises(ValidationError, match=r"^r_dedup \* r_proto must be a number in \(0, 1\], got 0\.0$"):
+            D4Config(r_dedup=1e-200, r_proto=1e-200)
+
+    _ODD = st.sampled_from([math.nan, math.inf, -math.inf, True, False, np.True_, "1", None, -1, 0, 1.5])
+
+    @given(st.integers(0, 5), st.one_of(st.floats(0, 1), _ODD), st.one_of(st.integers(-3, 8), _ODD), st.data())
+    def test_a_result_that_builds_keeps_a_fraction(self, n_kept, r_target, n_source, data):
+        scores = data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n_kept, max_size=n_kept))
+        if scores and data.draw(st.booleans()):
+            scores[data.draw(st.integers(0, n_kept - 1))] = data.draw(self._ODD)
+        try:
+            result = SelectionResult("m", r_target, tuple(map(str, range(n_kept))), tuple(scores), n_source, "f")
+        except ValidationError:
+            return
+        assert 0.0 <= result.r_achieved <= 1.0
+        assert 0.0 < result.r_target <= 1.0 and all(math.isfinite(s) and type(s) is not bool for s in result.scores)
