@@ -132,15 +132,16 @@ def _read_scored(path: str) -> list[tuple[str, float]]:
     for lineno, rec in corpus_mod.read_jsonl(path, f" in {path}"):
         if not (isinstance(rec, dict) and isinstance(rec.get("id"), str) and "score" in rec):
             raise ParseError(f"record in {path} needs a string 'id' and a 'score'", lineno)
-        if isinstance(rec["score"], bool):
-            raise ParseError(f"score in {path} is a boolean, not a number: {rec['score']!r}", lineno)
-        try:
-            score = float(rec["score"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"score in {path} is not a number: {rec['score']!r}", lineno) from exc
-        if not math.isfinite(score):
-            raise ParseError(f"score in {path} is not finite: {rec['score']!r}", lineno)
-        records.append((rec["id"], score))
+        score = rec["score"]
+        if isinstance(score, bool):
+            raise ParseError(f"score in {path} is a boolean, not a number: {score!r}", lineno)
+        try:  # only a JSON number is a score, not a string such as "1.5" or "NaN"
+            value = float(score) if type(score) in (int, float) else math.nan
+        except OverflowError:  # an int too large for a float
+            value = math.inf
+        if not math.isfinite(value):
+            raise ParseError(f"score in {path} is not a finite number: {score!r}", lineno)
+        records.append((rec["id"], value))
     return records
 
 
@@ -341,6 +342,8 @@ def _read_selection_dir(path: str) -> select_mod.SelectionResult:
         raise ParseError(f"invalid JSON in {summary_path}: {exc.msg}", exc.lineno) from exc
     except RecursionError:
         raise ParseError(f"invalid JSON in {summary_path}: nested too deeply", 1) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError(f"invalid JSON in {summary_path}: integer too long", 1) from None
     if not isinstance(summary, dict):
         raise ParseError(f"{summary_path} must hold a JSON object", 1)
     records = _read_scored(str(base / "selection.jsonl"))

@@ -15,18 +15,17 @@ as the data has at least k distinct rows.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import graph, hashing
 from .corpus import open_output
-from .embed import _MATRICES, EmbeddingMatrix, _cosine_matrix, _float_array, _row_dots, _unit_rows
+from .embed import _MATRICES, EmbeddingMatrix, _check_size, _cosine_matrix, _float_array, _read_array, _read_header
+from .embed import _row_dots, _unit_rows, _write_header
 from .errors import FormatError, ValidationError, _index, _instance, _path, _real
 
 MAGIC = b"D4KM"
-VERSION = 1
 DIST_TOL = 1e-5
 # A product block of a matrix's rows, which it gathers as float64, has at most
 # 1 / _GATHER_PARTS of them, so the gather takes at most a quarter of float32
@@ -385,33 +384,20 @@ def write_clustering(c: Clustering, path: str) -> None:
     """Persist a clustering (fit metadata is not stored)."""
     _instance("c", c, Clustering)
     with open_output(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IIIQ", VERSION, c.k, c.d, c.n))
+        _write_header(fh, MAGIC, "IIQ", c.k, c.d, c.n)
         fh.write(np.ascontiguousarray(c.centroids, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(c.assignment, dtype="<u4").tobytes())
         fh.write(np.ascontiguousarray(c.distance, dtype="<f4").tobytes())
 
 
 def read_clustering(path: str) -> Clustering:
+    """Inverse of :func:`write_clustering`; the header is checked as a ``.d4em`` header is."""
     with open(_path(path), "rb") as fh:
-        data = fh.read()
-    if len(data) < 4 or data[:4] != MAGIC:
-        raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
-    if len(data) < 24:
-        raise FormatError("truncated header", len(data))
-    version, k, d, n = struct.unpack_from("<IIIQ", data, 4)
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
-    offset = 24
-    need = k * d * 4 + n * 4 + n * 4
-    if len(data) < offset + need:
-        raise FormatError("truncated payload", len(data))
-    centroids = np.frombuffer(data, dtype="<f4", count=k * d, offset=offset).reshape(k, d)
-    offset += k * d * 4
-    assignment = np.frombuffer(data, dtype="<u4", count=n, offset=offset).copy()
-    offset += n * 4
-    distance = np.frombuffer(data, dtype="<f4", count=n, offset=offset).astype(np.float64)
-    offset += n * 4
-    if offset != len(data):
-        raise FormatError("trailing bytes after distances", offset)
+        k, d, n = _read_header(fh, MAGIC, "IIQ")
+        _check_size(fh, (k * d + 2 * n) * 4)
+        centroids = _read_array(fh, (k, d), "<f4", 24)
+        assignment = _read_array(fh, (n,), "<u4", 24 + k * d * 4, claim=16)
+        distance = _read_array(fh, (n,), "<f4", 24 + (k * d + n) * 4, claim=16)
+        if fh.read(1):
+            raise FormatError("trailing bytes after distances", 24 + (k * d + 2 * n) * 4)
     return Clustering(centroids=centroids, assignment=assignment, distance=distance)

@@ -129,7 +129,8 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
     """Yield ``(line number, record)`` for each non-blank line of a JSONL file.
 
     Each line decodes as by ``json.loads``, with its error message: a malformed or
-    too deeply nested line raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
+    too deeply nested line, or one with an integer past ``sys.get_int_max_str_digits()``
+    digits, raises :class:`ParseError` ``invalid JSON{where}: <msg>``.
     """
     # Each raw line is dropped before its record is handed on, so the next
     # read does not also hold the last line; ``enumerate`` would keep it in
@@ -150,6 +151,8 @@ def read_jsonl(path: str, where: str = "") -> Iterator[tuple[int, Any]]:
                 raise ParseError(f"invalid JSON{where}: {exc.msg}", lineno) from exc
             except RecursionError:
                 raise ParseError(f"invalid JSON{where}: nested too deeply", lineno) from None
+            except ValueError:  # an integer past the interpreter's digit limit
+                raise ParseError(f"invalid JSON{where}: integer too long", lineno) from None
             del line
             yield lineno, rec
 

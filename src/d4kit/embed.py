@@ -29,7 +29,7 @@ only as float64, through :meth:`EmbeddingMatrix._blocks` or the one gather,
 computes in float64 and none holds a float64 copy of the matrix.
 
 Matrices move through blocks of ceil(sqrt(n)) rows: the ``.d4em`` payload
-is written and read a block at a time, rows are normalized a block at a
+is written and scanned a block at a time, rows are normalized a block at a
 time, and the one row check, :func:`_row_fault` (finite, and unit norm when
 flagged normalized), runs a block at a time, so none builds an n x d
 temporary. Writing takes one block beyond the matrix. Centroids come in
@@ -87,7 +87,8 @@ class EmbedderSpec:
     ``"external"`` for precomputed vectors loaded from ``path``. ``seed``,
     ``dim`` (for ``"hash"``) and ``chunk_size`` (if set) are checked by
     :func:`d4kit.errors._index` and stored as ``int``. The seed may be any
-    integer; it is used mod 2**64.
+    integer; it is used mod 2**64. ``dim`` is ignored for ``"external"``,
+    which takes its width from the file, and ``chunk_size`` is refused there.
     """
 
     kind: str
@@ -107,6 +108,8 @@ class EmbedderSpec:
             object.__setattr__(self, "chunk_size", _index("chunk_size", self.chunk_size, 1))
         if self.kind == "external" and not self.path:
             raise ValidationError("external embedder requires a path")
+        if self.kind == "external" and self.chunk_size is not None:
+            raise ValidationError("chunk_size applies only to the hash embedder")
 
 
 @dataclass(frozen=True)
@@ -184,11 +187,17 @@ class _Float64Rows:
 
 def _float_array(name: str, value, float32: bool = False) -> np.ndarray:
     """``value`` as a float64 array, or kept as float32 if one and ``float32``;
-    not copied if already so. ``ValidationError`` unless an array of real numbers, not bools or strings."""
+    not copied if already so. ``ValidationError`` unless an array of real numbers, not bools or strings,
+    also where an object array holds them."""
     try:
         array = np.asarray(value)
         if array.dtype.kind in "bUS":
             raise TypeError(f"got a {array.dtype} array")
+        if array.dtype.kind == "O":  # numpy would cast a bool or string held in one, even as a 0-d array
+            for v in array.flat:
+                numpy_kind = v.dtype.kind if isinstance(v, (np.ndarray, np.generic)) else None
+                if isinstance(v, (bool, str, bytes)) or numpy_kind in ("b", "U", "S"):
+                    raise TypeError(f"got {v!r} in an object array")
         if not np.iscomplexobj(array):
             return array if float32 and array.dtype == np.float32 else array.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:
@@ -467,51 +476,70 @@ def write_embeddings(m: EmbeddingMatrix, path: str) -> None:
         if len(raw) > 0xFFFF:
             raise ValidationError(f"id too long to serialize: {doc_id[:32]!r}...")
     with open_output(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<IQII", VERSION, m.n, m.d, 1 if m.normalized else 0))
+        _write_header(fh, MAGIC, "QII", m.n, m.d, 1 if m.normalized else 0)
         for rows in _row_blocks(m.n):
-            fh.write(m.vectors[rows].astype("<f4"))
+            fh.write(np.ascontiguousarray(m.vectors[rows], dtype="<f4"))
         fh.write(b"".join(struct.pack("<H", len(raw)) + raw for raw in raw_ids))
 
 
-# read_embeddings and _scan_embeddings share the parts of a .d4em reader:
-# the header with its size checks, the payload a block at a time, and the
-# id table. read_embeddings fills a matrix from the payload; the scan only
-# checks it, as EmbeddingMatrix would.
+# The container of .d4em and .d4km files: a 24-byte header (magic, u32 VERSION, then the
+# format's fields, the second a row width) and then arrays, all little-endian.
+def _write_header(fh, magic: bytes, layout: str, *fields: int) -> None:
+    fh.write(magic + struct.pack("<I" + layout, VERSION, *fields))
 
 
-def _read_header(fh) -> tuple[int, int, bool]:
-    """The row count, width and normalized flag, after checking the 24-byte header."""
+def _read_header(fh, magic: bytes, layout: str) -> list[int]:
+    """The ``layout`` fields of ``fh``'s header, after checking its magic, length, version and width."""
     header = fh.read(24)
-    if len(header) < 4 or header[:4] != MAGIC:
-        raise FormatError(f"bad magic, expected {MAGIC!r}", 0)
+    if len(header) < 4 or header[:4] != magic:
+        raise FormatError(f"bad magic, expected {magic!r}", 0)
     if len(header) < 24:
         raise FormatError("truncated header", len(header))
-    version, count, dim, flags = struct.unpack_from("<IQII", header, 4)
+    version, *fields = struct.unpack_from("<I" + layout, header, 4)
     if version != VERSION:
         raise FormatError(f"unsupported version {version}", 4)
-    if dim == 0:
-        raise FormatError("dimension must be >= 1", 16)
+    if fields[1] == 0:
+        raise FormatError("dimension must be >= 1", 4 + struct.calcsize("<I" + layout[0]))
+    return fields
+
+
+def _check_size(fh, payload: int, truncated: str = "truncated payload") -> None:
+    """``FormatError(truncated)`` at the file's size if ``fh`` is a regular file shorter than the header and
+    ``payload`` bytes: its size is known, so a header that claims more than it holds fails before any allocation."""
     st = os.fstat(fh.fileno())
-    # A regular file's size is known, so a header that claims more rows
-    # than the file holds fails before anything is allocated.
-    if stat.S_ISREG(st.st_mode) and st.st_size < 24 + count * dim * 4:
-        raise _truncated(count, dim, st.st_size)
+    if stat.S_ISREG(st.st_mode) and st.st_size < 24 + payload:
+        raise FormatError(truncated, st.st_size)
+
+
+def _read_array(fh, shape: tuple, dtype: str, offset: int, truncated: str = "truncated payload", claim: int = 8):
+    """An array of ``shape`` read straight from ``fh``, which is at byte ``offset``. A stream that ends
+    first fails at its end, and a shape that cannot be allocated at ``claim``, the field that claimed it."""
+    try:
+        array = np.empty(shape, dtype)
+    except (MemoryError, ValueError) as exc:  # a stream that claims too much
+        raise FormatError(f"claimed shape {shape} cannot be allocated", claim) from exc
+    got = fh.readinto(array)
+    if got < array.nbytes:
+        raise FormatError(truncated, offset + got)
+    return array
+
+
+def _embeddings_header(fh) -> tuple[int, int, bool]:
+    """The row count, width and normalized flag, after checking the header and the file's size."""
+    count, dim, flags = _read_header(fh, MAGIC, "QII")
+    _check_size(fh, count * dim * 4, _truncated(count, dim))
     return count, dim, bool(flags & 1)
 
 
-def _truncated(count: int, dim: int, offset: int) -> FormatError:
-    return FormatError(f"truncated payload: expected {count * dim * 4} bytes of vectors", offset)
+def _truncated(count: int, dim: int) -> str:
+    return f"truncated payload: expected {count * dim * 4} bytes of vectors"
 
 
 def _payload_blocks(fh, count: int, dim: int) -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, float32 rows)`` over the payload, which ``fh`` is at, in blocks of :func:`_row_blocks`."""
     for rows in _row_blocks(count):
-        size = (min(rows.stop, count) - rows.start) * dim * 4
-        raw = fh.read(size)
-        if len(raw) < size:  # a stream that ends early
-            raise _truncated(count, dim, 24 + rows.start * dim * 4 + len(raw))
-        yield rows, np.frombuffer(raw, dtype="<f4").reshape(-1, dim)
+        shape = (min(rows.stop, count) - rows.start, dim)
+        yield rows, _read_array(fh, shape, "<f4", 24 + rows.start * dim * 4, _truncated(count, dim))
 
 
 def _read_ids(fh, count: int, dim: int) -> tuple[str, ...]:
@@ -538,19 +566,10 @@ def _read_ids(fh, count: int, dim: int) -> tuple[str, ...]:
 
 
 def read_embeddings(path: str) -> EmbeddingMatrix:
-    """Read the binary embedding format; inverse of :func:`write_embeddings`.
-
-    The payload is read in blocks of ceil(sqrt(n)) rows straight into the
-    float32 matrix, so reading takes about 4 bytes per value.
-    """
+    """Read the binary embedding format; inverse of :func:`write_embeddings`."""
     with open(_path(path), "rb") as fh:
-        count, dim, normalized = _read_header(fh)
-        try:
-            vectors = np.empty((count, dim), dtype=np.float32)
-        except (MemoryError, ValueError) as exc:  # a stream that claims too much
-            raise FormatError(f"claimed shape ({count}, {dim}) cannot be allocated", 8) from exc
-        for rows, block in _payload_blocks(fh, count, dim):
-            vectors[rows] = block
+        count, dim, normalized = _embeddings_header(fh)
+        vectors = _read_array(fh, (count, dim), "<f4", 24, _truncated(count, dim))
         ids = _read_ids(fh, count, dim)
     return EmbeddingMatrix(ids=ids, vectors=vectors, normalized=normalized)
 
@@ -598,7 +617,7 @@ def _scan_embeddings(path: str) -> EmbeddingMatrix | _EmbeddingFile:
     if not stat.S_ISREG(os.stat(_path(path)).st_mode):
         return read_embeddings(path)
     with open(path, "rb") as fh:
-        count, dim, normalized = _read_header(fh)
+        count, dim, normalized = _embeddings_header(fh)
         fault = _row_fault("vectors", _payload_blocks(fh, count, dim), normalized)
         ids = _read_ids(fh, count, dim)
         stamp = _stamp(fh.fileno())

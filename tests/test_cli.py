@@ -375,6 +375,19 @@ def test_external_embedder_ignores_dim(tmp_path):
     assert _read_json(out / "config.json")["dim"] == 8
 
 
+def test_chunk_size_with_external_embedder_exits_1(tmp_path, capsys):
+    corpus = _synth(tmp_path)
+    emb = _embed(tmp_path, corpus, dim="8")
+    out = tmp_path / "ext"
+    capsys.readouterr()
+    assert run(
+        ["embed", "--corpus", str(corpus), "--embedder", "external", "--embeddings", str(emb),
+         "--chunk-size", "4", "--out", str(out)]
+    ) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: chunk_size applies only to the hash embedder"]
+    assert not (out / "embeddings.d4em").exists()
+
+
 def test_diagnose_records_default_std_threshold(tmp_path):
     corpus = _synth(tmp_path)
     emb = _embed(tmp_path, corpus)
@@ -628,6 +641,29 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: line 1:")
         assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
+    @pytest.mark.parametrize("command", ["minhash", "overlap"])
+    def test_integer_past_digit_limit_exits_2_with_line(self, tmp_path, capsys, command):
+        # json refuses to convert an integer of more digits than sys.get_int_max_str_digits().
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        if command == "minhash":
+            corpus = tmp_path / "big.jsonl"
+            corpus.write_text(f'{{"id": "a", "text": "x", "meta": {{"n": {big}}}}}\n', encoding="utf-8")
+            argv = ["minhash", "--corpus", str(corpus)]
+        else:
+            sel = self._random_selection(tmp_path)
+            summary = (sel / "summary.json").read_text(encoding="utf-8")
+            assert '"n_source": 112' in summary
+            summary = summary.replace('"n_source": 112', f'"n_source": {big}')
+            (sel / "summary.json").write_text(summary, encoding="utf-8")
+            argv = ["overlap", str(sel), str(sel)]
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 1: invalid JSON")
+        assert err[0].endswith(": integer too long")
+        assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
     def test_nn_non_numeric_score_exits_2_with_line(self, tmp_path, capsys):
         emb = _embed(tmp_path, _synth(tmp_path))
         scores = tmp_path / "scores.jsonl"
@@ -667,6 +703,30 @@ class TestErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: line 2:") and "finite" in err[0]
         assert not (out / "binned.jsonl").exists()
+
+    @pytest.mark.parametrize("score", ['"1.5"', "1" + "0" * 399], ids=["string", "400-digit-int"])
+    @pytest.mark.parametrize("command", ["nn", "overlap"])
+    def test_score_not_a_finite_json_number_exits_2_with_line(self, tmp_path, capsys, command, score):
+        # A numeric string is not a number, and a 400-digit integer overflows a float.
+        if command == "nn":
+            emb = _embed(tmp_path, _synth(tmp_path))
+            scores = tmp_path / "scores.jsonl"
+            scores.write_text('{"id": "a", "score": 1.0}\n{"id": "b", "score": %s}\n' % score, encoding="utf-8")
+            argv = ["nn", str(emb), "--embeddings", str(emb), "--scores-before", str(scores),
+                    "--scores-after", str(scores)]
+            out, written = tmp_path / "nn", "binned.jsonl"
+        else:
+            sel = self._random_selection(tmp_path)
+            lines = (sel / "selection.jsonl").read_text(encoding="utf-8").splitlines()
+            lines[1] = '{"id": %s, "score": %s, "kept": true}' % (json.dumps(json.loads(lines[1])["id"]), score)
+            (sel / "selection.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["overlap", str(sel), str(sel)]
+            out, written = tmp_path / "ov", "overlap.json"
+        capsys.readouterr()
+        assert run([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: line 2:") and repr(json.loads(score)) in err[0]
+        assert not (out / written).exists()
 
     @pytest.mark.parametrize(
         "before, after, which",

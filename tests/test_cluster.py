@@ -1,3 +1,6 @@
+import os
+import struct
+import threading
 from unittest import mock
 
 import numpy as np
@@ -22,6 +25,7 @@ from d4kit import (
     write_clustering,
     write_embeddings,
 )
+from d4kit.cli import run
 from d4kit.cluster import _sample_rows
 from d4kit.embed import _Float64Rows
 
@@ -613,3 +617,122 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(FormatError, match="truncated"):
             read_clustering(str(path))
+
+
+# Each fault of a .d4km file (k = 2, d = 3, n = 4: a 24-byte header, then 56
+# bytes of payload), with the message and offset it must raise. The header is
+# checked by the .d4em codec, so its rows read as _FORMAT_FAULTS' do.
+_CLUSTERING_FAULTS = [
+    (lambda b: b"NOPE" + b[4:], "bad magic, expected b'D4KM'", 0),
+    (lambda b: b[:10], "truncated header", 10),
+    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], "unsupported version 2", 4),
+    (lambda b: b[:12] + struct.pack("<I", 0) + b[16:], "dimension must be >= 1", 12),
+    (lambda b: b[: 24 + 30], "truncated payload", 54),
+    (lambda b: b + b"junk", "trailing bytes after distances", 80),
+]
+
+
+def _feed(fifo: str, data: bytes) -> threading.Thread:
+    """A started thread that writes ``data`` into the named pipe ``fifo`` and closes it.
+    It is a daemon, so a reader that never opens the pipe fails its join rather than hanging the test run."""
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    return writer
+
+
+def _join(writer: threading.Thread) -> None:
+    writer.join(timeout=30)
+    assert not writer.is_alive(), "the pipe's writer is still waiting for its reader"
+
+
+class TestClusteringFormat:
+    @staticmethod
+    def _file(tmp_path) -> tuple[str, bytes]:
+        c = Clustering(np.eye(2, 3), np.array([0, 1, 1, 0]), np.array([0.0, 0.25, 0.5, 2.0]))
+        path = tmp_path / "c.d4km"
+        write_clustering(c, str(path))
+        return str(path), path.read_bytes()
+
+    def test_bytes_follow_the_format(self, tmp_path):
+        _, data = self._file(tmp_path)
+        assert data == (
+            b"D4KM" + struct.pack("<IIIQ", 1, 2, 3, 4) + np.eye(2, 3, dtype="<f4").tobytes()
+            + np.array([0, 1, 1, 0], dtype="<u4").tobytes() + np.array([0, 0.25, 0.5, 2], dtype="<f4").tobytes()
+        )
+
+    @pytest.mark.parametrize("corrupt, message, offset", _CLUSTERING_FAULTS)
+    def test_format_errors_keep_message_and_offset(self, tmp_path, corrupt, message, offset):
+        path, data = self._file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(corrupt(data))
+        with pytest.raises(FormatError) as info:
+            read_clustering(path)
+        assert str(info.value) == f"{message} (at byte offset {offset})"
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("corrupt, message, offset", _CLUSTERING_FAULTS)
+    def test_diagnose_exits_2_with_one_line(self, tmp_path, capsys, corrupt, message, offset):
+        path, data = self._file(tmp_path)
+        with open(path, "wb") as fh:
+            fh.write(corrupt(data))
+        emb = tmp_path / "e.d4em"
+        write_embeddings(EmbeddingMatrix(tuple("abcd"), np.eye(3)[[0, 1, 2, 0]], True), str(emb))
+        capsys.readouterr()
+        assert run(["diagnose", "--embeddings", str(emb), "--clustering", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {message} (at byte offset {offset})"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_stream_ending_mid_payload(self, tmp_path):
+        # A pipe has no size to check up front, so the short read reports how many bytes the stream held.
+        _, data = self._file(tmp_path)
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        writer = _feed(fifo, data[: 24 + 30])
+        try:
+            with pytest.raises(FormatError) as info:
+                read_clustering(fifo)
+        finally:
+            _join(writer)
+        assert str(info.value) == "truncated payload (at byte offset 54)"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize(
+        "k, d, n, sent, shape, claim",
+        [(2**32 - 1, 2**32 - 1, 1, 0, (2**32 - 1, 2**32 - 1), 8), (1, 1, 2**62, 4, (2**62,), 16)],
+        ids=["centroids", "assignment"],
+    )
+    def test_stream_claiming_unallocatable_shape(self, tmp_path, k, d, n, sent, shape, claim):
+        # Each array is past numpy's size limit, so it is never allocated and its claim is named.
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        writer = _feed(fifo, b"D4KM" + struct.pack("<IIIQ", 1, k, d, n) + b"\0" * sent)
+        try:
+            with pytest.raises(FormatError) as info:
+                read_clustering(fifo)
+        finally:
+            _join(writer)
+        assert str(info.value) == f"claimed shape {shape} cannot be allocated (at byte offset {claim})"
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_stream_longer_than_a_pipe_buffer_reads_whole(self, tmp_path):
+        # 20,000 points are 160 KB of payload, more than one read of a pipe returns.
+        emb = _random_emb(20_000, 2, seed=3)
+        c = kmeans_spherical(emb, KmeansConfig(k=3, seed=0, iters=2))
+        path = tmp_path / "c.d4km"
+        write_clustering(c, str(path))
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        writer = _feed(fifo, path.read_bytes())
+        try:
+            back = read_clustering(fifo)
+        finally:
+            _join(writer)
+        from_file = read_clustering(str(path))
+        for name in ("centroids", "assignment", "distance"):
+            assert np.array_equal(getattr(back, name), getattr(from_file, name))
+        assert np.array_equal(from_file.assignment, c.assignment)

@@ -174,6 +174,17 @@ def test_only_errors_imports_numbers():
     assert found == {"errors.py"}, found
 
 
+def test_only_embed_imports_struct():
+    """The .d4em and .d4km headers are packed and checked by one codec in ``embed``,
+    so no other module reads or writes binary fields itself."""
+    found = {
+        path.name
+        for path in sorted((ROOT / "src" / "d4kit").glob("*.py"))
+        if "struct" in _imported_names(path.read_text(encoding="utf-8"))
+    }
+    assert found == {"embed.py"}, found
+
+
 def test_sha256_falls_back_to_hashlib_without_a_bundled_module():
     # A fresh interpreter, with both bundled sha256 modules made unimportable.
     script = (

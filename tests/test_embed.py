@@ -106,6 +106,12 @@ class TestEmbedderSpec:
     def test_external_kind_ignores_dim(self):
         assert EmbedderSpec(kind="external", dim=64.5, path="vectors.d4em").dim == 64.5
 
+    @pytest.mark.parametrize("chunk_size", [1, 4])
+    def test_external_kind_refuses_chunk_size(self, chunk_size):
+        # External rows are read as they are, so a chunk size would be silently ignored.
+        with pytest.raises(ValidationError, match="^chunk_size applies only to the hash embedder$"):
+            EmbedderSpec(kind="external", path="vectors.d4em", chunk_size=chunk_size)
+
     @pytest.mark.parametrize("np_int", [np.int64, np.int32, np.uint64, np.uint8])
     def test_numpy_integers_embed_like_int(self, np_int):
         spec = EmbedderSpec(kind="hash", dim=np_int(16), seed=7, chunk_size=np_int(3))
@@ -569,6 +575,41 @@ class TestBlockedSerialization:
         finally:
             writer.join()
         assert str(info.value) == f"claimed shape ({count}, {dim}) cannot be allocated (at byte offset 8)"
+
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_stream_longer_than_a_pipe_buffer_reads_whole(self, tmp_path):
+        # 3,000 x 16 rows are 192 KB of payload, read into the matrix in one
+        # call that must go on past each pipe-sized read.
+        rows = np.random.default_rng(5).standard_normal((3000, 16))
+        m = EmbeddingMatrix(tuple(map(str, range(3000))), rows / np.linalg.norm(rows, axis=1, keepdims=True), True)
+        path = tmp_path / "m.d4em"
+        write_embeddings(m, str(path))
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(path.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            back = read_embeddings(fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert back.ids == m.ids and back.vectors.tobytes() == read_embeddings(str(path)).vectors.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_column_major_rows_write_row_major(self, tmp_path, dtype):
+        # A Fortran-ordered matrix writes the bytes of its C-ordered copy.
+        rows = np.eye(5, 3, dtype=dtype)[[0, 1, 2, 0, 1]]
+        paths = []
+        for order in "CF":
+            paths.append(tmp_path / f"{order}.d4em")
+            write_embeddings(EmbeddingMatrix(tuple("abcde"), np.asarray(rows, order=order), True), str(paths[-1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes() == _unblocked_file(read_embeddings(str(paths[0])))
 
 
 def _raw_d4em(rows: np.ndarray, ids: list[str], normalized: bool) -> bytes:

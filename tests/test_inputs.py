@@ -329,6 +329,14 @@ def test_repeated_id_rejected_and_named(tmp_path, entry):
         _ID_ENTRY_POINTS[entry](tmp_path)
 
 
+def _object_row(*values) -> np.ndarray:
+    """A 1 x n object array holding each of ``values`` as it is, a 0-d array too."""
+    row = np.empty((1, len(values)), dtype=object)
+    for i, value in enumerate(values):
+        row[0, i] = value
+    return row
+
+
 class TestNonNumberInputs:
     @pytest.mark.parametrize("args", [(5,), (None,), ("a b", 5), (b"a b",)])
     def test_count_tokens_needs_str(self, args):
@@ -345,6 +353,8 @@ class TestNonNumberInputs:
         [
             np.array([["x"]]), np.array([[{}, 1.0]], dtype=object),
             [["1.0", "0"]], np.array([[b"1"]]), np.array([[True, False]]), [[False, True]],
+            np.array([["1.0", 0]], dtype=object), np.array([[True, 0]], dtype=object),
+            np.array([[b"1", 0]], dtype=object), _object_row(np.array("1.0"), 0), _object_row(np.array(True), 0),
         ],
     )
     def test_vectors_numpy_cannot_cast_rejected(self, vectors):
